@@ -21,10 +21,6 @@ class DegenerateAtoms(SchemeWalkError):
     code = "degenerate_atoms"
 
 
-# Same condition surfaced from the eigenstructure builder.
-DuplicateAtoms = DegenerateAtoms
-
-
 class EigensolverNoConvergence(SchemeWalkError):
     code = "eigensolver_no_convergence"
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadParams,
-    DuplicateAtoms,
     InvalidIntersectionArray,
     InvalidOrder,
     NonIntegerValency,
@@ -182,55 +181,48 @@ class SchemeEigenstructure:
         return tuple(rounded)
 
     def validate(self, tol: float = MATRIX_TOL) -> None:
+        # Entries are bounded by n (|P_ij| <= a_j, |Q_ij| <= m_j) and rounding
+        # errors grow with them, so the checks compare against tol * n.
         n = self.n
+        scaled = tol * n
         a = np.asarray(self.valencies.a, dtype=float)
         ident = n * np.eye(self.d + 1)
-        if np.max(np.abs(self.P @ self.Q - ident)) > tol:
+        if np.max(np.abs(self.P @ self.Q - ident)) > scaled:
             raise InvalidIntersectionArray("PQ != nI")
-        if np.max(np.abs(self.Q @ self.P - ident)) > tol:
+        if np.max(np.abs(self.Q @ self.P - ident)) > scaled:
             raise InvalidIntersectionArray("QP != nI")
         if np.max(np.abs(self.P[:, 0] - 1.0)) > tol or np.max(np.abs(self.Q[:, 0] - 1.0)) > tol:
             raise InvalidIntersectionArray("first columns of P and Q must be all ones")
-        if np.max(np.abs(self.P[0] - a)) > tol:
+        if np.max(np.abs(self.P[0] - a)) > scaled:
             raise InvalidIntersectionArray("row 0 of P must hold the valencies")
-        if np.max(np.abs(self.Q[0] - self.m)) > tol:
+        if np.max(np.abs(self.Q[0] - self.m)) > scaled:
             raise InvalidIntersectionArray("row 0 of Q must hold the multiplicities")
         # m_j P_{ji} = a_i Q_{ij}
         lhs = self.m[:, None] * self.P
         rhs = (a[:, None] * self.Q).T
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if np.max(np.abs(lhs - rhs)) > scaled:
             raise InvalidIntersectionArray("m_j P_ji != a_i Q_ij")
-        if abs(float(np.sum(self.m)) - n) > tol * n:
+        if abs(float(np.sum(self.m)) - n) > scaled:
             raise InvalidIntersectionArray("multiplicities must sum to n")
 
 
 def eigenstructure_from_array(ia: IntersectionArray) -> SchemeEigenstructure:
     """Eigenvalue/dual-eigenvalue matrices of the scheme defined by ``ia``.
 
-    Row i of P evaluates the adjacency polynomials at the i-th spectrum atom
-    (atoms in decreasing order, so row 0 is the valency row); multiplicities
-    are n times the Gauss weights.
+    From the Jacobi eigenvectors U (atoms in decreasing order, so row 0 is
+    the valency row): P_lk = sqrt(a_k) U[k, l] / U[0, l], m_l = n U[0, l]^2
+    and Q_kl = n U[0, l] U[k, l] / sqrt(a_k).
     """
     from . import spectral
 
     ia.ensure_valid()
     valencies = derive_stratum_sizes(ia)
-    jc = spectral.jacobi_from_intersection(ia)
-    dist = spectral.golub_welsch(jc)
-    atoms = dist.atoms[::-1]
-    weights = dist.weights[::-1]
-    if np.min(np.diff(dist.atoms)) <= 1e-9:
-        raise DuplicateAtoms("coincident spectrum atoms: input is not P-polynomial")
-
-    d = ia.d
-    P = np.empty((d + 1, d + 1))
-    bprod = np.cumprod([1] + list(ia.b))  # bprod[k] = b_1 ... b_k
-    for i, x in enumerate(atoms):
-        q = spectral.evaluate_polynomials(jc, float(x), d)
-        P[i] = np.asarray(q) / bprod
-    m = valencies.n * weights
-    a = np.asarray(valencies.a, dtype=float)
-    Q = (m[None, :] * P.T) / a[:, None]
+    _, U = spectral.jacobi_eigh(spectral.jacobi_from_intersection(ia))
+    U = U[:, ::-1]
+    root_a = np.sqrt(np.asarray(valencies.a, dtype=float))[:, None]
+    P = (root_a * U / U[0]).T
+    m = valencies.n * U[0] ** 2
+    Q = valencies.n * U[0] * U / root_a
     es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
     es.validate()
     return es

@@ -1,9 +1,12 @@
 """Spectral distributions from intersection arrays.
 
 The route is: intersection array -> three-term recurrence coefficients ->
-Gauss quadrature on the associated symmetric tridiagonal matrix.  Atoms are
-the distinct adjacency eigenvalues and weights are the spectral measure seen
-from any fixed vertex, so multiplicities are n times the weights.
+one dense eigendecomposition J = U diag(x) U^T of the symmetric tridiagonal
+Jacobi matrix, which is the adjacency matrix restricted to the span of the
+stratum vectors.  Atoms x are the distinct adjacency eigenvalues and the
+weights U[0, l]^2 are the spectral measure seen from any fixed vertex, so
+multiplicities are n times the weights.  The rest of U carries the stratum
+amplitudes, the eigenvalue matrix and the long-time averages.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
 )
 from .schemes import IntersectionArray
 
-QL_RELATIVE_TOL = 1e-14
 ATOM_SEPARATION = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
@@ -34,7 +36,12 @@ TAIL_TOL_ENV = "SCHEME_WALK_TAIL_TOL"
 def default_tail_tolerance() -> float:
     """Truncation tolerance for infinite distributions, overridable by environment."""
     raw = os.environ.get(TAIL_TOL_ENV)
-    return float(raw) if raw else DEFAULT_TAIL_TOL
+    if not raw:
+        return DEFAULT_TAIL_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise BadParameter(f"{TAIL_TOL_ENV}={raw!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,8 @@ class DiscreteInfiniteDistribution:
 
     def truncated(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         tol = self.truncation_tol if tol is None else tol
+        if not 0.0 < tol < 1.0:
+            raise BadParameter(f"truncation tolerance must lie in (0, 1), got {tol}")
         atoms: list[float] = []
         weights: list[float] = []
         total = 0.0
@@ -130,90 +139,45 @@ def jacobi_from_intersection(ia: IntersectionArray) -> JacobiCoefficients:
     return JacobiCoefficients(omega, alpha)
 
 
-def golub_welsch(jc: JacobiCoefficients) -> DiscreteDistribution:
-    """Quadrature atoms and weights of the measure orthogonalizing the recurrence.
+def jacobi_eigh(jc: JacobiCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition J = U diag(atoms) U^T of the Jacobi matrix.
 
-    Solves the symmetric tridiagonal eigenproblem with diagonal alpha and
-    off-diagonal sqrt(omega) by the implicit-shift QL iteration, tracking only
-    the first components of the eigenvectors; the squared first component of
-    the l-th normalized eigenvector is the weight at atom l.
+    J has diagonal alpha and off-diagonal sqrt(omega).  Atoms come back
+    ascending and each column of U is signed so that U[0, l] > 0; then
+    U[k, l] = U[0, l] p_k(x_l) with p_k the orthonormal polynomials, and the
+    weight at atom l is U[0, l]^2.
     """
-    n = jc.d + 1
-    diag = np.array(jc.alpha, dtype=float)
-    off = np.zeros(n)
-    off[: n - 1] = np.sqrt(jc.omega)
-    first = np.zeros(n)
-    first[0] = 1.0
-
-    if n == 1:
-        return DiscreteDistribution(diag.copy(), np.array([1.0]))
-
-    max_sweeps = 100 * n
-    sweeps = 0
-    for idx in range(n):
-        while True:
-            for m in range(idx, n):
-                if m == n - 1:
-                    break
-                if abs(off[m]) <= QL_RELATIVE_TOL * (abs(diag[m]) + abs(diag[m + 1])):
-                    break
-            if m == idx:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise EigensolverNoConvergence(
-                    f"tridiagonal QL exceeded {max_sweeps} sweeps"
-                )
-            # Wilkinson shift from the leading 2x2 block.
-            g = (diag[idx + 1] - diag[idx]) / (2.0 * off[idx])
-            r = math.hypot(g, 1.0)
-            g = diag[m] - diag[idx] + off[idx] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(m - 1, idx - 1, -1):
-                f = s * off[i]
-                b = c * off[i]
-                r = math.hypot(f, g)
-                off[i + 1] = r
-                if r == 0.0:
-                    diag[i + 1] -= p
-                    off[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = diag[i + 1] - p
-                r = (diag[i] - g) * s + 2.0 * c * b
-                p = s * r
-                diag[i + 1] = g + p
-                g = c * r - b
-                f = first[i + 1]
-                first[i + 1] = s * first[i] + c * f
-                first[i] = c * first[i] - s * f
-            else:
-                diag[idx] -= p
-                off[idx] = g
-                off[m] = 0.0
-
-    order = np.argsort(diag, kind="stable")
-    atoms = diag[order]
-    weights = first[order] ** 2
+    off = np.sqrt(jc.omega)
+    matrix = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
+    try:
+        atoms, U = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverNoConvergence(f"Jacobi eigensolver failed: {exc}") from exc
     if np.any(np.diff(atoms) <= ATOM_SEPARATION):
         raise DegenerateAtoms("quadrature produced coincident atoms")
-    return DiscreteDistribution(atoms, weights)
+    return atoms, U * np.where(U[0] < 0, -1.0, 1.0)
 
 
-def evaluate_polynomials(jc: JacobiCoefficients, x: float, up_to_k: int) -> list[float]:
-    """Values Q_0(x)..Q_k(x) of the monic orthogonal polynomials at ``x``."""
+def golub_welsch(jc: JacobiCoefficients) -> DiscreteDistribution:
+    """Atoms and weights U[0, l]^2 of the measure orthogonalizing the recurrence."""
+    atoms, U = jacobi_eigh(jc)
+    return DiscreteDistribution(atoms, U[0] ** 2)
+
+
+def evaluate_polynomials(jc: JacobiCoefficients, x, up_to_k: int) -> np.ndarray:
+    """Values Q_0(x)..Q_k(x) of the monic orthogonal polynomials, along the last axis.
+
+    ``x`` may be a scalar or an array; the result has shape ``x.shape + (k+1,)``.
+    """
     if up_to_k < 0 or up_to_k > jc.d:
         raise BadParameter(f"polynomial index {up_to_k} out of range 0..{jc.d}")
-    values = [1.0]
+    x = np.asarray(x, dtype=float)
+    values = [np.ones_like(x)]
     if up_to_k >= 1:
         values.append(x - jc.alpha[0])
     for k in range(1, up_to_k):
-        nxt = (x - jc.alpha[k]) * values[k] - jc.omega[k - 1] * values[k - 1]
-        values.append(nxt)
-    return values
+        values.append((x - jc.alpha[k]) * values[k] - jc.omega[k - 1] * values[k - 1])
+    return np.stack(values, axis=-1)
 
 
 def stieltjes_transform(dist: SpectralDistribution, z: complex) -> complex:

@@ -2,9 +2,10 @@
 
 Three interchangeable routes compute the same stratum amplitudes: the
 eigenstructure route sums dual eigenvalues against eigenvalue phases, the
-character route does the same with group data, and the spectral route
-integrates e^{-ixt} times orthogonal polynomials against the spectral
-distribution.  Time is measured in inverse adjacency-eigenvalue units.
+character route does the same with group data, and the spectral route sums
+phases against products of Jacobi-matrix eigenvector entries.  All of them
+evaluate one kernel, phases e^{-ixt} on the atoms times a fixed weight
+table.  Time is measured in inverse adjacency-eigenvalue units.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ from .schemes import (
     eigenstructure_from_array,
 )
 from .spectral import (
-    ContinuousDistribution,
+    ATOM_SEPARATION,
     DiscreteDistribution,
     JacobiCoefficients,
     SpectralDistribution,
+    continuous_line_distribution,
     evaluate_polynomials,
+    golub_welsch,
+    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
     srg_intersection_array,
@@ -129,6 +133,11 @@ def _series(times, strata, amplitudes) -> AmplitudeSeries:
     return series
 
 
+def _phase_sum(times, atoms, table) -> np.ndarray:
+    """sum_l e^{-i x_l t} table[l]: the one kernel behind every finite route."""
+    return np.exp(-1j * np.outer(times, atoms)) @ table
+
+
 def amplitudes_eigen(
     es: SchemeEigenstructure,
     times,
@@ -141,19 +150,24 @@ def amplitudes_eigen(
     evals = es.P[:, generator_column].copy()
     if normalized:
         evals /= es.valencies.a[generator_column]
-    phases = np.exp(-1j * np.outer(times, evals))
     a = np.asarray(es.valencies.a, dtype=float)
-    amplitudes = (phases @ es.Q.T) * (np.sqrt(a) / es.n)
+    amplitudes = _phase_sum(times, evals, es.Q.T) * (np.sqrt(a) / es.n)
     return _series(times, es.valencies, amplitudes)
 
 
-def _polynomial_table(jc: JacobiCoefficients, ia: IntersectionArray, xs: np.ndarray) -> np.ndarray:
-    """P_k(x) = Q_k(x)/(b_1...b_k) for all atoms; shape (len(xs), d+1)."""
-    bprod = np.cumprod([1] + list(ia.b)).astype(float)
-    table = np.empty((len(xs), ia.d + 1))
-    for li, x in enumerate(xs):
-        table[li] = np.asarray(evaluate_polynomials(jc, float(x), ia.d)) / bprod
-    return table
+def _jacobi_kernel(
+    dist: SpectralDistribution, jc: JacobiCoefficients, ia: IntersectionArray
+) -> tuple[np.ndarray, np.ndarray, ValencyVector]:
+    """Atoms and eigenvectors of the recurrence, after checking ``dist`` matches them."""
+    if jc.d != ia.d:
+        raise InconsistentInputs("recurrence coefficients and array disagree on d")
+    if not isinstance(dist, DiscreteDistribution):
+        raise InconsistentInputs("the finite spectral route needs a discrete distribution")
+    atoms, U = jacobi_eigh(jc)
+    tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))
+    if dist.atoms.shape != atoms.shape or np.max(np.abs(dist.atoms - atoms)) > tol:
+        raise InconsistentInputs("distribution atoms differ from the recurrence spectrum")
+    return atoms, U, derive_stratum_sizes(ia)
 
 
 def amplitudes_spectral(
@@ -164,25 +178,15 @@ def amplitudes_spectral(
     *,
     normalized: bool = False,
 ) -> AmplitudeSeries:
-    """Stratum amplitudes (1/sqrt(a_k)) integral of e^{-ixt} P_k(x) d mu(x)."""
-    if jc.d != ia.d:
-        raise InconsistentInputs("recurrence coefficients and array disagree on d")
-    if isinstance(dist, DiscreteDistribution):
-        xs, ws = dist.atoms, dist.weights
-        if len(xs) != ia.d + 1:
-            raise InconsistentInputs("distribution must have d+1 atoms")
-    elif isinstance(dist, ContinuousDistribution):
-        xs, ws = dist.nodes, dist.node_weights
-    else:
-        raise InconsistentInputs("infinite distributions need the growing-family route")
-    valencies = derive_stratum_sizes(ia)
+    """Stratum amplitudes sum_l e^{-i x_l t} U[0, l] U[k, l] over the Jacobi eigenvectors.
+
+    Equals (1/sqrt(a_k)) times the integral of e^{-ixt} P_k(x) against ``dist``,
+    which must be the recurrence's own distribution.
+    """
+    atoms, U, valencies = _jacobi_kernel(dist, jc, ia)
     times = np.asarray(times, dtype=float)
-    polys = _polynomial_table(jc, ia, xs)
-    scaled = xs / valencies.a[1] if normalized else xs
-    phases = np.exp(-1j * np.outer(times, scaled))
-    inv_sqrt_a = 1.0 / np.sqrt(np.asarray(valencies.a, dtype=float))
-    amplitudes = (phases @ (ws[:, None] * polys)) * inv_sqrt_a
-    return _series(times, valencies, amplitudes)
+    scaled = atoms / valencies.a[1] if normalized else atoms
+    return _series(times, valencies, _phase_sum(times, scaled, (U[0] * U).T))
 
 
 def amplitudes_group(
@@ -254,15 +258,14 @@ def average_from_eigenstructure(
 def average_from_distribution(
     dist: DiscreteDistribution, jc: JacobiCoefficients, ia: IntersectionArray
 ) -> AverageProbabilities:
-    """Averages (1/a_k) sum_l B_l^2 P_k(x_l)^2 over the distribution atoms."""
+    """Averages sum_l U[0, l]^2 U[k, l]^2 = (1/a_k) sum_l B_l^2 P_k(x_l)^2."""
     if np.min(np.diff(dist.atoms)) <= MERGE_TOL:
         raise DegenerateSpectrumUnmerged(
             "coincident atoms contradict the polynomial structure of the scheme"
         )
-    valencies = derive_stratum_sizes(ia)
-    polys = _polynomial_table(jc, ia, dist.atoms)
+    _, U, valencies = _jacobi_kernel(dist, jc, ia)
+    stratum = ((U[0] * U) ** 2).sum(axis=1)
     a = np.asarray(valencies.a, dtype=float)
-    stratum = ((dist.weights[:, None] * polys) ** 2).sum(axis=0) / a
     return AverageProbabilities(stratum=stratum, vertex=stratum / a)
 
 
@@ -347,7 +350,7 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
     if k != 0:
         raise BadParameter("only the origin amplitude is available for p < 1")
     atoms, weights = meixner_distribution(p).truncated()
-    return np.exp(-1j * np.outer(times, atoms)) @ weights
+    return _phase_sum(times, atoms, weights)
 
 
 def line_jacobi(k_max: int) -> JacobiCoefficients:
@@ -363,19 +366,14 @@ def line_walk(times, k_max: int, nodes: int = 512) -> AmplitudeSeries:
     Only strata 0..k_max are produced, so rows are not unit vectors; the
     missing mass is the probability beyond stratum k_max.
     """
-    from .spectral import continuous_line_distribution
-
     if k_max < 1:
         raise BadParameter("k_max must be at least 1")
     dist = continuous_line_distribution(nodes)
-    jc = line_jacobi(k_max)
+    polys = evaluate_polynomials(line_jacobi(k_max), dist.nodes, k_max)
     times = np.asarray(times, dtype=float)
-    polys = np.empty((nodes, k_max + 1))
-    for li, x in enumerate(dist.nodes):
-        polys[li] = evaluate_polynomials(jc, float(x), k_max)
-    phases = np.exp(-1j * np.outer(times, dist.nodes))
     a = np.array([1.0] + [2.0] * k_max)
-    amplitudes = (phases @ (dist.node_weights[:, None] * polys)) / np.sqrt(a)
+    table = dist.node_weights[:, None] * polys / np.sqrt(a)
+    amplitudes = _phase_sum(times, dist.nodes, table)
     strata = ValencyVector(tuple(int(x) for x in a), int(a.sum()))
     return AmplitudeSeries(times, strata, amplitudes, "stratum")
 
@@ -435,8 +433,6 @@ def dispatch(req: WalkRequest) -> AmplitudeSeries:
         return amplitudes_eigen(
             eigenstructure_from_array(ia), req.times, normalized=req.normalized_adjacency
         )
-    from .spectral import golub_welsch
-
     jc = jacobi_from_intersection(ia)
     return amplitudes_spectral(
         golub_welsch(jc), jc, ia, req.times, normalized=req.normalized_adjacency

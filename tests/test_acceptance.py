@@ -453,8 +453,24 @@ def test_criterion_8_hamming_factorization():
             for l, weight in enumerate(dist.weights):
                 numerator = comb(d, l) * (n - 1) ** (d - l)
                 assert weight * n**d == pytest.approx(numerator, abs=1e-9)
+    # Larger products: every stratum against the closed form for n = 2, the
+    # factorized origin amplitude otherwise.
+    for n, d_max in ((2, 60), (3, 25), (4, 25)):
+        kn = amplitudes_eigen(
+            eigenstructure_from_array(complete_intersection_array(n)), GRID
+        ).amplitudes[:, 0]
+        for d in range(5, d_max + 1):
+            series, _ = hamming_walk(n, d, GRID)
+            if n == 2:
+                k = np.arange(d + 1)
+                c, s = np.cos(GRID)[:, None], np.sin(GRID)[:, None]
+                closed = np.sqrt([comb(d, j) for j in k]) * c ** (d - k) * (-1j * s) ** k
+                err = np.max(np.abs(series.amplitudes - closed))
+            else:
+                err = np.max(np.abs(series.amplitudes[:, 0] - kn**d))
+            worst = max(worst, float(err))
     assert worst < 1e-12
-    _report(8, f"product factorization of the origin amplitude, err {worst:.1e}")
+    _report(8, f"product factorization and binary closed forms up to d = 60, err {worst:.1e}")
 
 
 def test_criterion_9_growing_family_limits():

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,3 +254,57 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "petersen" in result.stdout.splitlines()
+
+
+def test_import_loads_no_scipy():
+    # The runtime depends on numpy alone; scipy is a test-only reference.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, schemewalk; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def _csv(out):
+    return np.array([[float(v) for v in line.split(",")] for line in out.splitlines()])
+
+
+@pytest.mark.parametrize(
+    "graph", ["catalog:cycle:1001", "catalog:hamming:20,2", "catalog:johnson:20,10"]
+)
+def test_eigen_engine_matches_spectral_on_large_schemes(capsys, graph):
+    # P and Q entries grow to n, so the eigenstructure checks must scale with n.
+    rows = {}
+    for engine in ("eigen", "spectral"):
+        code, out, err = run_cli(
+            capsys, "walk", "--graph", graph, "--engine", engine, "--t1", "5", "--steps", "6"
+        )
+        assert code == 0, err
+        rows[engine] = _csv(out)
+    assert np.max(np.abs(rows["eigen"] - rows["spectral"])) < 1e-11
+
+
+def _hamming_binary_averages(d):
+    """Exact stratum averages of H(d, 2): sum_j C(d,j)^2 K_k(j)^2 / (4^d C(d,k))."""
+    averages = []
+    for k in range(d + 1):
+        krawtchouk = [
+            sum((-1) ** i * math.comb(j, i) * math.comb(d - j, k - i) for i in range(k + 1))
+            for j in range(d + 1)
+        ]
+        num = sum(math.comb(d, j) ** 2 * kj**2 for j, kj in enumerate(krawtchouk))
+        averages.append(Fraction(num, 4**d * math.comb(d, k)))
+    assert sum(averages) == 1
+    return [float(x) for x in averages]
+
+
+@pytest.mark.parametrize("d", [21, 60])
+def test_average_large_hamming_matches_krawtchouk(capsys, d):
+    code, out, err = run_cli(capsys, "average", "--graph", f"catalog:hamming:{d},2")
+    assert code == 0, err
+    values = _csv(out)[:, 1]
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert values.sum() == pytest.approx(1.0, abs=1e-10)
+    assert values == pytest.approx(_hamming_binary_averages(d), abs=2e-12)

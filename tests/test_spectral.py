@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemewalk.errors import BadParameter, InfeasibleParameters, PoleProximity
+from schemewalk.errors import (
+    BadParameter,
+    EigensolverNoConvergence,
+    InfeasibleParameters,
+    PoleProximity,
+)
 from schemewalk.schemes import IntersectionArray, derive_stratum_sizes
 from schemewalk.spectral import (
     JacobiCoefficients,
     continuous_line_distribution,
     evaluate_polynomials,
     golub_welsch,
+    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
     srg_distribution,
@@ -93,6 +99,36 @@ def test_golub_welsch_matches_dense_eigensolver(alpha, data):
     assert np.max(np.abs(dist.weights - vecs[0] ** 2)) < 1e-9
     assert abs(dist.weights.sum() - 1.0) < 1e-12
     assert np.all(dist.weights > 0)
+
+
+@pytest.mark.parametrize("ia", [PETERSEN, C7, M22])
+def test_jacobi_eigh_diagonalizes_with_positive_first_row(ia):
+    jc = jacobi_from_intersection(ia)
+    atoms, U = jacobi_eigh(jc)
+    off = np.sqrt(jc.omega)
+    dense = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.all(np.diff(atoms) > 0)
+    assert np.all(U[0] > 0)
+    assert np.max(np.abs(U @ np.diag(atoms) @ U.T - dense)) < 1e-12
+    assert np.max(np.abs(U.T @ U - np.eye(jc.d + 1))) < 1e-12
+
+
+def test_jacobi_eigh_failure_is_a_solver_error(monkeypatch):
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolverNoConvergence):
+        golub_welsch(jacobi_from_intersection(PETERSEN))
+
+
+def test_polynomials_accept_arrays():
+    jc = jacobi_from_intersection(M22)
+    xs = np.array([-4.0, 0.5, 7.0])
+    table = evaluate_polynomials(jc, xs, 4)
+    assert table.shape == (3, 5)
+    for x, row in zip(xs, table):
+        assert np.array_equal(row, evaluate_polynomials(jc, float(x), 4))
 
 
 @pytest.mark.parametrize("ia", [PETERSEN, C7, M22])
@@ -245,6 +281,16 @@ def test_tail_tolerance_env_override(monkeypatch):
     assert default_tail_tolerance() == 1e-4
     atoms, weights = meixner_distribution(0.5).truncated()
     assert weights.sum() > 1 - 1e-3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "1", "nan"])
+def test_tail_tolerance_env_rejects_bad_values(monkeypatch, raw):
+    # A tolerance outside (0, 1) must fail at once, not spin toward the atom cap.
+    from schemewalk.walk import johnson_limit_amplitudes
+
+    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", raw)
+    with pytest.raises(BadParameter):
+        johnson_limit_amplitudes(0.5, 0, np.linspace(0.0, 1.0, 3))
 
 
 def test_golub_welsch_large_chebyshev_case():

@@ -30,6 +30,7 @@ from schemewalk.schemes import (
 )
 from schemewalk.spectral import (
     DiscreteDistribution,
+    continuous_line_distribution,
     golub_welsch,
     jacobi_from_intersection,
     meixner_distribution,
@@ -355,3 +356,17 @@ def test_spectral_inputs_must_agree():
         amplitudes_spectral(golub_welsch(jc), jc, other, TIMES)
     with pytest.raises(InconsistentInputs):
         amplitudes_spectral(meixner_distribution(0.5), jc, PETERSEN, TIMES)
+    with pytest.raises(InconsistentInputs):
+        amplitudes_spectral(continuous_line_distribution(16), jc, PETERSEN, TIMES)
+
+
+def test_distribution_atoms_must_match_the_recurrence():
+    jc = jacobi_from_intersection(PETERSEN)
+    shifted = DiscreteDistribution(np.array([-2.0, 1.0, 3.5]), np.array([0.4, 0.5, 0.1]))
+    with pytest.raises(InconsistentInputs):
+        amplitudes_spectral(shifted, jc, PETERSEN, TIMES)
+    with pytest.raises(InconsistentInputs):
+        average_from_distribution(shifted, jc, PETERSEN)
+    exact = DiscreteDistribution(np.array([-2.0, 1.0, 3.0]), np.array([0.4, 0.5, 0.1]))
+    series = amplitudes_spectral(exact, jc, PETERSEN, TIMES)
+    assert np.max(np.abs(series.amplitudes - spectral_series(PETERSEN).amplitudes)) < 1e-14
