@@ -56,15 +56,20 @@ from .spectral import (
 from .walk import (
     AmplitudeSeries,
     AverageProbabilities,
+    SchemeSpectrum,
     WalkRequest,
     amplitudes_eigen,
     amplitudes_group,
     amplitudes_spectral,
     average_probabilities,
     dispatch,
+    eigen_spectrum,
     hamming_walk,
+    intersection_array,
+    jacobi_spectrum,
     johnson_limit_amplitudes,
     line_walk,
+    resolve,
 )
 
 __version__ = "0.1.0"

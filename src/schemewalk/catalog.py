@@ -76,10 +76,22 @@ def johnson_intersection_array(v: int, d: int) -> IntersectionArray:
     return IntersectionArray(d=d, c=c, b=b)
 
 
-def _hamming(d: int, n: int):
-    from .walk import hamming_distribution, hamming_intersection_array
+def hamming_intersection_array(d: int, n: int) -> IntersectionArray:
+    """Array of the product of d complete graphs K_n."""
+    if d < 1 or n < 2:
+        raise BadParams("product scheme needs d >= 1 and n >= 2")
+    c = tuple((n - 1) * (d - i) for i in range(d))
+    b = tuple(range(1, d + 1))
+    return IntersectionArray(d=d, c=c, b=b)
 
-    return hamming_intersection_array(d, n), hamming_distribution(d, n)
+
+def hamming_distribution(d: int, n: int) -> DiscreteDistribution:
+    """Binomial distribution with atoms n*l - d, l = 0..d."""
+    atoms = np.array([n * l - d for l in range(d + 1)], dtype=float)
+    weights = np.array(
+        [math.comb(d, l) * (n - 1) ** (d - l) / n**d for l in range(d + 1)]
+    )
+    return DiscreteDistribution(atoms, weights)
 
 
 def _gen_octagon(s: int, t: int) -> IntersectionArray:
@@ -231,7 +243,7 @@ def catalog(name: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     elif name == "johnson":
         array, expected = johnson_intersection_array(*params), None
     elif name == "hamming":
-        array, expected = _hamming(*params)
+        array, expected = hamming_intersection_array(*params), hamming_distribution(*params)
     elif name == "gen_octagon":
         array, expected = _gen_octagon(*params), None
     elif name == "gen_dodecagon":

@@ -15,12 +15,13 @@ import sys
 
 import numpy as np
 
-from . import oracle, spectral, walk
+from . import oracle, walk
 from .catalog import catalog as catalog_lookup
 from .catalog import catalog_names
-from .errors import EngineSpecMismatch, SchemaError, SchemeWalkError
+from .errors import SchemaError, SchemeWalkError
 from .groups import character_table, walk_scheme
 from .schemes import (
+    MATRIX_TOL,
     FromCatalog,
     FromGroup,
     FromIntersectionArray,
@@ -232,35 +233,20 @@ def _cmd_walk(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _parse_spec(args.graph)
-    if isinstance(spec, FromCatalog):
-        entry = catalog_lookup(spec.name, spec.params)
-        if entry.array is None:
-            dist = entry.expected
-            assert isinstance(dist, spectral.ContinuousDistribution)
-            lines = [
-                f"{_fmt(x)},{_fmt(w)}"
-                for x, w in zip(dist.nodes, dist.node_weights)
-            ]
-            print("\n".join(lines))
-            return 0
-        ia = entry.array
+    entry = catalog_lookup(spec.name, spec.params) if isinstance(spec, FromCatalog) else None
+    if entry is not None and entry.array is None:
+        rows = zip(entry.expected.nodes, entry.expected.node_weights)
     else:
-        ia = walk._array_of(spec)
-    dist = spectral.golub_welsch(spectral.jacobi_from_intersection(ia))
-    for atom, weight in zip(dist.atoms, dist.weights):
+        spectrum = walk.resolve(spec, "spectral")
+        rows = zip(spectrum.atoms, spectrum.table[:, 0])
+    for atom, weight in rows:
         print(f"{_fmt(atom)},{_fmt(weight)}")
     return 0
 
 
 def _cmd_average(args) -> int:
     spec = _with_class_override(_parse_spec(args.graph), args)
-    if isinstance(spec, FromGroup):
-        scheme = walk_scheme(spec.group, spec.generating_class)
-        averages = walk.average_probabilities(scheme)
-    else:
-        ia = walk._array_of(spec)
-        jc = spectral.jacobi_from_intersection(ia)
-        averages = walk.average_from_distribution(spectral.golub_welsch(jc), jc, ia)
+    averages = walk.resolve(spec).averages()
     values = averages.vertex if args.vertex_level else averages.stratum
     for k, value in enumerate(values):
         print(f"{k},{_fmt(value)}")
@@ -330,83 +316,48 @@ def _cmd_catalog(args) -> int:
 
 
 def _verify_checks(spec: SchemeSpec, times) -> list[tuple[str, float, float]]:
-    checks: list[tuple[str, float, float]] = []
-    graph = None
     try:
         graph = oracle.build_graph(spec)
-    except (EngineSpecMismatch, SchemeWalkError):
+    except SchemeWalkError:
         graph = None
-
     if isinstance(spec, FromGroup):
         scheme = walk_scheme(spec.group, spec.generating_class)
-        series = walk.amplitudes_group(scheme, scheme.generating, times)
-        checks.append(("unitarity", series.unitarity_defect(), 1e-9))
-        es = scheme.eigenstructure
-        pq = float(
-            np.max(np.abs(es.P @ es.Q - es.n * np.eye(es.d + 1)))
-        )
-        checks.append(("eigenmatrix_duality", pq, 1e-9))
-        if graph is not None:
-            strata = tuple(
-                tuple(v for c in grp for v in graph.class_partition[c])
-                for grp in scheme.class_groups
-            )
-            exact = oracle.stratum_amplitudes(graph, strata, times)
-            checks.append(
-                (
-                    "oracle_agreement",
-                    float(np.max(np.abs(exact - series.amplitudes))),
-                    1e-8,
-                )
-            )
-            checks.append(
-                (
-                    "stratum_uniformity",
-                    oracle.check_stratum_uniformity(graph, strata, times),
-                    1e-9,
-                )
-            )
-        return checks
+        es, ia = scheme.eigenstructure, None
+        series = walk.eigen_spectrum(es, scheme.generating).amplitudes(times)
+    else:
+        ia = walk.intersection_array(spec)
+        es = eigenstructure_from_array(ia)
+        series = walk.jacobi_spectrum(ia).amplitudes(times)
 
-    ia = walk._array_of(spec)
-    jc = spectral.jacobi_from_intersection(ia)
-    dist = spectral.golub_welsch(jc)
-    series = walk.amplitudes_spectral(dist, jc, ia, times)
-    checks.append(("unitarity", series.unitarity_defect(), 1e-9))
-    es = eigenstructure_from_array(ia)
-    eig_series = walk.amplitudes_eigen(es, times)
-    checks.append(
-        (
-            "engine_agreement",
-            float(np.max(np.abs(eig_series.amplitudes - series.amplitudes))),
-            1e-10,
-        )
-    )
+    checks = [("unitarity", series.unitarity_defect(), 1e-9)]
+    if ia is not None:
+        eig_series = walk.eigen_spectrum(es).amplitudes(times)
+        agreement = float(np.max(np.abs(eig_series.amplitudes - series.amplitudes)))
+        checks.append(("engine_agreement", agreement, 1e-10))
     pq = float(np.max(np.abs(es.P @ es.Q - es.n * np.eye(es.d + 1))))
-    checks.append(("eigenmatrix_duality", pq, 1e-9))
-    if graph is not None:
+    checks.append(("eigenmatrix_duality", pq, MATRIX_TOL * es.n))
+    if graph is None:
+        return checks
+    if ia is None:
+        strata = tuple(
+            tuple(v for c in grp for v in graph.class_partition[c])
+            for grp in scheme.class_groups
+        )
+    else:
         ortho, resid = oracle.eigensolver_residuals(graph)
         checks.append(("oracle_orthonormality", ortho, 1e-10))
         checks.append(("oracle_eigen_residual", resid, 1e-8))
         partition, bfs_ia = oracle.bfs_strata(graph)
-        checks.append(
-            ("bfs_array_match", float(bfs_ia != ia), 0.5)
-        )
-        exact = oracle.stratum_amplitudes(graph, partition.strata, times)
-        checks.append(
-            (
-                "oracle_agreement",
-                float(np.max(np.abs(exact - series.amplitudes))),
-                1e-8,
-            )
-        )
-        checks.append(
-            (
-                "stratum_uniformity",
-                oracle.check_stratum_uniformity(graph, partition.strata, times),
-                1e-9,
-            )
-        )
+        checks.append(("bfs_array_match", float(bfs_ia != ia), 0.5))
+        strata = partition.strata
+    exact = oracle.stratum_amplitudes(graph, strata, times)
+    checks.append(
+        ("oracle_agreement", float(np.max(np.abs(exact - series.amplitudes))), 1e-8)
+    )
+    checks.append(
+        ("stratum_uniformity", oracle.check_stratum_uniformity(graph, strata, times), 1e-9)
+    )
+    if ia is not None:
         checks.append(
             ("ladder_actions", oracle.ladder_residual(graph, partition, bfs_ia), 1e-10)
         )

@@ -183,10 +183,10 @@ def character_table_cyclic(n: int) -> CharacterTable:
     """All-one-dimensional table chi_j(g^k) = exp(2 pi i jk/n)."""
     if n < 3:
         raise InvalidOrder(f"cyclic table needs n >= 3, got {n}")
-    values = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            values[j, k] = _root_of_unity(j * k, n)
+    roots = np.array([_root_of_unity(k, n) for k in range(n)])
+    exponents = np.outer(np.arange(n), np.arange(n))
+    exponents %= n
+    values = roots[exponents]
     return CharacterTable(
         group_label=f"Z{n}",
         class_sizes=(1,) * n,
@@ -346,7 +346,7 @@ def dihedral_merged_blueprint(m: int) -> tuple[tuple[int, ...], ...]:
     Order: identity, merged reflections, the central rotation, rotation pairs.
     """
     if m % 2 == 1:
-        return tuple((k,) for k in range(character_table_dihedral(m).n_classes))
+        return tuple((k,) for k in range(2 + m // 2))
     ell = m // 2
     nc = ell + 3
     return ((0,), (nc - 2, nc - 1), (1,)) + tuple((j,) for j in range(2, ell + 1))
@@ -593,22 +593,26 @@ class GroupWalkScheme:
     generating: int  # stratum index of the generating relation
 
 
+def class_groups(descriptor: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
+    """Raw conjugacy classes fused into each stratum of the walk scheme.
+
+    Cyclic groups are symmetrized; even dihedral groups fuse the two
+    reflection classes into a single relation; symmetric and odd dihedral
+    classes are used as-is.  A generating class names an index into this.
+    """
+    if descriptor.kind == "cyclic":
+        return cyclic_distance_groups(descriptor.n)
+    if descriptor.kind == "dihedral":
+        return dihedral_merged_blueprint(descriptor.n)
+    return tuple((k,) for k in range(len(partitions(descriptor.n))))
+
+
 def walk_scheme(
     descriptor: GroupDescriptor, generating_class: int | None = None
 ) -> GroupWalkScheme:
-    """Build the scheme a walk on this group runs over.
-
-    Cyclic groups are symmetrized; even dihedral groups fuse the two
-    reflection classes into a single generating relation; symmetric and odd
-    dihedral tables are used as-is.  The default generating stratum is 1.
-    """
+    """Build the scheme a walk on this group runs over; the default generating stratum is 1."""
     table = character_table(descriptor)
-    if descriptor.kind == "cyclic":
-        groups = cyclic_distance_groups(descriptor.n)
-    elif descriptor.kind == "dihedral":
-        groups = dihedral_merged_blueprint(descriptor.n)
-    else:
-        groups = tuple((k,) for k in range(table.n_classes))
+    groups = class_groups(descriptor)
     generating = 1 if generating_class is None else generating_class
     if not 1 <= generating < len(groups):
         raise BadParams(f"generating class {generating} out of range")

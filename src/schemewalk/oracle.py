@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     NotDistanceRegular,
     TooLarge,
 )
-from .groups import GroupElements, group_elements
+from .groups import GroupElements, class_groups, group_elements
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -111,8 +112,8 @@ def cycle_graph(n: int) -> VertexGraph:
 
 def kneser_graph(v: int, k: int) -> VertexGraph:
     """Vertices are k-subsets of a v-set, adjacent when disjoint."""
+    _check_size(comb(v, k))
     subsets = list(combinations(range(v), k))
-    _check_size(len(subsets))
     n = len(subsets)
     A = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -131,8 +132,8 @@ def johnson_graph(v: int, d: int) -> VertexGraph:
     """Vertices are d-subsets of a v-set, adjacent when they share d-1 points."""
     if d < 1 or v < d:
         raise BadParams("need 1 <= d <= v")
+    _check_size(comb(v, d))
     subsets = list(combinations(range(v), d))
-    _check_size(len(subsets))
     n = len(subsets)
     A = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -147,8 +148,8 @@ def hamming_graph(d: int, n: int) -> VertexGraph:
     """Words of length d over an n-letter alphabet, adjacent at Hamming distance 1."""
     if d < 1 or n < 2:
         raise BadParams("need d >= 1 and n >= 2")
+    _check_size(n**d)
     words = list(product(range(n), repeat=d))
-    _check_size(len(words))
     size = len(words)
     A = np.zeros((size, size), dtype=np.int64)
     for i in range(size):
@@ -204,11 +205,11 @@ def cayley_graph(
 def build_graph(spec: SchemeSpec) -> VertexGraph:
     """Vertex-level realization of a scheme specification, where one exists."""
     if isinstance(spec, FromGroup):
-        classes = (1,) if spec.generating_class is None else (spec.generating_class,)
-        if spec.group.kind == "dihedral" and spec.group.n % 2 == 0:
-            ell = spec.group.n // 2
-            classes = (ell + 1, ell + 2) if spec.generating_class is None else classes
-        return cayley_graph(spec.group, classes)
+        groups = class_groups(spec.group)
+        generating = 1 if spec.generating_class is None else spec.generating_class
+        if not 1 <= generating < len(groups):
+            raise BadParams(f"generating class {generating} out of range")
+        return cayley_graph(spec.group, groups[generating])
     if isinstance(spec, FromSRG):
         if (spec.n, spec.kappa, spec.lam, spec.eta) == (10, 3, 0, 1):
             return petersen_graph()

@@ -3,19 +3,25 @@
 Three interchangeable routes compute the same stratum amplitudes: the
 eigenstructure route sums dual eigenvalues against eigenvalue phases, the
 character route does the same with group data, and the spectral route sums
-phases against products of Jacobi-matrix eigenvector entries.  All of them
-evaluate one kernel, phases e^{-ixt} on the atoms times a fixed weight
-table.  Time is measured in inverse adjacency-eigenvalue units.
+phases against products of Jacobi-matrix eigenvector entries.  Each route
+only supplies atoms x_l and a weight table w_lk, held in one
+``SchemeSpectrum``; ``resolve`` picks the route for a scheme specification
+and engine.  Time is measured in inverse adjacency-eigenvalue units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
+from .catalog import (
+    catalog,
+    cycle_intersection_array,
+    hamming_distribution,
+    hamming_intersection_array,
+)
 from .errors import (
     BadParameter,
     BadParams,
@@ -51,7 +57,6 @@ from .spectral import (
     SpectralDistribution,
     continuous_line_distribution,
     evaluate_polynomials,
-    golub_welsch,
     jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
@@ -138,6 +143,58 @@ def _phase_sum(times, atoms, table) -> np.ndarray:
     return np.exp(-1j * np.outer(times, atoms)) @ table
 
 
+@dataclass(frozen=True, eq=False)
+class AverageProbabilities:
+    """Time-averaged occupation probabilities, per stratum and per vertex."""
+
+    stratum: np.ndarray
+    vertex: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SchemeSpectrum:
+    """A finite scheme reduced to atoms x_l and a weight table w_lk over its strata.
+
+    Stratum k's amplitude is sum_l e^{-i x_l t} w_lk.  ``generating`` is the
+    stratum whose valency scales the atoms of a degree-normalized walk.
+    """
+
+    atoms: np.ndarray
+    table: np.ndarray  # (atoms, d+1)
+    strata: ValencyVector
+    generating: int = 1
+
+    def amplitudes(self, times, *, normalized: bool = False) -> AmplitudeSeries:
+        times = np.asarray(times, dtype=float)
+        atoms = self.atoms / self.strata.a[self.generating] if normalized else self.atoms
+        return _series(times, self.strata, _phase_sum(times, atoms, self.table))
+
+    def averages(self) -> AverageProbabilities:
+        """Sum over groups of coincident atoms of the squared summed table rows.
+
+        Coincident atoms are merged first; the cross terms they would
+        otherwise contribute do not average out.
+        """
+        order = np.argsort(self.atoms, kind="stable")
+        starts = np.flatnonzero(np.diff(self.atoms[order], prepend=-np.inf) > MERGE_TOL)
+        stratum = (np.add.reduceat(self.table[order], starts) ** 2).sum(axis=0)
+        a = np.asarray(self.strata.a, dtype=float)
+        return AverageProbabilities(stratum=stratum, vertex=stratum / a)
+
+
+def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> SchemeSpectrum:
+    """Eigen and character routes: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
+    a = np.asarray(es.valencies.a, dtype=float)
+    table = es.Q.T * (np.sqrt(a) / es.n)
+    return SchemeSpectrum(es.P[:, generator_column], table, es.valencies, generator_column)
+
+
+def jacobi_spectrum(ia: IntersectionArray) -> SchemeSpectrum:
+    """Spectral route: Jacobi atoms and table U[0, l] U[k, l]; column 0 holds the weights."""
+    atoms, U = jacobi_eigh(jacobi_from_intersection(ia))
+    return SchemeSpectrum(atoms, (U[0] * U).T, derive_stratum_sizes(ia))
+
+
 def amplitudes_eigen(
     es: SchemeEigenstructure,
     times,
@@ -146,28 +203,23 @@ def amplitudes_eigen(
     normalized: bool = False,
 ) -> AmplitudeSeries:
     """Stratum amplitudes (sqrt(a_k)/n) sum_i e^{-i P_i1 t} Q_ki."""
-    times = np.asarray(times, dtype=float)
-    evals = es.P[:, generator_column].copy()
-    if normalized:
-        evals /= es.valencies.a[generator_column]
-    a = np.asarray(es.valencies.a, dtype=float)
-    amplitudes = _phase_sum(times, evals, es.Q.T) * (np.sqrt(a) / es.n)
-    return _series(times, es.valencies, amplitudes)
+    return eigen_spectrum(es, generator_column).amplitudes(times, normalized=normalized)
 
 
-def _jacobi_kernel(
+def _checked_spectrum(
     dist: SpectralDistribution, jc: JacobiCoefficients, ia: IntersectionArray
-) -> tuple[np.ndarray, np.ndarray, ValencyVector]:
-    """Atoms and eigenvectors of the recurrence, after checking ``dist`` matches them."""
-    if jc.d != ia.d:
-        raise InconsistentInputs("recurrence coefficients and array disagree on d")
+) -> SchemeSpectrum:
+    """The array's spectrum, after checking ``jc`` and ``dist`` belong to the array."""
+    if jc != jacobi_from_intersection(ia):
+        raise InconsistentInputs("recurrence coefficients do not come from the array")
     if not isinstance(dist, DiscreteDistribution):
         raise InconsistentInputs("the finite spectral route needs a discrete distribution")
-    atoms, U = jacobi_eigh(jc)
+    spectrum = jacobi_spectrum(ia)
+    atoms = spectrum.atoms
     tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))
     if dist.atoms.shape != atoms.shape or np.max(np.abs(dist.atoms - atoms)) > tol:
         raise InconsistentInputs("distribution atoms differ from the recurrence spectrum")
-    return atoms, U, derive_stratum_sizes(ia)
+    return spectrum
 
 
 def amplitudes_spectral(
@@ -183,10 +235,7 @@ def amplitudes_spectral(
     Equals (1/sqrt(a_k)) times the integral of e^{-ixt} P_k(x) against ``dist``,
     which must be the recurrence's own distribution.
     """
-    atoms, U, valencies = _jacobi_kernel(dist, jc, ia)
-    times = np.asarray(times, dtype=float)
-    scaled = atoms / valencies.a[1] if normalized else atoms
-    return _series(times, valencies, _phase_sum(times, scaled, (U[0] * U).T))
+    return _checked_spectrum(dist, jc, ia).amplitudes(times, normalized=normalized)
 
 
 def amplitudes_group(
@@ -219,40 +268,11 @@ def amplitudes_group(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AverageProbabilities:
-    """Time-averaged occupation probabilities, per stratum and per vertex."""
-
-    stratum: np.ndarray
-    vertex: np.ndarray
-
-
-def _merge_groups(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(values, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if abs(values[idx] - values[groups[-1][-1]]) <= tol:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return [np.asarray(g) for g in groups]
-
-
 def average_from_eigenstructure(
     es: SchemeEigenstructure, *, generator_column: int = 1
 ) -> AverageProbabilities:
-    """Averages (1/n^2) sum over distinct eigenvalues of (sum of Q rows)^2.
-
-    Idempotents sharing an eigenvalue of the generating relation are merged
-    first; the cross terms they would otherwise contribute do not average out.
-    """
-    evals = es.P[:, generator_column]
-    vertex = np.zeros(es.d + 1)
-    for group in _merge_groups(evals, MERGE_TOL):
-        vertex += np.asarray(es.Q[:, group].sum(axis=1)) ** 2
-    vertex /= es.n**2
-    stratum = vertex * np.asarray(es.valencies.a, dtype=float)
-    return AverageProbabilities(stratum=stratum, vertex=vertex)
+    """Averages (1/n^2) sum over distinct eigenvalues of (sum of Q rows)^2."""
+    return eigen_spectrum(es, generator_column).averages()
 
 
 def average_from_distribution(
@@ -263,10 +283,7 @@ def average_from_distribution(
         raise DegenerateSpectrumUnmerged(
             "coincident atoms contradict the polynomial structure of the scheme"
         )
-    _, U, valencies = _jacobi_kernel(dist, jc, ia)
-    stratum = ((U[0] * U) ** 2).sum(axis=1)
-    a = np.asarray(valencies.a, dtype=float)
-    return AverageProbabilities(stratum=stratum, vertex=stratum / a)
+    return _checked_spectrum(dist, jc, ia).averages()
 
 
 def average_probabilities(source, *args, **kwargs) -> AverageProbabilities:
@@ -296,24 +313,6 @@ def time_averaged_probabilities(
 # ---------------------------------------------------------------------------
 # Product schemes and growing-family limits
 # ---------------------------------------------------------------------------
-
-
-def hamming_intersection_array(d: int, n: int) -> IntersectionArray:
-    """Array of the product of d complete graphs K_n."""
-    if d < 1 or n < 2:
-        raise BadParams("product scheme needs d >= 1 and n >= 2")
-    c = tuple((n - 1) * (d - i) for i in range(d))
-    b = tuple(range(1, d + 1))
-    return IntersectionArray(d=d, c=c, b=b)
-
-
-def hamming_distribution(d: int, n: int) -> DiscreteDistribution:
-    """Binomial distribution with atoms n*l - d, l = 0..d."""
-    atoms = np.array([n * l - d for l in range(d + 1)], dtype=float)
-    weights = np.array(
-        [comb(d, l) * (n - 1) ** (d - l) / n**d for l in range(d + 1)]
-    )
-    return DiscreteDistribution(atoms, weights)
 
 
 def hamming_walk(
@@ -379,11 +378,12 @@ def line_walk(times, k_max: int, nodes: int = 512) -> AmplitudeSeries:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Routing
 # ---------------------------------------------------------------------------
 
 
-def _array_of(spec: SchemeSpec) -> IntersectionArray:
+def intersection_array(spec: SchemeSpec) -> IntersectionArray:
+    """The specification's intersection array; ``group:cyclic:n`` with class 1 is the n-cycle."""
     if isinstance(spec, FromIntersectionArray):
         return spec.array
     if isinstance(spec, FromSRG):
@@ -391,49 +391,38 @@ def _array_of(spec: SchemeSpec) -> IntersectionArray:
     if isinstance(spec, ProductScheme):
         return hamming_intersection_array(spec.copies, spec.n)
     if isinstance(spec, FromCatalog):
-        from .catalog import catalog
-
         entry = catalog(spec.name, spec.params)
         if entry.array is None:
             raise EngineSpecMismatch(f"catalog entry {spec.name!r} has no finite array")
         return entry.array
-    raise EngineSpecMismatch(f"no intersection array for {type(spec).__name__}")
+    if spec.group.kind == "cyclic" and spec.generating_class in (None, 1):
+        return cycle_intersection_array(spec.group.n)
+    raise EngineSpecMismatch("only cyclic groups with class 1 have an intersection array")
+
+
+def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
+    """The one routing rule from a specification and an engine to a spectrum.
+
+    Group specifications take the character route unless the engine is
+    spectral; ``eigen`` on any other specification goes through the
+    eigenvalue matrices of its array, and everything else through the
+    Jacobi matrix of its array.
+    """
+    if engine not in ENGINES:
+        raise BadParams(f"unknown engine {engine!r}")
+    if isinstance(spec, FromGroup) and engine != "spectral":
+        scheme = walk_scheme(spec.group, spec.generating_class)
+        return eigen_spectrum(scheme.eigenstructure, scheme.generating)
+    if engine == "character":
+        raise EngineSpecMismatch("character engine needs a group specification")
+    ia = intersection_array(spec)
+    if engine == "eigen":
+        return eigen_spectrum(eigenstructure_from_array(ia))
+    return jacobi_spectrum(ia)
 
 
 def dispatch(req: WalkRequest) -> AmplitudeSeries:
-    """Route a walk request to the engine matching its scheme specification."""
-    engine = req.engine
-    if isinstance(req.spec, FromGroup):
-        if engine in ("auto", "character", "eigen"):
-            scheme = walk_scheme(req.spec.group, req.spec.generating_class)
-            return amplitudes_group(
-                scheme, scheme.generating, req.times, normalized=req.normalized_adjacency
-            )
-        if engine == "spectral" and req.spec.group.kind == "cyclic":
-            from .catalog import cycle_distribution, cycle_intersection_array
-
-            ia = cycle_intersection_array(req.spec.group.n)
-            return amplitudes_spectral(
-                cycle_distribution(req.spec.group.n),
-                jacobi_from_intersection(ia),
-                ia,
-                req.times,
-                normalized=req.normalized_adjacency,
-            )
-        raise EngineSpecMismatch(f"engine {engine!r} cannot run on a group scheme")
-    if engine == "character":
-        raise EngineSpecMismatch("character engine needs a group specification")
-    if isinstance(req.spec, ProductScheme) and engine == "auto":
-        series, _ = hamming_walk(
-            req.spec.n, req.spec.copies, req.times, normalized=req.normalized_adjacency
-        )
-        return series
-    ia = _array_of(req.spec)
-    if engine == "eigen":
-        return amplitudes_eigen(
-            eigenstructure_from_array(ia), req.times, normalized=req.normalized_adjacency
-        )
-    jc = jacobi_from_intersection(ia)
-    return amplitudes_spectral(
-        golub_welsch(jc), jc, ia, req.times, normalized=req.normalized_adjacency
+    """Run a walk request on the route ``resolve`` picks."""
+    return resolve(req.spec, req.engine).amplitudes(
+        req.times, normalized=req.normalized_adjacency
     )

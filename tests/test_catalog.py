@@ -8,6 +8,8 @@ from schemewalk.catalog import (
     catalog,
     catalog_names,
     cycle_intersection_array,
+    hamming_distribution,
+    hamming_intersection_array,
     johnson_intersection_array,
 )
 from schemewalk.errors import BadParams, UnknownCatalogName
@@ -129,3 +131,15 @@ def test_catalog_names_sorted_and_complete():
     names = catalog_names()
     assert list(names) == sorted(names)
     assert {"petersen", "wells", "foster", "line", "hamming"} <= set(names)
+
+
+def test_hamming_builders_live_in_the_catalog():
+    from schemewalk import walk
+
+    assert walk.hamming_intersection_array is hamming_intersection_array
+    entry = catalog("hamming", (3, 4))
+    assert entry.array == hamming_intersection_array(3, 4)
+    assert np.array_equal(entry.expected.atoms, hamming_distribution(3, 4).atoms)
+    assert entry.array == oracle.bfs_strata(oracle.hamming_graph(3, 4))[1]
+    with pytest.raises(BadParams):
+        hamming_intersection_array(0, 3)

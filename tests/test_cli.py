@@ -308,3 +308,40 @@ def test_average_large_hamming_matches_krawtchouk(capsys, d):
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert values.sum() == pytest.approx(1.0, abs=1e-10)
     assert values == pytest.approx(_hamming_binary_averages(d), abs=2e-12)
+
+
+def test_spectrum_of_a_cyclic_group_is_the_cycle_spectrum(capsys):
+    code, group_out, err = run_cli(capsys, "spectrum", "--graph", "group:cyclic:9")
+    assert code == 0, err
+    _, cycle_out, _ = run_cli(capsys, "spectrum", "--graph", "catalog:cycle:9")
+    assert group_out == cycle_out
+
+
+def test_spectral_engine_refuses_cyclic_class_2(capsys):
+    # Class 2 of Z_7 relabels the strata; the cycle-distance route cannot follow it.
+    args = ("walk", "--graph", "group:cyclic:7:2", "--times", "0.8")
+    code, out, err = run_cli(capsys, *args, "--engine", "spectral")
+    assert code == 1 and out == ""
+    assert err.startswith("engine_spec_mismatch: ")
+    code, out, _ = run_cli(capsys, *args, "--engine", "character")
+    assert code == 0
+    probs = [round(float(line.split(",")[4]), 3) for line in out.splitlines()]
+    assert probs == [0.207, 0.011, 0.65, 0.132]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    ["group:dihedral:8:2", "group:dihedral:8:3", "group:dihedral:10:3", "group:dihedral:12:5"],
+)
+def test_verify_even_dihedral_classes_match_the_oracle(capsys, graph):
+    # The class index names a stratum of the fused walk scheme in both engines.
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--t1", "10", "--steps", "16")
+    assert code == 0
+    assert "oracle_agreement" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("graph", ["catalog:hamming:20,2", "catalog:johnson:20,10"])
+def test_verify_duality_threshold_scales_with_n(capsys, graph):
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "8")
+    assert code == 0
+    assert "eigenmatrix_duality" in out and "FAIL" not in out

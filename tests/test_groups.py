@@ -16,9 +16,11 @@ from schemewalk.errors import (
 )
 from schemewalk.groups import (
     GroupWalkScheme,
+    _root_of_unity,
     character_table_cyclic,
     character_table_dihedral,
     character_table_symmetric,
+    class_groups,
     class_size_symmetric,
     cyclic_distance_groups,
     dihedral_merged_blueprint,
@@ -53,6 +55,21 @@ def test_cyclic_trivial_row_and_values():
     assert np.allclose(table.values[0], 1.0)
     assert table.values[1, 1] == pytest.approx(1j)
     assert table.values[1, 2] == pytest.approx(-1.0)
+    for n in (4, 8, 12):
+        values = character_table_cyclic(n).values
+        for j in range(n):
+            for k in range(n):
+                if (4 * j * k) % n == 0:
+                    assert values[j, k] == (1, 1j, -1, -1j)[(4 * j * k // n) % 4]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 61])
+def test_cyclic_table_is_the_root_at_jk_mod_n(n):
+    values = character_table_cyclic(n).values
+    expected = np.array(
+        [[_root_of_unity(j * k, n) for k in range(n)] for j in range(n)]
+    )
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_cyclic_row_orthogonality_tight():
@@ -282,6 +299,14 @@ def test_symmetrized_ordering_real_first():
     assert last_real == 1
     # the walk view instead orders by cycle distance
     assert cyclic_distance_groups(6) == ((0,), (1, 5), (2, 4), (3,))
+
+
+def test_class_groups_are_the_walk_scheme_strata():
+    for kind, n in [("cyclic", 8), ("dihedral", 7), ("dihedral", 8), ("symmetric", 5)]:
+        descriptor = GroupDescriptor(kind, n)
+        assert class_groups(descriptor) == walk_scheme(descriptor).class_groups
+    assert class_groups(GroupDescriptor("dihedral", 7)) == tuple((k,) for k in range(5))
+    assert len(class_groups(GroupDescriptor("symmetric", 5))) == 7
 
 
 def test_dihedral_merged_blueprint_even():

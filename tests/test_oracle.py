@@ -211,6 +211,42 @@ def test_build_graph_dispatch():
         oracle.build_graph(FromCatalog("m22"))
 
 
+@pytest.mark.parametrize("m,generating", [(8, 2), (8, 3), (10, 3), (12, 5), (7, 2)])
+def test_cayley_graph_generated_by_a_walk_scheme_stratum(m, generating):
+    descriptor = GroupDescriptor("dihedral", m)
+    spec = FromGroup(descriptor, generating)
+    scheme = walk_scheme(descriptor, generating)
+    g = oracle.build_graph(spec)
+    assert g.adjacency.sum(axis=1)[0] == scheme.eigenstructure.valencies.a[generating]
+    strata = tuple(
+        tuple(v for c in grp for v in g.class_partition[c]) for grp in scheme.class_groups
+    )
+    exact = oracle.stratum_amplitudes(g, strata, TIMES)
+    series = amplitudes_group(scheme, scheme.generating, TIMES)
+    assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
+
+
+def test_build_graph_rejects_classes_out_of_range():
+    for generating in (0, 5):
+        with pytest.raises(BadParams):
+            oracle.build_graph(FromGroup(GroupDescriptor("dihedral", 6), generating))
+
+
+def test_size_cap_precedes_enumeration(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("vertices enumerated before the size check")
+
+    monkeypatch.setattr(oracle, "product", enumerate_nothing)
+    monkeypatch.setattr(oracle, "combinations", enumerate_nothing)
+    for build, args in [
+        (oracle.hamming_graph, (12, 2)),
+        (oracle.johnson_graph, (14, 7)),
+        (oracle.kneser_graph, (14, 7)),
+    ]:
+        with pytest.raises(TooLarge):
+            build(*args)
+
+
 def test_vertex_graph_validation():
     bad = oracle.VertexGraph(np.array([[0, 1], [0, 0]]), ("a", "b"))
     with pytest.raises(BadParams):

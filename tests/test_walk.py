@@ -22,6 +22,7 @@ from schemewalk.groups import walk_scheme
 from schemewalk.schemes import (
     FromCatalog,
     FromGroup,
+    FromIntersectionArray,
     FromSRG,
     GroupDescriptor,
     IntersectionArray,
@@ -32,10 +33,12 @@ from schemewalk.spectral import (
     DiscreteDistribution,
     continuous_line_distribution,
     golub_welsch,
+    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
 )
 from schemewalk.walk import (
+    SchemeSpectrum,
     WalkRequest,
     amplitudes_eigen,
     amplitudes_group,
@@ -45,8 +48,11 @@ from schemewalk.walk import (
     average_probabilities,
     dispatch,
     hamming_walk,
+    intersection_array,
+    jacobi_spectrum,
     johnson_limit_amplitudes,
     line_walk,
+    resolve,
     time_averaged_probabilities,
 )
 
@@ -370,3 +376,106 @@ def test_distribution_atoms_must_match_the_recurrence():
     exact = DiscreteDistribution(np.array([-2.0, 1.0, 3.0]), np.array([0.4, 0.5, 0.1]))
     series = amplitudes_spectral(exact, jc, PETERSEN, TIMES)
     assert np.max(np.abs(series.amplitudes - spectral_series(PETERSEN).amplitudes)) < 1e-14
+
+
+ROUTING_SPECS = [
+    FromCatalog("petersen"),
+    FromCatalog("cycle", (8,)),
+    FromSRG(16, 6, 2, 2),
+    ProductScheme(3, 2),
+    FromIntersectionArray(PETERSEN),
+    FromGroup(GroupDescriptor("cyclic", 7)),
+    FromGroup(GroupDescriptor("dihedral", 8), 2),
+    FromGroup(GroupDescriptor("symmetric", 4)),
+]
+
+
+@pytest.mark.parametrize("spec", ROUTING_SPECS, ids=repr)
+@pytest.mark.parametrize("engine", ["auto", "eigen", "spectral", "character"])
+def test_dispatch_is_resolve(spec, engine):
+    group = isinstance(spec, FromGroup)
+    mismatch = (engine == "character" and not group) or (
+        engine == "spectral" and group and spec.group.kind != "cyclic"
+    )
+    req = WalkRequest(spec, tuple(TIMES), engine, normalized_adjacency=True)
+    if mismatch:
+        with pytest.raises(EngineSpecMismatch):
+            resolve(spec, engine)
+        with pytest.raises(EngineSpecMismatch):
+            dispatch(req)
+        return
+    spectrum = resolve(spec, engine)
+    assert isinstance(spectrum, SchemeSpectrum)
+    series = dispatch(req)
+    direct = spectrum.amplitudes(TIMES, normalized=True)
+    assert np.array_equal(series.amplitudes, direct.amplitudes)
+    # every route agrees with the character or Jacobi route of the same scheme
+    reference = resolve(spec, "auto").amplitudes(TIMES, normalized=True)
+    assert np.max(np.abs(series.amplitudes - reference.amplitudes)) < 1e-10
+
+
+def test_intersection_array_of_specs():
+    assert intersection_array(FromSRG(10, 3, 0, 1)) == PETERSEN
+    assert intersection_array(ProductScheme(3, 2)) == catalog("hamming", (2, 3)).array
+    for generating in (None, 1):
+        spec = FromGroup(GroupDescriptor("cyclic", 9), generating)
+        assert intersection_array(spec) == cycle_intersection_array(9)
+    for spec in (
+        FromGroup(GroupDescriptor("cyclic", 7), 2),
+        FromGroup(GroupDescriptor("dihedral", 5)),
+        FromCatalog("line"),
+    ):
+        with pytest.raises(EngineSpecMismatch):
+            intersection_array(spec)
+
+
+def test_spectral_engine_rejects_a_cyclic_class_other_than_1():
+    # The spectral route labels strata by cycle distance, which class 2 does not follow.
+    spec = FromGroup(GroupDescriptor("cyclic", 7), 2)
+    with pytest.raises(EngineSpecMismatch):
+        dispatch(WalkRequest(spec, (0.8,), "spectral"))
+    assert dispatch(WalkRequest(spec, (0.8,), "character")).amplitudes.shape == (1, 4)
+
+
+def test_jacobi_spectrum_weights_are_golub_welsch():
+    ia = catalog("m22").array
+    spectrum = jacobi_spectrum(ia)
+    dist = golub_welsch(jacobi_from_intersection(ia))
+    assert np.array_equal(spectrum.atoms, dist.atoms)
+    assert np.array_equal(spectrum.table[:, 0], dist.weights)
+
+
+def _eigen_average_reference(es, column):
+    """(1/n^2) sum over distinct eigenvalues of (summed Q columns)^2, per vertex."""
+    evals = es.P[:, column]
+    vertex = np.zeros(es.d + 1)
+    for value in np.unique(np.round(evals, 9)):
+        vertex += es.Q[:, np.abs(evals - value) <= 1e-9].sum(axis=1) ** 2
+    return vertex / es.n**2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FromCatalog("petersen"),
+        FromGroup(GroupDescriptor("cyclic", 9)),
+        FromGroup(GroupDescriptor("dihedral", 6)),
+        FromGroup(GroupDescriptor("symmetric", 5)),
+    ],
+    ids=repr,
+)
+def test_resolved_averages_match_both_average_formulas(spec):
+    averages = resolve(spec).averages()
+    if isinstance(spec, FromGroup):
+        scheme = walk_scheme(spec.group)
+        es, column = scheme.eigenstructure, scheme.generating
+    else:
+        es, column = eigenstructure_from_array(intersection_array(spec)), 1
+    vertex = _eigen_average_reference(es, column)
+    assert np.max(np.abs(averages.vertex - vertex)) < 1e-15
+    assert np.max(np.abs(averages.stratum - vertex * np.array(es.valencies.a))) < 1e-15
+    if isinstance(spec, FromGroup) and spec.group.kind != "cyclic":
+        return
+    # sum_l U[0, l]^2 U[k, l]^2 over the Jacobi eigenvectors of the array
+    _, U = jacobi_eigh(jacobi_from_intersection(intersection_array(spec)))
+    assert np.max(np.abs(averages.stratum - ((U[0] * U) ** 2).sum(axis=1))) < 1e-15
