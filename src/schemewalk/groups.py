@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
 from math import comb, factorial
 
@@ -487,6 +487,10 @@ class GroupElements:
     def inv(self, x):
         raise NotImplementedError
 
+    def right_products(self, g) -> np.ndarray:
+        """Index of alpha * g for every element alpha, in element order."""
+        raise NotImplementedError
+
 
 class _CyclicElements(GroupElements):
     def mul(self, x, y):
@@ -494,6 +498,9 @@ class _CyclicElements(GroupElements):
 
     def inv(self, x):
         return (-x) % self.descriptor.n
+
+    def right_products(self, g) -> np.ndarray:
+        return (np.arange(self.descriptor.n) + g) % self.descriptor.n
 
 
 class _DihedralElements(GroupElements):
@@ -508,6 +515,14 @@ class _DihedralElements(GroupElements):
         r, s = x
         return ((-r) % m, 0) if s == 0 else x
 
+    def right_products(self, g) -> np.ndarray:
+        # Element (r, s) sits at index s * m + r; see group_elements.
+        m = self.descriptor.n
+        r2, s2 = g
+        r = np.tile(np.arange(m), 2)
+        s = np.repeat([0, 1], m)
+        return (s ^ s2) * m + (r + np.where(s == 0, r2, -r2)) % m
+
 
 class _SymmetricElements(GroupElements):
     def mul(self, x, y):
@@ -518,6 +533,19 @@ class _SymmetricElements(GroupElements):
         for i, xi in enumerate(x):
             out[xi] = i
         return tuple(out)
+
+    @cached_property
+    def _perms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(permutations as rows, base-n place values, sorted base-n keys)."""
+        perms = np.array(self.elements, dtype=np.int64)
+        n = perms.shape[1]
+        place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return perms, place, perms @ place
+
+    def right_products(self, g) -> np.ndarray:
+        # Elements are sorted tuples, so their base-n keys ascend.
+        perms, place, keys = self._perms
+        return np.searchsorted(keys, perms[:, list(g)] @ place)
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ graphs, whose distance partition may be coarser than the scheme partition).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
@@ -50,6 +51,11 @@ class VertexGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense eigendecomposition (evals, vecs) of A, shared by every oracle check."""
+        return np.linalg.eigh(self.adjacency)
+
     def validate(self) -> None:
         A = self.adjacency
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -63,7 +69,7 @@ class VertexGraph:
         degrees = A.sum(axis=1)
         if np.any(degrees != degrees[0]):
             raise BadParams("graph must be regular")
-        if len(_bfs_distances(A, self.root)) != self.n:
+        if np.any(_bfs_distances(A, self.root) < 0):
             raise BadParams("graph must be connected")
 
 
@@ -77,17 +83,16 @@ class DistancePartition:
         return tuple(len(s) for s in self.strata)
 
 
-def _bfs_distances(A: np.ndarray, root: int) -> dict[int, int]:
-    dist = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in np.nonzero(A[v])[0]:
-                if int(w) not in dist:
-                    dist[int(w)] = dist[v] + 1
-                    nxt.append(int(w))
-        frontier = nxt
+def _bfs_distances(A: np.ndarray, root: int) -> np.ndarray:
+    """Distance from the root to every vertex; -1 marks vertices it cannot reach."""
+    dist = np.full(A.shape[0], -1)
+    dist[root] = 0
+    frontier = dist == 0
+    k = 0
+    while frontier.any():
+        k += 1
+        frontier = A[frontier].any(axis=0) & (dist < 0)
+        dist[frontier] = k
     return dist
 
 
@@ -104,23 +109,25 @@ def complete_graph(n: int) -> VertexGraph:
 
 def cycle_graph(n: int) -> VertexGraph:
     _check_size(n)
-    A = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        A[v, (v + 1) % n] = A[(v + 1) % n, v] = 1
+    step = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    A = (step | step.T).astype(np.int64)
     return VertexGraph(A, tuple(str(v) for v in range(n)))
+
+
+def _subset_intersections(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The k-subsets of range(v) in lexicographic order and their intersection sizes."""
+    subsets = list(combinations(range(v), k))
+    incidence = np.zeros((len(subsets), v), dtype=np.int64)
+    incidence[np.arange(len(subsets))[:, None], np.array(subsets, dtype=np.int64)] = 1
+    return subsets, incidence @ incidence.T
 
 
 def kneser_graph(v: int, k: int) -> VertexGraph:
     """Vertices are k-subsets of a v-set, adjacent when disjoint."""
     _check_size(comb(v, k))
-    subsets = list(combinations(range(v), k))
-    n = len(subsets)
-    A = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        si = set(subsets[i])
-        for j in range(i + 1, n):
-            if not si & set(subsets[j]):
-                A[i, j] = A[j, i] = 1
+    subsets, meet = _subset_intersections(v, k)
+    A = (meet == 0).astype(np.int64)
+    np.fill_diagonal(A, 0)  # for k = 0 the one vertex is disjoint from itself
     return VertexGraph(A, tuple("".join(map(str, s)) for s in subsets))
 
 
@@ -133,14 +140,8 @@ def johnson_graph(v: int, d: int) -> VertexGraph:
     if d < 1 or v < d:
         raise BadParams("need 1 <= d <= v")
     _check_size(comb(v, d))
-    subsets = list(combinations(range(v), d))
-    n = len(subsets)
-    A = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        si = set(subsets[i])
-        for j in range(i + 1, n):
-            if len(si & set(subsets[j])) == d - 1:
-                A[i, j] = A[j, i] = 1
+    subsets, meet = _subset_intersections(v, d)
+    A = (meet == d - 1).astype(np.int64)
     return VertexGraph(A, tuple("".join(map(str, s)) for s in subsets))
 
 
@@ -150,12 +151,11 @@ def hamming_graph(d: int, n: int) -> VertexGraph:
         raise BadParams("need d >= 1 and n >= 2")
     _check_size(n**d)
     words = list(product(range(n), repeat=d))
-    size = len(words)
-    A = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(i + 1, size):
-            if sum(a != b for a, b in zip(words[i], words[j])) == 1:
-                A[i, j] = A[j, i] = 1
+    letters = np.array(words, dtype=np.int64)
+    disagreements = np.zeros((len(words), len(words)), dtype=np.int8)
+    for column in letters.T:
+        disagreements += column[:, None] != column[None, :]
+    A = (disagreements == 1).astype(np.int64)
     return VertexGraph(A, tuple("".join(map(str, w)) for w in words))
 
 
@@ -175,31 +175,21 @@ def cayley_graph(
     data: GroupElements = group_elements(descriptor)
     n = len(data.elements)
     _check_size(n)
-    gen_set = {
-        i
-        for i, cls in enumerate(data.class_of)
-        if cls in set(generating_classes)
-    }
+    wanted = set(generating_classes)
+    gen_set = {i for i, cls in enumerate(data.class_of) if cls in wanted}
     if 0 in gen_set:
         raise NonSymmetricGeneratingSet("identity cannot generate a loopless graph")
-    closed = set(gen_set)
-    for i in gen_set:
-        closed.add(data.index(data.inv(data.elements[i])))
-    gen_elements = [data.elements[i] for i in sorted(closed)]
+    closed = gen_set | {data.index(data.inv(data.elements[i])) for i in gen_set}
     A = np.zeros((n, n), dtype=np.int64)
-    for i, alpha in enumerate(data.elements):
-        alpha_inv = data.inv(alpha)
-        for g in gen_elements:
-            j = data.index(data.mul(alpha, g))
-            A[i, j] = 1
+    rows = np.arange(n)
+    for i in sorted(closed):
+        A[rows, data.right_products(data.elements[i])] = 1
     if np.any(A != A.T):
         raise NonSymmetricGeneratingSet("generating set not closed under inversion")
-    n_classes = max(data.class_of) + 1
-    partition = tuple(
-        tuple(i for i, c in enumerate(data.class_of) if c == k)
-        for k in range(n_classes)
-    )
-    return VertexGraph(A, data.labels, 0, partition)
+    partition: list[list[int]] = [[] for _ in range(max(data.class_of) + 1)]
+    for i, c in enumerate(data.class_of):
+        partition[c].append(i)
+    return VertexGraph(A, data.labels, 0, tuple(map(tuple, partition)))
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
@@ -236,40 +226,37 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
 
 def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     """Distance partition from the root plus the intersection array it induces."""
-    dist_map = _bfs_distances(g.adjacency, g.root)
-    if len(dist_map) != g.n:
+    distances = _bfs_distances(g.adjacency, g.root)
+    if np.any(distances < 0):
         raise NotDistanceRegular("graph is disconnected")
-    distances = np.array([dist_map[v] for v in range(g.n)])
     d = int(distances.max())
     strata = tuple(
-        tuple(int(v) for v in np.nonzero(distances == k)[0]) for k in range(d + 1)
+        tuple(int(v) for v in np.flatnonzero(distances == k)) for k in range(d + 1)
     )
-    c = []
-    b = []
-    for k in range(d + 1):
-        outward = set()
-        backward = set()
-        for v in strata[k]:
-            neigh = np.nonzero(g.adjacency[v])[0]
-            outward.add(int(np.sum(distances[neigh] == k + 1)))
-            backward.add(int(np.sum(distances[neigh] == k - 1)))
-        if len(outward) != 1 or len(backward) != 1:
-            raise NotDistanceRegular(
-                f"stratum {k} has non-constant intersection numbers"
-            )
-        if k < d:
-            c.append(outward.pop())
-        if k > 0:
-            b.append(backward.pop())
+    # counts[v, k + 1]: neighbours of v at distance k; the zero columns at
+    # both ends stand for distances -1 and d + 1.
+    onehot = distances[:, None] == np.arange(-1, d + 2)
+    counts = g.adjacency @ onehot.astype(np.int64)
+    vertices = np.arange(g.n)
+    outward = counts[vertices, distances + 2]
+    backward = counts[vertices, distances]
+    first = np.array([stratum[0] for stratum in strata])
+    peer = first[distances]  # the first vertex of each vertex's stratum
+    uneven = (outward != outward[peer]) | (backward != backward[peer])
+    if uneven.any():
+        k = int(distances[uneven].min())
+        raise NotDistanceRegular(f"stratum {k} has non-constant intersection numbers")
+    c = tuple(int(x) for x in outward[first[:-1]])
+    b = tuple(int(x) for x in backward[first[1:]])
     partition = DistancePartition(strata, distances)
-    return partition, IntersectionArray(d=d, c=tuple(c), b=tuple(b))
+    return partition, IntersectionArray(d=d, c=c, b=b)
 
 
 def exact_walk(g: VertexGraph, times) -> np.ndarray:
     """Per-vertex amplitudes of e^{-iAt} applied to the root indicator."""
     _check_size(g.n)
     times = np.asarray(times, dtype=float)
-    evals, vecs = np.linalg.eigh(g.adjacency.astype(float))
+    evals, vecs = g.eigh
     coeff = vecs[g.root]
     phases = np.exp(-1j * np.outer(times, evals))
     return (phases * coeff) @ vecs.T
@@ -277,18 +264,25 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
 
 def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
     """(orthonormality defect, eigen-equation residual) of the dense solver."""
+    evals, vecs = g.eigh
     A = g.adjacency.astype(float)
-    evals, vecs = np.linalg.eigh(A)
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(g.n))))
     resid = float(np.max(np.abs(A @ vecs - vecs * evals)))
     return ortho, resid
 
 
 def stratum_amplitudes(
-    g: VertexGraph, strata: tuple[tuple[int, ...], ...], times
+    g: VertexGraph,
+    strata: tuple[tuple[int, ...], ...],
+    times,
+    vertex_amps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size)."""
-    vertex_amps = exact_walk(g, times)
+    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size).
+
+    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it.
+    """
+    if vertex_amps is None:
+        vertex_amps = exact_walk(g, times)
     cols = [
         vertex_amps[:, list(stratum)].sum(axis=1) / np.sqrt(len(stratum))
         for stratum in strata
@@ -297,10 +291,17 @@ def stratum_amplitudes(
 
 
 def check_stratum_uniformity(
-    g: VertexGraph, strata: tuple[tuple[int, ...], ...], times
+    g: VertexGraph,
+    strata: tuple[tuple[int, ...], ...],
+    times,
+    vertex_amps: np.ndarray | None = None,
 ) -> float:
-    """Largest within-stratum amplitude spread over all times and strata."""
-    vertex_amps = exact_walk(g, times)
+    """Largest within-stratum amplitude spread over all times and strata.
+
+    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it.
+    """
+    if vertex_amps is None:
+        vertex_amps = exact_walk(g, times)
     spread = 0.0
     for stratum in strata:
         block = vertex_amps[:, list(stratum)]
@@ -328,23 +329,22 @@ def quantum_decomposition(
 def ladder_residual(
     g: VertexGraph, partition: DistancePartition, ia: IntersectionArray
 ) -> float:
-    """Largest defect of the raising/lowering/diagonal actions on stratum vectors."""
+    """Largest defect of the raising/lowering/diagonal actions on stratum vectors.
+
+    With Phi the unit stratum vectors as columns, A+ + A- + A0 acting on Phi
+    is A @ Phi restricted to equal or neighbouring strata, and it should equal
+    Phi @ J for the Jacobi matrix J (diagonal alpha, off-diagonal sqrt(omega)).
+    A @ Phi is taken from exact integer neighbour counts, rounded once.
+    """
     from .spectral import jacobi_from_intersection
 
     jc = jacobi_from_intersection(ia)
-    a_plus, a_minus, a_zero = quantum_decomposition(g, partition.distances)
-    d = ia.d
-    phis = np.zeros((d + 1, g.n))
-    for k, stratum in enumerate(partition.strata):
-        phis[k, list(stratum)] = 1.0 / np.sqrt(len(stratum))
-    worst = 0.0
-    for k in range(d + 1):
-        up = a_plus @ phis[k]
-        target = np.sqrt(jc.omega[k]) * phis[k + 1] if k < d else np.zeros(g.n)
-        worst = max(worst, float(np.max(np.abs(up - target))))
-        down = a_minus @ phis[k]
-        target = np.sqrt(jc.omega[k - 1]) * phis[k - 1] if k > 0 else np.zeros(g.n)
-        worst = max(worst, float(np.max(np.abs(down - target))))
-        diag = a_zero @ phis[k]
-        worst = max(worst, float(np.max(np.abs(diag - jc.alpha[k] * phis[k]))))
-    return worst
+    distances = partition.distances
+    strata = np.arange(ia.d + 1)
+    onehot = distances[:, None] == strata
+    scale = 1.0 / np.sqrt(partition.sizes)
+    counts = g.adjacency @ onehot.astype(np.int64)
+    ladder = np.where(np.abs(distances[:, None] - strata) <= 1, counts * scale, 0.0)
+    off = np.sqrt(jc.omega)
+    jacobi = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.max(np.abs(ladder - (onehot * scale) @ jacobi)))

@@ -233,7 +233,7 @@ def eigenstructure_from_array(ia: IntersectionArray) -> SchemeEigenstructure:
 # ---------------------------------------------------------------------------
 
 _GROUP_KINDS = ("cyclic", "dihedral", "symmetric")
-SYMMETRIC_MAX_N = 8
+SYMMETRIC_MAX_N = 12
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schemewalk.cli import main, parse_graph_spec
+from schemewalk import oracle
+from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
 from schemewalk.schemes import FromCatalog, FromGroup, FromSRG
 
@@ -345,3 +346,61 @@ def test_verify_duality_threshold_scales_with_n(capsys, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "8")
     assert code == 0
     assert "eigenmatrix_duality" in out and "FAIL" not in out
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ["walk", "--graph", "catalog:petersen", "--engine", "bogus"],
+        ["walk", "--graph", "catalog:petersen", "--times", "0.5"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "schemewalk.cli", *argv], capture_output=True, text=True
+        )
+        for argv in calls
+    ]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert in_process[0][0] == 2 and in_process[1][0] == 0
+
+
+ORACLE_BENCHMARK_GRAPHS = [
+    "catalog:hamming:6,3",
+    "catalog:johnson:13,4",
+    "group:dihedral:350",
+    "group:cyclic:600",
+    "group:symmetric:6",
+]
+
+
+@pytest.mark.parametrize("graph", ORACLE_BENCHMARK_GRAPHS)
+def test_verify_passes_on_the_largest_oracle_graphs(capsys, graph):
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == (4 if graph.startswith("group:") else 9)
+    assert all(row.endswith("PASS") for row in rows)
+
+
+@pytest.mark.parametrize("graph", ["catalog:johnson:7,3", "group:dihedral:6"])
+def test_verify_decomposes_the_oracle_graph_once(capsys, monkeypatch, graph):
+    n = oracle.build_graph(parse_graph_spec(graph)).n
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
+    assert code == 0 and "FAIL" not in out
+    assert sizes.count(n) == 1

@@ -36,6 +36,7 @@ from schemewalk.groups import (
     walk_scheme,
 )
 from schemewalk.schemes import GroupDescriptor
+from schemewalk.walk import amplitudes_group
 
 # Textbook S3 and S4 tables in ascending partition order (classes and irreps).
 S3_TABLE = np.array([[1, -1, 1], [2, 0, -1], [1, 1, 1]])
@@ -122,12 +123,40 @@ def test_symmetric_tables_match_textbook(n, frozen):
 
 def test_symmetric_rejects_large_order():
     with pytest.raises(UnsupportedOrder):
-        character_table_symmetric(9)
+        character_table_symmetric(13)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_symmetric_tables_validate(n):
     character_table_symmetric(n).validate()
+
+
+def _young_dimension(lam: tuple[int, ...]) -> int:
+    """f_lambda by the branching rule: sum over the boxes that can be removed."""
+    if sum(lam) == 0:
+        return 1
+    total = 0
+    for i, row in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < row:
+            smaller = lam[:i] + (row - 1,) + lam[i + 1 :]
+            total += _young_dimension(tuple(part for part in smaller if part))
+    return total
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_large_symmetric_origin_amplitude_is_a_content_sum(n):
+    """<e| e^{-iAt} |e> = sum_lambda (f_lambda^2 / n!) e^{-i content(lambda) t}
+    for the transposition Cayley graph, with f_lambda from the branching rule
+    and content(lambda) the sum of (column - row) over the boxes of lambda."""
+    times = np.linspace(0.0, 3.0, 13)
+    scheme = walk_scheme(GroupDescriptor("symmetric", n))
+    amps = amplitudes_group(scheme, scheme.generating, times).amplitudes[:, 0]
+    expected = np.zeros(len(times), dtype=complex)
+    for lam in partitions(n):
+        content = sum(j - i for i, row in enumerate(lam) for j in range(row))
+        weight = _young_dimension(lam) ** 2 / factorial(n)
+        expected += weight * np.exp(-1j * content * times)
+    assert np.max(np.abs(amps - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -417,3 +446,22 @@ def test_walk_scheme_generating_range():
     scheme = walk_scheme(GroupDescriptor("cyclic", 7), generating_class=2)
     assert isinstance(scheme, GroupWalkScheme)
     assert scheme.eigenstructure.P[0, 2] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [
+        ("cyclic", 3),
+        ("cyclic", 10),
+        ("dihedral", 5),
+        ("dihedral", 6),
+        ("symmetric", 3),
+        ("symmetric", 4),
+        ("symmetric", 5),
+    ],
+)
+def test_right_products_match_mul(kind, n):
+    data = group_elements(GroupDescriptor(kind, n))
+    for g in data.elements:
+        expected = [data.index(data.mul(alpha, g)) for alpha in data.elements]
+        assert data.right_products(g).tolist() == expected

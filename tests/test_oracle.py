@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from schemewalk.errors import (
     NotDistanceRegular,
     TooLarge,
 )
-from schemewalk.groups import walk_scheme
+from schemewalk.groups import class_groups, group_elements, walk_scheme
 from schemewalk.schemes import (
     FromCatalog,
     FromGroup,
@@ -251,3 +252,140 @@ def test_vertex_graph_validation():
     bad = oracle.VertexGraph(np.array([[0, 1], [0, 0]]), ("a", "b"))
     with pytest.raises(BadParams):
         bad.validate()
+
+
+# Pair-loop references: every builder must produce exactly these graphs.
+
+
+def _pair_loop(n, adjacent):
+    A = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if i != j and adjacent(i, j):
+                A[i, j] = 1
+    return A
+
+
+def _assert_same_graph(g, A, labels, partition=None):
+    assert g.adjacency.dtype == np.int64
+    assert np.array_equal(g.adjacency, A)
+    assert g.labels == labels
+    assert g.class_partition == partition
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cycle_builder_matches_pair_loop(n):
+    A = _pair_loop(n, lambda i, j: (i - j) % n in (1, n - 1))
+    _assert_same_graph(oracle.cycle_graph(n), A, tuple(str(v) for v in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_complete_builder_matches_pair_loop(n):
+    A = _pair_loop(n, lambda i, j: True)
+    _assert_same_graph(oracle.complete_graph(n), A, tuple(str(v) for v in range(n)))
+
+
+@pytest.mark.parametrize("v,k", [(4, 1), (5, 2), (6, 3), (7, 3), (8, 2), (9, 4)])
+def test_subset_builders_match_pair_loop(v, k):
+    subsets = [set(s) for s in itertools.combinations(range(v), k)]
+    labels = tuple("".join(map(str, sorted(s))) for s in subsets)
+    johnson = _pair_loop(len(subsets), lambda i, j: len(subsets[i] & subsets[j]) == k - 1)
+    _assert_same_graph(oracle.johnson_graph(v, k), johnson, labels)
+    kneser = _pair_loop(len(subsets), lambda i, j: not subsets[i] & subsets[j])
+    _assert_same_graph(oracle.kneser_graph(v, k), kneser, labels)
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (1, 5), (2, 3), (3, 2), (3, 4), (4, 3), (6, 2)])
+def test_hamming_builder_matches_pair_loop(d, q):
+    words = list(itertools.product(range(q), repeat=d))
+    A = _pair_loop(
+        len(words), lambda i, j: sum(a != b for a, b in zip(words[i], words[j])) == 1
+    )
+    labels = tuple("".join(map(str, w)) for w in words)
+    _assert_same_graph(oracle.hamming_graph(d, q), A, labels)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [
+        ("cyclic", 5),
+        ("cyclic", 8),
+        ("dihedral", 5),
+        ("dihedral", 7),
+        ("dihedral", 6),
+        ("dihedral", 8),
+        ("symmetric", 3),
+        ("symmetric", 4),
+        ("symmetric", 5),
+    ],
+)
+def test_cayley_builder_matches_pair_loop(kind, n):
+    descriptor = GroupDescriptor(kind, n)
+    data = group_elements(descriptor)
+    size = len(data.elements)
+    partition = tuple(
+        tuple(i for i, c in enumerate(data.class_of) if c == k)
+        for k in range(max(data.class_of) + 1)
+    )
+    groups = class_groups(descriptor)
+    for generating in range(1, len(groups)):
+        connection = {
+            data.elements[i] for c in groups[generating] for i in partition[c]
+        }
+        connection |= {data.inv(x) for x in connection}
+        A = _pair_loop(
+            size,
+            lambda i, j: data.mul(data.inv(data.elements[i]), data.elements[j])
+            in connection,
+        )
+        g = oracle.cayley_graph(descriptor, groups[generating])
+        _assert_same_graph(g, A, data.labels, partition)
+
+
+def _ladder_loop(g, partition, ia):
+    """Stratum-by-stratum ladder check written from A+, A- and A0."""
+    jc = jacobi_from_intersection(ia)
+    a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.distances)
+    phis = np.zeros((ia.d + 1, g.n))
+    for k, stratum in enumerate(partition.strata):
+        phis[k, list(stratum)] = 1.0 / np.sqrt(len(stratum))
+    worst = 0.0
+    for k in range(ia.d + 1):
+        up = np.sqrt(jc.omega[k]) * phis[k + 1] if k < ia.d else 0.0
+        down = np.sqrt(jc.omega[k - 1]) * phis[k - 1] if k > 0 else 0.0
+        for part, target in (
+            (a_plus, up),
+            (a_minus, down),
+            (a_zero, jc.alpha[k] * phis[k]),
+        ):
+            worst = max(worst, float(np.max(np.abs(part @ phis[k] - target))))
+    return worst
+
+
+def test_ladder_residual_matches_decomposition_loop():
+    # The BFS partition of a distance-regular graph: both read rounding only.
+    graphs = (oracle.johnson_graph(7, 3), oracle.hamming_graph(3, 3), oracle.complete_graph(40))
+    for g in graphs:
+        partition, ia = oracle.bfs_strata(g)
+        assert oracle.ladder_residual(g, partition, ia) < 1e-13
+        assert _ladder_loop(g, partition, ia) < 1e-13
+    # A relabelled C_8 partition puts the edge 5-6 two strata apart, which the
+    # decomposition drops; the residual is then of order one and must agree.
+    g = oracle.cycle_graph(8)
+    distances = np.array([0, 1, 2, 3, 4, 3, 1, 2])
+    strata = tuple(tuple(np.flatnonzero(distances == k).tolist()) for k in range(5))
+    partition = oracle.DistancePartition(strata, distances)
+    ia = IntersectionArray(d=4, c=(2, 1, 1, 1), b=(1, 1, 1, 2))
+    expected = _ladder_loop(g, partition, ia)
+    assert expected > 0.1
+    assert oracle.ladder_residual(g, partition, ia) == pytest.approx(expected, abs=1e-14)
+
+
+def test_bfs_strata_names_the_first_uneven_stratum():
+    # A tree rooted at 0: vertices 1 and 2 (stratum 1) have 2 and 0 children,
+    # vertices 3 and 4 (stratum 2) have 1 and 0.
+    A = np.zeros((6, 6), dtype=np.int64)
+    for i, j in [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5)]:
+        A[i, j] = A[j, i] = 1
+    with pytest.raises(NotDistanceRegular, match="stratum 1 "):
+        oracle.bfs_strata(oracle.VertexGraph(A, tuple("abcdef")))
