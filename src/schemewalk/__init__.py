@@ -4,13 +4,11 @@ from .catalog import CatalogEntry, catalog, catalog_names
 from .errors import SchemeWalkError
 from .groups import (
     CharacterTable,
-    SymmetrizedScheme,
     character_table,
     character_table_cyclic,
     character_table_dihedral,
     character_table_symmetric,
     class_size_symmetric,
-    group_eigenstructure,
     intersection_numbers_group,
     transposition_eigenvalue,
     walk_scheme,
@@ -58,13 +56,9 @@ from .walk import (
     AverageProbabilities,
     SchemeSpectrum,
     WalkRequest,
-    amplitudes_eigen,
-    amplitudes_group,
-    amplitudes_spectral,
     average_probabilities,
     dispatch,
     eigen_spectrum,
-    hamming_walk,
     intersection_array,
     jacobi_spectrum,
     johnson_limit_amplitudes,

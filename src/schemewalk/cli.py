@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -178,13 +179,22 @@ def _fmt(x: float) -> str:
     return "0.000000000000" if out == "-0.000000000000" else out
 
 
-def _times_from_args(args) -> tuple[float, ...]:
-    if args.times is not None:
+def _time_grid(
+    times: str | None, t0: float, t1: float, steps: int, min_steps: int
+) -> tuple[float, ...]:
+    """The listed times, or ``steps`` points from t0 to t1; a bad grid is a usage error."""
+    if times is not None:
         try:
-            return tuple(float(x) for x in args.times.split(",") if x != "")
+            points = tuple(float(x) for x in times.split(",") if x != "")
         except ValueError as exc:
             raise SchemaError("--times: expected comma-separated reals") from exc
-    return tuple(np.linspace(args.t0, args.t1, args.steps))
+    elif steps < min_steps:
+        raise SchemaError(f"--steps: expected at least {min_steps}, got {steps}")
+    else:
+        points = (t0, t1)
+    if not all(math.isfinite(t) and t >= 0 for t in points):
+        raise SchemaError("times must be finite and nonnegative")
+    return points if times is not None else tuple(np.linspace(t0, t1, steps))
 
 
 def _with_class_override(spec: SchemeSpec, args) -> SchemeSpec:
@@ -198,7 +208,7 @@ def _with_class_override(spec: SchemeSpec, args) -> SchemeSpec:
 
 def _walk_rows(args) -> list[tuple[float, int, float, float, float]]:
     spec = _with_class_override(_parse_spec(args.graph), args)
-    times = _times_from_args(args)
+    times = _time_grid(args.times, args.t0, args.t1, args.steps, 0)
     series = walk.dispatch(
         walk.WalkRequest(spec, times, args.engine, args.normalized)
     )
@@ -367,7 +377,7 @@ def _verify_checks(spec: SchemeSpec, times) -> list[tuple[str, float, float]]:
 
 def _cmd_verify(args) -> int:
     spec = _parse_spec(args.graph)
-    times = np.linspace(0.0, args.t1, args.steps)
+    times = np.array(_time_grid(None, 0.0, args.t1, args.steps, 1))
     checks = _verify_checks(spec, times)
     failed = False
     print(f"{'check':<24}{'max_dev':>14}{'threshold':>12}  status")

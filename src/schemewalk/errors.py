@@ -41,10 +41,6 @@ class ComplexClassesWithoutSymmetrization(SchemeWalkError):
     code = "complex_classes_without_symmetrization"
 
 
-class NonRealGeneratingClass(SchemeWalkError):
-    code = "non_real_generating_class"
-
-
 class NonIntegerResult(SchemeWalkError):
     code = "non_integer_result"
 

@@ -150,9 +150,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_sizes)
 
-    def is_symmetric(self) -> bool:
-        return all(self.inverse_class_map[k] == k for k in range(self.n_classes))
-
     def validate(self, tol: float = ORTHOGONALITY_TOL) -> None:
         order = self.order
         if sum(d * d for d in self.irrep_dims) != order:
@@ -298,39 +295,11 @@ def character_table(descriptor: GroupDescriptor) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetrizedScheme:
-    """Result of merging every complex class with its inverse class."""
-
-    merged_classes: tuple[tuple[int, ...], ...]
-    last_real_index: int
-    eigenstructure: SchemeEigenstructure
-
-    @property
-    def Ptilde(self) -> np.ndarray:
-        return self.eigenstructure.P
-
-    @property
-    def Qtilde(self) -> np.ndarray:
-        return self.eigenstructure.Q
-
-
-def symmetrized_class_groups(
-    table: CharacterTable,
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Real classes first (kept singleton), then inverse pairs; returns (groups, l)."""
-    inv = table.inverse_class_map
-    real = [(k,) for k in range(table.n_classes) if inv[k] == k]
-    pairs = [(k, inv[k]) for k in range(table.n_classes) if inv[k] > k]
-    return tuple(real) + tuple(pairs), len(real) - 1
-
-
 def cyclic_distance_groups(n: int) -> tuple[tuple[int, ...], ...]:
     """Inverse-pair class merging of Z_n in cycle-distance order.
 
-    Unlike the symmetrized ordering (real classes first) this places the
-    generating pair {g, g^-1} at index 1 for every n, matching the distance
-    strata of the cycle graph.
+    The generating pair {g, g^-1} sits at index 1 for every n, matching the
+    distance strata of the cycle graph.
     """
     groups: list[tuple[int, ...]] = [(0,)]
     for j in range(1, (n - 1) // 2 + 1):
@@ -409,26 +378,6 @@ def fused_eigenstructure(
     es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=ValencyVector(sizes, n))
     es.validate()
     return es
-
-
-def group_eigenstructure(
-    table: CharacterTable,
-    need_symmetrization: bool,
-    generating: int = 1,
-) -> SchemeEigenstructure | SymmetrizedScheme:
-    """Scheme eigenstructure of a group table, symmetrizing when classes are complex."""
-    if table.is_symmetric():
-        groups = tuple((k,) for k in range(table.n_classes))
-        return fused_eigenstructure(table, groups, generating)
-    if not need_symmetrization:
-        raise ComplexClassesWithoutSymmetrization(
-            f"{table.group_label} has complex classes; request symmetrization"
-        )
-    merged, last_real = symmetrized_class_groups(table)
-    es = fused_eigenstructure(table, merged, generating)
-    return SymmetrizedScheme(
-        merged_classes=merged, last_real_index=last_real, eigenstructure=es
-    )
 
 
 def intersection_numbers_group(

@@ -1,12 +1,12 @@
 """Continuous-time quantum-walk engines.
 
-Three interchangeable routes compute the same stratum amplitudes: the
-eigenstructure route sums dual eigenvalues against eigenvalue phases, the
-character route does the same with group data, and the spectral route sums
-phases against products of Jacobi-matrix eigenvector entries.  Each route
-only supplies atoms x_l and a weight table w_lk, held in one
-``SchemeSpectrum``; ``resolve`` picks the route for a scheme specification
-and engine.  Time is measured in inverse adjacency-eigenvalue units.
+Two builders reduce a scheme to atoms x_l and a weight table w_lk, held in
+one ``SchemeSpectrum``: ``eigen_spectrum`` reads them from the eigenvalue
+and dual matrices of a group scheme (the character route), and
+``jacobi_spectrum`` from the Jacobi-matrix eigenvectors of an intersection
+array (the spectral route).  ``resolve`` picks the builder for a scheme
+specification and engine.  Time is measured in inverse adjacency-eigenvalue
+units.
 """
 
 from __future__ import annotations
@@ -16,27 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    catalog,
-    cycle_intersection_array,
-    hamming_distribution,
-    hamming_intersection_array,
-)
+from .catalog import catalog, cycle_intersection_array, hamming_intersection_array
 from .errors import (
     BadParameter,
     BadParams,
     DegenerateSpectrumUnmerged,
     EngineSpecMismatch,
     InconsistentInputs,
-    NonRealGeneratingClass,
 )
-from .groups import (
-    CharacterTable,
-    GroupWalkScheme,
-    SymmetrizedScheme,
-    fused_eigenstructure,
-    walk_scheme,
-)
+from .groups import GroupWalkScheme, walk_scheme
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -48,13 +36,11 @@ from .schemes import (
     SchemeSpec,
     ValencyVector,
     derive_stratum_sizes,
-    eigenstructure_from_array,
 )
 from .spectral import (
     ATOM_SEPARATION,
     DiscreteDistribution,
     JacobiCoefficients,
-    SpectralDistribution,
     continuous_line_distribution,
     evaluate_polynomials,
     jacobi_eigh,
@@ -183,7 +169,7 @@ class SchemeSpectrum:
 
 
 def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> SchemeSpectrum:
-    """Eigen and character routes: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
+    """Eigenvalue-matrix route: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
     a = np.asarray(es.valencies.a, dtype=float)
     table = es.Q.T * (np.sqrt(a) / es.n)
     return SchemeSpectrum(es.P[:, generator_column], table, es.valencies, generator_column)
@@ -195,110 +181,37 @@ def jacobi_spectrum(ia: IntersectionArray) -> SchemeSpectrum:
     return SchemeSpectrum(atoms, (U[0] * U).T, derive_stratum_sizes(ia))
 
 
-def amplitudes_eigen(
-    es: SchemeEigenstructure,
-    times,
-    *,
-    generator_column: int = 1,
-    normalized: bool = False,
-) -> AmplitudeSeries:
-    """Stratum amplitudes (sqrt(a_k)/n) sum_i e^{-i P_i1 t} Q_ki."""
-    return eigen_spectrum(es, generator_column).amplitudes(times, normalized=normalized)
-
-
-def _checked_spectrum(
-    dist: SpectralDistribution, jc: JacobiCoefficients, ia: IntersectionArray
-) -> SchemeSpectrum:
-    """The array's spectrum, after checking ``jc`` and ``dist`` belong to the array."""
-    if jc != jacobi_from_intersection(ia):
-        raise InconsistentInputs("recurrence coefficients do not come from the array")
-    if not isinstance(dist, DiscreteDistribution):
-        raise InconsistentInputs("the finite spectral route needs a discrete distribution")
-    spectrum = jacobi_spectrum(ia)
-    atoms = spectrum.atoms
-    tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))
-    if dist.atoms.shape != atoms.shape or np.max(np.abs(dist.atoms - atoms)) > tol:
-        raise InconsistentInputs("distribution atoms differ from the recurrence spectrum")
-    return spectrum
-
-
-def amplitudes_spectral(
-    dist: SpectralDistribution,
-    jc: JacobiCoefficients,
-    ia: IntersectionArray,
-    times,
-    *,
-    normalized: bool = False,
-) -> AmplitudeSeries:
-    """Stratum amplitudes sum_l e^{-i x_l t} U[0, l] U[k, l] over the Jacobi eigenvectors.
-
-    Equals (1/sqrt(a_k)) times the integral of e^{-ixt} P_k(x) against ``dist``,
-    which must be the recurrence's own distribution.
-    """
-    return _checked_spectrum(dist, jc, ia).amplitudes(times, normalized=normalized)
-
-
-def amplitudes_group(
-    source: CharacterTable | SymmetrizedScheme | GroupWalkScheme,
-    generating_class: int,
-    times,
-    *,
-    normalized: bool = False,
-) -> AmplitudeSeries:
-    """Character-route amplitudes over conjugacy-class strata."""
-    if isinstance(source, GroupWalkScheme):
-        es = source.eigenstructure
-        generating_class = source.generating
-    elif isinstance(source, SymmetrizedScheme):
-        es = source.eigenstructure
-    else:
-        if not source.is_symmetric():
-            raise NonRealGeneratingClass(
-                f"{source.group_label} has unmerged complex classes"
-            )
-        groups = tuple((k,) for k in range(source.n_classes))
-        es = fused_eigenstructure(source, groups, generating_class)
-    return amplitudes_eigen(
-        es, times, generator_column=generating_class, normalized=normalized
-    )
-
-
 # ---------------------------------------------------------------------------
 # Long-time averages
 # ---------------------------------------------------------------------------
 
 
-def average_from_eigenstructure(
-    es: SchemeEigenstructure, *, generator_column: int = 1
-) -> AverageProbabilities:
-    """Averages (1/n^2) sum over distinct eigenvalues of (sum of Q rows)^2."""
-    return eigen_spectrum(es, generator_column).averages()
-
-
 def average_from_distribution(
     dist: DiscreteDistribution, jc: JacobiCoefficients, ia: IntersectionArray
 ) -> AverageProbabilities:
-    """Averages sum_l U[0, l]^2 U[k, l]^2 = (1/a_k) sum_l B_l^2 P_k(x_l)^2."""
+    """Averages sum_l U[0, l]^2 U[k, l]^2 = (1/a_k) sum_l B_l^2 P_k(x_l)^2.
+
+    ``jc`` and ``dist`` must be the array's own recurrence and distribution.
+    """
+    if jc != jacobi_from_intersection(ia):
+        raise InconsistentInputs("recurrence coefficients do not come from the array")
+    if not isinstance(dist, DiscreteDistribution):
+        raise InconsistentInputs("the finite spectral route needs a discrete distribution")
     if np.min(np.diff(dist.atoms)) <= MERGE_TOL:
         raise DegenerateSpectrumUnmerged(
             "coincident atoms contradict the polynomial structure of the scheme"
         )
-    return _checked_spectrum(dist, jc, ia).averages()
+    spectrum = jacobi_spectrum(ia)
+    atoms = spectrum.atoms
+    tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))
+    if dist.atoms.shape != atoms.shape or np.max(np.abs(dist.atoms - atoms)) > tol:
+        raise InconsistentInputs("distribution atoms differ from the recurrence spectrum")
+    return spectrum.averages()
 
 
-def average_probabilities(source, *args, **kwargs) -> AverageProbabilities:
-    """Dispatch on the source type: eigenstructure, group data, or distribution."""
-    if isinstance(source, SchemeEigenstructure):
-        return average_from_eigenstructure(source, **kwargs)
-    if isinstance(source, GroupWalkScheme):
-        return average_from_eigenstructure(
-            source.eigenstructure, generator_column=source.generating
-        )
-    if isinstance(source, SymmetrizedScheme):
-        return average_from_eigenstructure(source.eigenstructure, **kwargs)
-    if isinstance(source, DiscreteDistribution):
-        return average_from_distribution(source, *args, **kwargs)
-    raise BadParams(f"cannot average over {type(source).__name__}")
+def average_probabilities(scheme: GroupWalkScheme) -> AverageProbabilities:
+    """Averages over a group scheme's strata, on its own generating relation."""
+    return eigen_spectrum(scheme.eigenstructure, scheme.generating).averages()
 
 
 def time_averaged_probabilities(
@@ -311,24 +224,8 @@ def time_averaged_probabilities(
 
 
 # ---------------------------------------------------------------------------
-# Product schemes and growing-family limits
+# Growing-family limits
 # ---------------------------------------------------------------------------
-
-
-def hamming_walk(
-    n: int, d: int, times, *, normalized: bool = False
-) -> tuple[AmplitudeSeries, DiscreteDistribution]:
-    """Walk on the product of d complete graphs K_n, plus its spectral distribution.
-
-    The origin amplitude factorizes into the d-th power of the K_n origin
-    amplitude: the walk does not entangle the factors.
-    """
-    ia = hamming_intersection_array(d, n)
-    dist = hamming_distribution(d, n)
-    series = amplitudes_spectral(
-        dist, jacobi_from_intersection(ia), ia, times, normalized=normalized
-    )
-    return series, dist
 
 
 def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
@@ -404,9 +301,9 @@ def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
     """The one routing rule from a specification and an engine to a spectrum.
 
     Group specifications take the character route unless the engine is
-    spectral; ``eigen`` on any other specification goes through the
-    eigenvalue matrices of its array, and everything else through the
-    Jacobi matrix of its array.
+    spectral; every other specification goes through the Jacobi matrix of
+    its array, whatever the engine, because on an array the eigen route's
+    weight table is the Jacobi one.
     """
     if engine not in ENGINES:
         raise BadParams(f"unknown engine {engine!r}")
@@ -415,10 +312,7 @@ def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
         return eigen_spectrum(scheme.eigenstructure, scheme.generating)
     if engine == "character":
         raise EngineSpecMismatch("character engine needs a group specification")
-    ia = intersection_array(spec)
-    if engine == "eigen":
-        return eigen_spectrum(eigenstructure_from_array(ia))
-    return jacobi_spectrum(ia)
+    return jacobi_spectrum(intersection_array(spec))
 
 
 def dispatch(req: WalkRequest) -> AmplitudeSeries:

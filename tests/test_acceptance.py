@@ -13,23 +13,21 @@ import numpy as np
 import pytest
 
 from schemewalk import oracle
-from schemewalk.catalog import catalog, complete_intersection_array
+from schemewalk.catalog import catalog, complete_intersection_array, hamming_distribution
 from schemewalk.groups import (
     character_table,
     cyclic_distance_groups,
     fused_eigenstructure,
     walk_scheme,
 )
-from schemewalk.schemes import GroupDescriptor, eigenstructure_from_array
+from schemewalk.schemes import GroupDescriptor, ProductScheme, eigenstructure_from_array
 from schemewalk.spectral import golub_welsch, jacobi_from_intersection
 from schemewalk.walk import (
-    amplitudes_eigen,
-    amplitudes_group,
-    amplitudes_spectral,
     average_from_distribution,
-    average_from_eigenstructure,
-    hamming_walk,
+    eigen_spectrum,
+    jacobi_spectrum,
     johnson_limit_amplitudes,
+    resolve,
     time_averaged_probabilities,
 )
 
@@ -45,8 +43,16 @@ def _note(text: str) -> None:
 
 
 def spectral_series(ia, times=GRID):
-    jc = jacobi_from_intersection(ia)
-    return amplitudes_spectral(golub_welsch(jc), jc, ia, times)
+    return jacobi_spectrum(ia).amplitudes(times)
+
+
+def group_series(scheme, times=GRID):
+    return eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(times)
+
+
+def eigen_series(ia, times=GRID):
+    """The P/Q route: amplitudes from the eigenvalue matrices of the array."""
+    return eigen_spectrum(eigenstructure_from_array(ia)).amplitudes(times)
 
 
 def character_series_direct(table, class_groups, times):
@@ -186,7 +192,7 @@ def test_criterion_3_group_engine():
     worst_oracle = 0.0
     for n in (3, 4, 5):
         scheme = walk_scheme(GroupDescriptor("symmetric", n))
-        series = amplitudes_group(scheme, scheme.generating, GRID)
+        series = group_series(scheme)
         closed = (-2j * np.sin(n * GRID / 2)) ** (n - 1) / math.sqrt(n * factorial(n))
         worst_closed = max(
             worst_closed, float(np.max(np.abs(series.amplitudes[:, -1] - closed)))
@@ -205,7 +211,7 @@ def test_criterion_3_group_engine():
     worst_dihedral = 0.0
     for m in (3, 5, 7):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
-        series = amplitudes_group(scheme, scheme.generating, GRID)
+        series = group_series(scheme)
         expected = np.stack(
             [((m - 1) + np.cos(m * GRID)) / m, -1j * np.sin(m * GRID) / math.sqrt(m)]
             + [math.sqrt(2) / m * (np.cos(m * GRID) - 1)] * (series.amplitudes.shape[1] - 2),
@@ -214,7 +220,7 @@ def test_criterion_3_group_engine():
         worst_dihedral = max(
             worst_dihedral, float(np.max(np.abs(series.amplitudes - expected)))
         )
-        averages = average_from_eigenstructure(scheme.eigenstructure)
+        averages = eigen_spectrum(scheme.eigenstructure).averages()
         closed_avg = np.array(
             [((m - 1) ** 2 + 0.5) / m**2, 1 / (2 * m)]
             + [3 / m**2] * (series.amplitudes.shape[1] - 2)
@@ -250,9 +256,9 @@ def test_criterion_3_group_engine():
 
 def test_criterion_4_averages():
     for n in range(3, 9):
-        averages = average_from_eigenstructure(
+        averages = eigen_spectrum(
             eigenstructure_from_array(complete_intersection_array(n))
-        )
+        ).averages()
         assert averages.vertex[0] == pytest.approx(1 - 2 * (n - 1) / n**2, abs=1e-12)
         assert averages.vertex[1] == pytest.approx(2 / n**2, abs=1e-12)
 
@@ -261,11 +267,9 @@ def test_criterion_4_averages():
     for ia in (catalog("petersen").array, complete_intersection_array(5)):
         jc = jacobi_from_intersection(ia)
         dist = golub_welsch(jc)
-        eigen_route = average_from_eigenstructure(eigenstructure_from_array(ia)).stratum
+        eigen_route = eigen_spectrum(eigenstructure_from_array(ia)).averages().stratum
         dist_route = average_from_distribution(dist, jc, ia).stratum
-        numeric = time_averaged_probabilities(
-            amplitudes_spectral(dist, jc, ia, grid)
-        )
+        numeric = time_averaged_probabilities(spectral_series(ia, grid))
         assert np.max(np.abs(eigen_route - dist_route)) < 1e-9
         worst = max(worst, float(np.max(np.abs(numeric - eigen_route))))
     assert worst < 5e-3
@@ -283,7 +287,7 @@ def test_criterion_5_engine_triple_agreement():
 
     for n in (5, 7, 9):
         scheme = walk_scheme(GroupDescriptor("cyclic", n))
-        eig = amplitudes_eigen(scheme.eigenstructure, GRID).amplitudes
+        eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
         char = character_series_direct(
             character_table(GroupDescriptor("cyclic", n)),
             cyclic_distance_groups(n),
@@ -294,7 +298,7 @@ def test_criterion_5_engine_triple_agreement():
 
     for m in (3, 5):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
-        eig = amplitudes_eigen(scheme.eigenstructure, GRID).amplitudes
+        eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
         char = character_series_direct(
             character_table(GroupDescriptor("dihedral", m)),
             scheme.class_groups,
@@ -304,26 +308,22 @@ def test_criterion_5_engine_triple_agreement():
 
     for n in range(3, 9):
         ia = complete_intersection_array(n)
-        eig = amplitudes_eigen(eigenstructure_from_array(ia), GRID).amplitudes
+        eig = eigen_series(ia).amplitudes
         spec = spectral_series(ia).amplitudes
         table = character_table(GroupDescriptor("cyclic", n))
         fused = fused_eigenstructure(table, ((0,), tuple(range(1, n))))
-        char = amplitudes_eigen(fused, GRID).amplitudes
+        char = eigen_spectrum(fused).amplitudes(GRID).amplitudes
         compare(eig, spec, char)
 
     ia = catalog("petersen").array
-    compare(
-        amplitudes_eigen(eigenstructure_from_array(ia), GRID).amplitudes,
-        spectral_series(ia).amplitudes,
-    )
+    compare(eigen_series(ia).amplitudes, spectral_series(ia).amplitudes)
 
     for d, n in ((2, 3), (3, 2)):
         ia = catalog("hamming", (d, n)).array
-        series, _ = hamming_walk(n, d, GRID)
         compare(
-            amplitudes_eigen(eigenstructure_from_array(ia), GRID).amplitudes,
+            eigen_series(ia).amplitudes,
             spectral_series(ia).amplitudes,
-            series.amplitudes,
+            resolve(ProductScheme(n, d)).amplitudes(GRID).amplitudes,
         )
 
     assert worst < 1e-10
@@ -384,7 +384,7 @@ def test_criterion_6_unitarity_and_uniformity():
         worst_unitarity = max(worst_unitarity, series.unitarity_defect())
     for descriptor in CAYLEY_BATTERY:
         scheme = walk_scheme(descriptor)
-        series = amplitudes_group(scheme, scheme.generating, GRID)
+        series = group_series(scheme)
         worst_unitarity = max(worst_unitarity, series.unitarity_defect())
     assert worst_unitarity < 1e-9
 
@@ -440,10 +440,11 @@ def test_criterion_8_hamming_factorization():
     worst = 0.0
     for d in range(1, 5):
         for n in range(2, 6):
-            series, dist = hamming_walk(n, d, GRID)
-            kn = amplitudes_eigen(
-                eigenstructure_from_array(complete_intersection_array(n)), GRID
-            )
+            spectrum = resolve(ProductScheme(n, d))
+            series, dist = spectrum.amplitudes(GRID), hamming_distribution(d, n)
+            assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-12
+            assert np.max(np.abs(spectrum.table[:, 0] - dist.weights)) < 1e-15
+            kn = eigen_series(complete_intersection_array(n))
             worst = max(
                 worst,
                 float(
@@ -456,11 +457,12 @@ def test_criterion_8_hamming_factorization():
     # Larger products: every stratum against the closed form for n = 2, the
     # factorized origin amplitude otherwise.
     for n, d_max in ((2, 60), (3, 25), (4, 25)):
-        kn = amplitudes_eigen(
-            eigenstructure_from_array(complete_intersection_array(n)), GRID
-        ).amplitudes[:, 0]
+        kn = eigen_series(complete_intersection_array(n)).amplitudes[:, 0]
         for d in range(5, d_max + 1):
-            series, _ = hamming_walk(n, d, GRID)
+            spectrum = resolve(ProductScheme(n, d))
+            dist = hamming_distribution(d, n)
+            assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-9 * d
+            series = spectrum.amplitudes(GRID)
             if n == 2:
                 k = np.arange(d + 1)
                 c, s = np.cos(GRID)[:, None], np.sin(GRID)[:, None]

@@ -1,8 +1,10 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,27 @@ def test_unknown_catalog_is_usage_error(capsys):
     assert err.startswith("unknown_catalog_name: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "walk --steps -1",
+        "walk --times -1",
+        "walk --times nan",
+        "walk --t1 inf",
+        "verify --steps -1",
+        "verify --steps 0",
+        "verify --t1 nan",
+        "verify --t1 -5",
+    ],
+)
+def test_bad_time_grid_is_usage_error(capsys, argv):
+    command, *flags = argv.split()
+    code, out, err = run_cli(capsys, command, "--graph", "catalog:petersen", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("schema_error: ")
+
+
 def test_computation_error_exit_code(capsys):
     spec = '{"kind":"intersection_array","d":2,"c_forward":[3,2],"b_backward":[2,1]}'
     code, out, err = run_cli(capsys, "walk", "--graph", spec, "--times", "1")
@@ -273,10 +296,20 @@ def _csv(out):
 
 
 @pytest.mark.parametrize(
-    "graph", ["catalog:cycle:1001", "catalog:hamming:20,2", "catalog:johnson:20,10"]
+    "graph",
+    [
+        "catalog:cycle:1001",
+        "catalog:hamming:20,2",
+        "catalog:johnson:20,10",
+        "catalog:hamming:48,2",
+        "catalog:hamming:60,2",
+        "catalog:hamming:30,3",
+        "catalog:hamming:25,4",
+    ],
 )
 def test_eigen_engine_matches_spectral_on_large_schemes(capsys, graph):
-    # P and Q entries grow to n, so the eigenstructure checks must scale with n.
+    # P and Q entries grow to n, so the eigenstructure checks must scale with n;
+    # from H(48,2) on, an eigen route through P loses too many digits to pass them.
     rows = {}
     for engine in ("eigen", "spectral"):
         code, out, err = run_cli(
@@ -285,6 +318,17 @@ def test_eigen_engine_matches_spectral_on_large_schemes(capsys, graph):
         assert code == 0, err
         rows[engine] = _csv(out)
     assert np.max(np.abs(rows["eigen"] - rows["spectral"])) < 1e-11
+    if graph.startswith("catalog:hamming:") and graph.endswith(",2"):
+        d = int(graph.split(":")[2].split(",")[0])
+        # binary Hamming strata: sqrt(C(d, k)) cos^(d-k) t (-i sin t)^k
+        t, k = rows["eigen"][:, 0], rows["eigen"][:, 1]
+        closed = (
+            np.sqrt([math.comb(d, int(j)) for j in k])
+            * np.cos(t) ** (d - k)
+            * (-1j * np.sin(t)) ** k
+        )
+        assert np.max(np.abs(rows["eigen"][:, 2] - closed.real)) < 1e-11
+        assert np.max(np.abs(rows["eigen"][:, 3] - closed.imag)) < 1e-11
 
 
 def _hamming_binary_averages(d):
@@ -404,3 +448,22 @@ def test_verify_decomposes_the_oracle_graph_once(capsys, monkeypatch, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
     assert code == 0 and "FAIL" not in out
     assert sizes.count(n) == 1
+
+
+def _readme_block(heading, language):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs(capsys):
+    exec(_readme_block("Library quick tour", "python"), {})
+    commands = [
+        shlex.split(line)[1:]
+        for line in _readme_block("Command line", "sh").splitlines()
+        if line.startswith("schemewalk ")
+    ]
+    assert commands
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -25,18 +25,16 @@ from schemewalk.groups import (
     cyclic_distance_groups,
     dihedral_merged_blueprint,
     fused_eigenstructure,
-    group_eigenstructure,
     group_elements,
     hook_length_dimension,
     intersection_numbers_group,
     mn_character,
     partitions,
-    symmetrized_class_groups,
     transposition_eigenvalue,
     walk_scheme,
 )
 from schemewalk.schemes import GroupDescriptor
-from schemewalk.walk import amplitudes_group
+from schemewalk.walk import eigen_spectrum
 
 # Textbook S3 and S4 tables in ascending partition order (classes and irreps).
 S3_TABLE = np.array([[1, -1, 1], [2, 0, -1], [1, 1, 1]])
@@ -150,7 +148,8 @@ def test_large_symmetric_origin_amplitude_is_a_content_sum(n):
     and content(lambda) the sum of (column - row) over the boxes of lambda."""
     times = np.linspace(0.0, 3.0, 13)
     scheme = walk_scheme(GroupDescriptor("symmetric", n))
-    amps = amplitudes_group(scheme, scheme.generating, times).amplitudes[:, 0]
+    spectrum = eigen_spectrum(scheme.eigenstructure, scheme.generating)
+    amps = spectrum.amplitudes(times).amplitudes[:, 0]
     expected = np.zeros(len(times), dtype=complex)
     for lam in partitions(n):
         content = sum(j - i for i, row in enumerate(lam) for j in range(row))
@@ -264,10 +263,7 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
 
 
 def test_group_eigenstructure_cyclic_closed_forms():
-    result = group_eigenstructure(character_table_cyclic(7), need_symmetrization=True)
-    es = result.eigenstructure
-    assert result.last_real_index == 0
-    assert result.merged_classes == ((0,), (1, 6), (2, 5), (3, 4))
+    es = fused_eigenstructure(character_table_cyclic(7), ((0,), (1, 6), (2, 5), (3, 4)))
     n = 7
     for j in range(4):
         assert es.P[j, 1] == pytest.approx(2 * math.cos(2 * math.pi * j / n), abs=1e-12)
@@ -281,22 +277,20 @@ def test_group_eigenstructure_cyclic_closed_forms():
 
 def test_group_eigenstructure_requires_symmetrization():
     with pytest.raises(ComplexClassesWithoutSymmetrization):
-        group_eigenstructure(character_table_cyclic(5), need_symmetrization=False)
+        fused_eigenstructure(character_table_cyclic(5), ((0,), (1,), (2,), (3,), (4,)))
 
 
 def test_group_eigenstructure_even_cyclic():
-    # Even order: {n/2} is a real singleton class, so the symmetrized ordering
-    # puts it at index 1; the eigenstructure must still come out valid.
-    result = group_eigenstructure(character_table_cyclic(6), need_symmetrization=True)
-    es = result.eigenstructure
-    assert result.merged_classes == ((0,), (3,), (1, 5), (2, 4))
+    # Even order: {n/2} is a real singleton class; with the real classes first
+    # it sits at index 1, and the eigenstructure must still come out valid.
+    es = fused_eigenstructure(character_table_cyclic(6), ((0,), (3,), (1, 5), (2, 4)))
     assert es.valencies.a == (1, 1, 2, 2)
     assert np.max(np.abs(es.P @ es.Q - 6 * np.eye(4))) < 1e-9
     assert np.allclose(es.P[0], es.valencies.a)
 
 
 def test_group_eigenstructure_s3_transposition_column():
-    es = group_eigenstructure(character_table_symmetric(3), need_symmetrization=False)
+    es = fused_eigenstructure(character_table_symmetric(3), ((0,), (1,), (2,)))
     assert np.allclose(es.P[:, 1], [3.0, 0.0, -3.0])
     assert np.allclose(es.m, [1.0, 4.0, 1.0])
     assert np.allclose(es.Q[0], es.m)
@@ -323,10 +317,7 @@ def test_walk_scheme_duality(descriptor):
 
 
 def test_symmetrized_ordering_real_first():
-    groups, last_real = symmetrized_class_groups(character_table_cyclic(6))
-    assert groups == ((0,), (3,), (1, 5), (2, 4))
-    assert last_real == 1
-    # the walk view instead orders by cycle distance
+    # the walk view orders the merged classes by cycle distance
     assert cyclic_distance_groups(6) == ((0,), (1, 5), (2, 4), (3,))
 
 
@@ -376,7 +367,7 @@ def test_intersection_numbers_s3_brute_force():
 
 def test_intersection_numbers_merged_z5_convolution():
     table = character_table_cyclic(5)
-    merged, _ = symmetrized_class_groups(table)
+    merged = ((0,), (1, 4), (2, 3))
     sets = [set(grp) for grp in merged]
     assert intersection_numbers_group(table, 1, 1, 2, merged) == 1
     for i in range(3):

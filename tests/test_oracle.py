@@ -20,8 +20,8 @@ from schemewalk.schemes import (
     IntersectionArray,
     ProductScheme,
 )
-from schemewalk.spectral import golub_welsch, jacobi_from_intersection
-from schemewalk.walk import amplitudes_group, amplitudes_spectral
+from schemewalk.spectral import jacobi_from_intersection
+from schemewalk.walk import eigen_spectrum, jacobi_spectrum
 
 TIMES = np.linspace(0.0, 20.0, 64)
 
@@ -183,8 +183,7 @@ def test_full_pipeline_reproduces_exact_walk(graph_factory):
     g = graph_factory()
     partition, ia = oracle.bfs_strata(g)
     exact = oracle.stratum_amplitudes(g, partition.strata, TIMES)
-    jc = jacobi_from_intersection(ia)
-    series = amplitudes_spectral(golub_welsch(jc), jc, ia, TIMES)
+    series = jacobi_spectrum(ia).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
     assert oracle.check_stratum_uniformity(g, partition.strata, TIMES) < 1e-9
 
@@ -199,7 +198,7 @@ def test_cayley_class_strata_match_character_engine(kind, n):
         for grp in scheme.class_groups
     )
     exact = oracle.stratum_amplitudes(g, strata, TIMES)
-    series = amplitudes_group(scheme, scheme.generating, TIMES)
+    series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
     assert oracle.check_stratum_uniformity(g, strata, TIMES) < 1e-9
 
@@ -223,7 +222,7 @@ def test_cayley_graph_generated_by_a_walk_scheme_stratum(m, generating):
         tuple(v for c in grp for v in g.class_partition[c]) for grp in scheme.class_groups
     )
     exact = oracle.stratum_amplitudes(g, strata, TIMES)
-    series = amplitudes_group(scheme, scheme.generating, TIMES)
+    series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
 
 

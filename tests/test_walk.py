@@ -10,6 +10,7 @@ from schemewalk.catalog import (
     catalog,
     complete_intersection_array,
     cycle_intersection_array,
+    hamming_distribution,
 )
 from schemewalk.errors import (
     BadParameter,
@@ -40,14 +41,10 @@ from schemewalk.spectral import (
 from schemewalk.walk import (
     SchemeSpectrum,
     WalkRequest,
-    amplitudes_eigen,
-    amplitudes_group,
-    amplitudes_spectral,
     average_from_distribution,
-    average_from_eigenstructure,
     average_probabilities,
     dispatch,
-    hamming_walk,
+    eigen_spectrum,
     intersection_array,
     jacobi_spectrum,
     johnson_limit_amplitudes,
@@ -61,10 +58,7 @@ PETERSEN = IntersectionArray(d=2, c=(3, 2), b=(1, 1))
 
 
 def spectral_series(ia, times=TIMES, normalized=False):
-    jc = jacobi_from_intersection(ia)
-    return amplitudes_spectral(
-        golub_welsch(jc), jc, ia, times, normalized=normalized
-    )
+    return jacobi_spectrum(ia).amplitudes(times, normalized=normalized)
 
 
 def petersen_closed_forms(t):
@@ -107,26 +101,22 @@ def test_unitarity_on_catalog_sweep():
 def test_eigen_engine_matches_spectral_everywhere():
     for name, params in [("petersen", ()), ("m22", ()), ("cycle", (8,)), ("johnson", (5, 2))]:
         ia = catalog(name, params).array
-        eig = amplitudes_eigen(eigenstructure_from_array(ia), TIMES)
+        eig = eigen_spectrum(eigenstructure_from_array(ia)).amplitudes(TIMES)
         assert np.max(np.abs(eig.amplitudes - spectral_series(ia).amplitudes)) < 1e-10
 
 
 def test_complete_graph_unnormalized_origin():
     for n in (3, 5, 8):
-        series = amplitudes_eigen(
-            eigenstructure_from_array(complete_intersection_array(n)), TIMES
-        )
+        es = eigenstructure_from_array(complete_intersection_array(n))
+        series = eigen_spectrum(es).amplitudes(TIMES)
         expected = ((n - 1) * np.exp(1j * TIMES) + np.exp(-1j * (n - 1) * TIMES)) / n
         assert np.max(np.abs(series.amplitudes[:, 0] - expected)) < 1e-12
 
 
 def test_complete_graph_normalized_matches_degree_scaled_form():
     for n in (3, 5, 8):
-        series = amplitudes_eigen(
-            eigenstructure_from_array(complete_intersection_array(n)),
-            TIMES,
-            normalized=True,
-        )
+        es = eigenstructure_from_array(complete_intersection_array(n))
+        series = eigen_spectrum(es).amplitudes(TIMES, normalized=True)
         expected = (np.exp(-1j * TIMES) + (n - 1) * np.exp(1j * TIMES / (n - 1))) / n
         assert np.max(np.abs(series.amplitudes[:, 0] - expected)) < 1e-12
 
@@ -148,7 +138,7 @@ def test_cycle_closed_form_odd():
 def test_symmetric_group_ncycle_stratum():
     for n in (2, 3, 4, 5):
         scheme = walk_scheme(GroupDescriptor("symmetric", n))
-        series = amplitudes_group(scheme, scheme.generating, TIMES)
+        series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
         closed = (-2j * np.sin(n * TIMES / 2)) ** (n - 1) / math.sqrt(
             n * factorial(n)
         )
@@ -158,7 +148,7 @@ def test_symmetric_group_ncycle_stratum():
 def test_dihedral_amplitudes_and_averages():
     for m in (3, 5, 7):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
-        series = amplitudes_group(scheme, scheme.generating, TIMES)
+        series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
         assert (
             np.max(np.abs(series.amplitudes[:, 0] - ((m - 1) + np.cos(m * TIMES)) / m))
             < 1e-12
@@ -203,7 +193,7 @@ def test_cyclic_average_staying_probability():
 def test_complete_graph_averages_exact():
     for n in range(3, 9):
         es = eigenstructure_from_array(complete_intersection_array(n))
-        averages = average_from_eigenstructure(es)
+        averages = eigen_spectrum(es).averages()
         assert averages.vertex[0] == pytest.approx(1 - 2 * (n - 1) / n**2, abs=1e-12)
         assert averages.vertex[1] == pytest.approx(2 / n**2, abs=1e-12)
 
@@ -214,7 +204,7 @@ def test_average_routes_agree():
         jc = jacobi_from_intersection(ia)
         dist = golub_welsch(jc)
         via_dist = average_from_distribution(dist, jc, ia)
-        via_eigen = average_from_eigenstructure(eigenstructure_from_array(ia))
+        via_eigen = eigen_spectrum(eigenstructure_from_array(ia)).averages()
         assert np.max(np.abs(via_dist.stratum - via_eigen.stratum)) < 1e-12
         assert np.max(np.abs(via_dist.vertex - via_eigen.vertex)) < 1e-12
 
@@ -232,7 +222,7 @@ def test_vertex_normalization_rescaling():
     vertex_series = series.to_vertex()
     scale = np.sqrt([1.0, 3.0, 6.0])
     assert np.allclose(vertex_series.amplitudes * scale, series.amplitudes)
-    averages = average_from_eigenstructure(eigenstructure_from_array(PETERSEN))
+    averages = eigen_spectrum(eigenstructure_from_array(PETERSEN)).averages()
     assert np.allclose(averages.vertex * np.array([1, 3, 6]), averages.stratum)
 
 
@@ -241,14 +231,17 @@ def test_cesaro_convergence_to_closed_average():
     for ia in (PETERSEN, complete_intersection_array(5)):
         series = spectral_series(ia, times=grid)
         numeric = time_averaged_probabilities(series)
-        closed = average_from_eigenstructure(eigenstructure_from_array(ia)).stratum
+        closed = eigen_spectrum(eigenstructure_from_array(ia)).averages().stratum
         assert np.max(np.abs(numeric - closed)) < 5e-3
 
 
 def test_hamming_distribution_exact_binomials():
     for d in (1, 2, 3, 4):
         for n in (2, 3, 5):
-            _, dist = hamming_walk(n, d, np.array([0.0]))
+            dist = hamming_distribution(d, n)
+            spectrum = resolve(ProductScheme(n, d))
+            assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-12
+            assert np.max(np.abs(spectrum.table[:, 0] - dist.weights)) < 1e-15
             for l, (atom, weight) in enumerate(zip(dist.atoms, dist.weights)):
                 assert atom == n * l - d
                 exact = Fraction(comb(d, l) * (n - 1) ** (d - l), n**d)
@@ -258,10 +251,9 @@ def test_hamming_distribution_exact_binomials():
 def test_hamming_factorization():
     for d in (1, 2, 3, 4):
         for n in (2, 3, 4, 5):
-            series, _ = hamming_walk(n, d, TIMES)
-            kn = amplitudes_eigen(
-                eigenstructure_from_array(complete_intersection_array(n)), TIMES
-            )
+            series = resolve(ProductScheme(n, d)).amplitudes(TIMES)
+            es = eigenstructure_from_array(complete_intersection_array(n))
+            kn = eigen_spectrum(es).amplitudes(TIMES)
             assert (
                 np.max(np.abs(series.amplitudes[:, 0] - kn.amplitudes[:, 0] ** d))
                 < 1e-12
@@ -269,11 +261,12 @@ def test_hamming_factorization():
 
 
 def test_hamming_special_cases():
-    series, dist = hamming_walk(2, 2, TIMES)
+    series = resolve(ProductScheme(2, 2)).amplitudes(TIMES)
     assert np.max(np.abs(series.amplitudes[:, 0] - np.cos(TIMES) ** 2)) < 1e-12
-    series1, dist1 = hamming_walk(4, 1, TIMES)
-    assert np.allclose(dist1.atoms, [-1.0, 3.0])
-    assert np.allclose(dist1.weights, [0.75, 0.25])
+    spectrum1, dist1 = resolve(ProductScheme(4, 1)), hamming_distribution(1, 4)
+    for atoms, weights in ((dist1.atoms, dist1.weights), (spectrum1.atoms, spectrum1.table[:, 0])):
+        assert np.allclose(atoms, [-1.0, 3.0])
+        assert np.allclose(weights, [0.75, 0.25])
 
 
 def test_johnson_limit_laguerre():
@@ -323,7 +316,7 @@ def test_dispatch_routes():
         < 1e-12
     )
     prod = dispatch(WalkRequest(ProductScheme(3, 2), tuple(TIMES), "auto"))
-    direct, _ = hamming_walk(3, 2, TIMES)
+    direct = spectral_series(catalog("hamming", (2, 3)).array)
     assert np.max(np.abs(prod.amplitudes - direct.amplitudes)) < 1e-12
     group_req = WalkRequest(FromGroup(GroupDescriptor("cyclic", 7)), tuple(TIMES), "spectral")
     spectral_req = WalkRequest(FromCatalog("cycle", (7,)), tuple(TIMES), "auto")
@@ -359,23 +352,21 @@ def test_spectral_inputs_must_agree():
     jc = jacobi_from_intersection(PETERSEN)
     other = IntersectionArray(d=3, c=(2, 1, 1), b=(1, 1, 1))
     with pytest.raises(InconsistentInputs):
-        amplitudes_spectral(golub_welsch(jc), jc, other, TIMES)
+        average_from_distribution(golub_welsch(jc), jc, other)
     with pytest.raises(InconsistentInputs):
-        amplitudes_spectral(meixner_distribution(0.5), jc, PETERSEN, TIMES)
+        average_from_distribution(meixner_distribution(0.5), jc, PETERSEN)
     with pytest.raises(InconsistentInputs):
-        amplitudes_spectral(continuous_line_distribution(16), jc, PETERSEN, TIMES)
+        average_from_distribution(continuous_line_distribution(16), jc, PETERSEN)
 
 
 def test_distribution_atoms_must_match_the_recurrence():
     jc = jacobi_from_intersection(PETERSEN)
     shifted = DiscreteDistribution(np.array([-2.0, 1.0, 3.5]), np.array([0.4, 0.5, 0.1]))
     with pytest.raises(InconsistentInputs):
-        amplitudes_spectral(shifted, jc, PETERSEN, TIMES)
-    with pytest.raises(InconsistentInputs):
         average_from_distribution(shifted, jc, PETERSEN)
     exact = DiscreteDistribution(np.array([-2.0, 1.0, 3.0]), np.array([0.4, 0.5, 0.1]))
-    series = amplitudes_spectral(exact, jc, PETERSEN, TIMES)
-    assert np.max(np.abs(series.amplitudes - spectral_series(PETERSEN).amplitudes)) < 1e-14
+    averages = average_from_distribution(exact, jc, PETERSEN)
+    assert np.max(np.abs(averages.stratum - jacobi_spectrum(PETERSEN).averages().stratum)) < 1e-14
 
 
 ROUTING_SPECS = [
