@@ -193,14 +193,14 @@ def average_from_distribution(
 
     ``jc`` and ``dist`` must be the array's own recurrence and distribution.
     """
-    if jc != jacobi_from_intersection(ia):
-        raise InconsistentInputs("recurrence coefficients do not come from the array")
     if not isinstance(dist, DiscreteDistribution):
         raise InconsistentInputs("the finite spectral route needs a discrete distribution")
     if np.min(np.diff(dist.atoms)) <= MERGE_TOL:
         raise DegenerateSpectrumUnmerged(
             "coincident atoms contradict the polynomial structure of the scheme"
         )
+    if jc != jacobi_from_intersection(ia):
+        raise InconsistentInputs("recurrence coefficients do not come from the array")
     spectrum = jacobi_spectrum(ia)
     atoms = spectrum.atoms
     tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))

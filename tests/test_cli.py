@@ -12,7 +12,8 @@ import pytest
 from schemewalk import oracle
 from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
-from schemewalk.schemes import FromCatalog, FromGroup, FromSRG
+from schemewalk.schemes import FromCatalog, FromGroup, FromSRG, eigenstructure_from_array
+from schemewalk.walk import eigen_spectrum, intersection_array, jacobi_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -295,12 +296,13 @@ def _csv(out):
     return np.array([[float(v) for v in line.split(",")] for line in out.splitlines()])
 
 
+P_Q_SPECS = ("catalog:cycle:1001", "catalog:hamming:20,2", "catalog:johnson:20,10")
+
+
 @pytest.mark.parametrize(
     "graph",
     [
-        "catalog:cycle:1001",
-        "catalog:hamming:20,2",
-        "catalog:johnson:20,10",
+        *P_Q_SPECS,
         "catalog:hamming:48,2",
         "catalog:hamming:60,2",
         "catalog:hamming:30,3",
@@ -308,8 +310,8 @@ def _csv(out):
     ],
 )
 def test_eigen_engine_matches_spectral_on_large_schemes(capsys, graph):
-    # P and Q entries grow to n, so the eigenstructure checks must scale with n;
-    # from H(48,2) on, an eigen route through P loses too many digits to pass them.
+    # On arrays both engines read the Jacobi spectrum, so the CLI rows agree;
+    # from H(48,2) on, the former eigen route through P failed its own checks.
     rows = {}
     for engine in ("eigen", "spectral"):
         code, out, err = run_cli(
@@ -318,17 +320,30 @@ def test_eigen_engine_matches_spectral_on_large_schemes(capsys, graph):
         assert code == 0, err
         rows[engine] = _csv(out)
     assert np.max(np.abs(rows["eigen"] - rows["spectral"])) < 1e-11
-    if graph.startswith("catalog:hamming:") and graph.endswith(",2"):
-        d = int(graph.split(":")[2].split(",")[0])
-        # binary Hamming strata: sqrt(C(d, k)) cos^(d-k) t (-i sin t)^k
-        t, k = rows["eigen"][:, 0], rows["eigen"][:, 1]
-        closed = (
-            np.sqrt([math.comb(d, int(j)) for j in k])
-            * np.cos(t) ** (d - k)
-            * (-1j * np.sin(t)) ** k
-        )
-        assert np.max(np.abs(rows["eigen"][:, 2] - closed.real)) < 1e-11
-        assert np.max(np.abs(rows["eigen"][:, 3] - closed.imag)) < 1e-11
+    t, k = rows["eigen"][:, 0], rows["eigen"][:, 1]
+    amps = rows["eigen"][:, 2] + 1j * rows["eigen"][:, 3]
+    ia = intersection_array(parse_graph_spec(graph))
+    if graph in P_Q_SPECS:
+        # The P/Q route, whose eigenstructure checks scale with n, against Jacobi.
+        times = np.unique(t)
+        pq = eigen_spectrum(eigenstructure_from_array(ia)).amplitudes(times).amplitudes
+        jacobi = jacobi_spectrum(ia).amplitudes(times).amplitudes
+        assert np.max(np.abs(pq - jacobi)) < 1e-11
+    if graph.startswith("catalog:hamming:"):
+        d, q = (int(v) for v in graph.split(":")[2].split(","))
+        if q == 2:
+            # binary Hamming strata: sqrt(C(d, k)) cos^(d-k) t (-i sin t)^k
+            closed = (
+                np.sqrt([math.comb(d, int(j)) for j in k])
+                * np.cos(t) ** (d - k)
+                * (-1j * np.sin(t)) ** k
+            )
+            assert np.max(np.abs(amps - closed)) < 1e-11
+        else:
+            # origin amplitude: the K_q origin amplitude to the d-th power
+            origin = k == 0
+            kq = (np.exp(-1j * (q - 1) * t[origin]) + (q - 1) * np.exp(1j * t[origin])) / q
+            assert np.max(np.abs(amps[origin] - kq**d)) < 1e-11
 
 
 def _hamming_binary_averages(d):

@@ -263,6 +263,7 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
 
 
 def test_group_eigenstructure_cyclic_closed_forms():
+    """fused_eigenstructure on the literal inverse-pair groups of Z_7."""
     es = fused_eigenstructure(character_table_cyclic(7), ((0,), (1, 6), (2, 5), (3, 4)))
     n = 7
     for j in range(4):
@@ -276,13 +277,14 @@ def test_group_eigenstructure_cyclic_closed_forms():
 
 
 def test_group_eigenstructure_requires_symmetrization():
+    """fused_eigenstructure rejects the unmerged complex classes of Z_5."""
     with pytest.raises(ComplexClassesWithoutSymmetrization):
         fused_eigenstructure(character_table_cyclic(5), ((0,), (1,), (2,), (3,), (4,)))
 
 
 def test_group_eigenstructure_even_cyclic():
-    # Even order: {n/2} is a real singleton class; with the real classes first
-    # it sits at index 1, and the eigenstructure must still come out valid.
+    # Even order: {n/2} is a real singleton class; with it listed at index 1,
+    # before the literal inverse pairs, the eigenstructure must still be valid.
     es = fused_eigenstructure(character_table_cyclic(6), ((0,), (3,), (1, 5), (2, 4)))
     assert es.valencies.a == (1, 1, 2, 2)
     assert np.max(np.abs(es.P @ es.Q - 6 * np.eye(4))) < 1e-9
@@ -290,6 +292,7 @@ def test_group_eigenstructure_even_cyclic():
 
 
 def test_group_eigenstructure_s3_transposition_column():
+    """fused_eigenstructure on the singleton classes of S_3."""
     es = fused_eigenstructure(character_table_symmetric(3), ((0,), (1,), (2,)))
     assert np.allclose(es.P[:, 1], [3.0, 0.0, -3.0])
     assert np.allclose(es.m, [1.0, 4.0, 1.0])
@@ -317,7 +320,7 @@ def test_walk_scheme_duality(descriptor):
 
 
 def test_symmetrized_ordering_real_first():
-    # the walk view orders the merged classes by cycle distance
+    """The walk view of Z_6 merges inverse pairs and orders them by cycle distance."""
     assert cyclic_distance_groups(6) == ((0,), (1, 5), (2, 4), (3,))
 
 

@@ -215,6 +215,10 @@ def test_average_rejects_degenerate_distribution():
     jc = jacobi_from_intersection(ia)
     with pytest.raises(DegenerateSpectrumUnmerged):
         average_from_distribution(dist, jc, ia)
+    # coincident atoms are reported before a recurrence from another array
+    other = jacobi_from_intersection(IntersectionArray(d=3, c=(2, 1, 1), b=(1, 1, 1)))
+    with pytest.raises(DegenerateSpectrumUnmerged):
+        average_from_distribution(dist, other, ia)
 
 
 def test_vertex_normalization_rescaling():
