@@ -340,7 +340,7 @@ def _verify_checks(spec: SchemeSpec, times) -> list[tuple[str, float, float]]:
         es = eigenstructure_from_array(ia)
         series = walk.jacobi_spectrum(ia).amplitudes(times)
 
-    checks = [("unitarity", series.unitarity_defect(), 1e-9)]
+    checks = [("unitarity", series.unitarity_defect(), walk.UNITARITY_TOL)]
     if ia is not None:
         eig_series = walk.eigen_spectrum(es).amplitudes(times)
         agreement = float(np.max(np.abs(eig_series.amplitudes - series.amplitudes)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class SchemeWalkError(Exception):
     """Base class for all library errors."""
@@ -75,6 +77,19 @@ class DegenerateSpectrumUnmerged(SchemeWalkError):
 
 class EngineSpecMismatch(SchemeWalkError):
     code = "engine_spec_mismatch"
+
+
+class NumericalInstability(SchemeWalkError):
+    """A computed result fails a numerical check although its inputs are valid."""
+
+    code = "numerical_instability"
+
+    @classmethod
+    def check(cls, problem: str, residual, bound: float) -> None:
+        """Raise when the largest |residual| exceeds ``bound``; the message quotes both."""
+        defect = float(np.max(np.abs(residual)))
+        if defect > bound:
+            raise cls(f"{problem}: defect {defect:.3g} > bound {bound:.3g}")
 
 
 class TooLarge(SchemeWalkError):

@@ -150,20 +150,20 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_sizes)
 
-    def validate(self, tol: float = ORTHOGONALITY_TOL) -> None:
+    def validate(self) -> None:
         order = self.order
         if sum(d * d for d in self.irrep_dims) != order:
             raise BadParams("squared irrep dimensions must sum to the group order")
         kappa = np.asarray(self.class_sizes, dtype=float)
         gram = (self.values * kappa) @ self.values.conj().T
-        if np.max(np.abs(gram - order * np.eye(len(self.irrep_dims)))) > tol:
+        if np.max(np.abs(gram - order * np.eye(len(self.irrep_dims)))) > ORTHOGONALITY_TOL:
             raise BadParams("row orthogonality violated")
         col = self.values.conj().T @ self.values
         expected = np.diag(order / kappa)
-        if np.max(np.abs(col - expected)) > tol:
+        if np.max(np.abs(col - expected)) > ORTHOGONALITY_TOL:
             raise BadParams("column orthogonality violated")
         ident = np.asarray(self.irrep_dims, dtype=complex)
-        if np.max(np.abs(self.values[:, 0] - ident)) > tol:
+        if np.max(np.abs(self.values[:, 0] - ident)) > ORTHOGONALITY_TOL:
             raise BadParams("identity-class column must equal the irrep dimensions")
 
 
@@ -328,54 +328,47 @@ def fused_eigenstructure(
 ) -> SchemeEigenstructure:
     """Eigenstructure of the scheme whose relations are the fused class sums.
 
-    Irreps whose class-sum eigenvalues agree on every fused class are merged
-    into a single idempotent of multiplicity sum(d_i^2).  Idempotents are
-    ordered by decreasing eigenvalue on the generating relation, which places
-    the all-ones eigenvector first.
+    Irreps whose class-sum eigenvalues agree on every fused class merge into
+    one idempotent of multiplicity sum(d_i^2).  The trivial idempotent comes
+    first; the rest follow by decreasing eigenvalue on the generating
+    relation, then by lowest irrep index.
     """
     if class_groups[0] != (0,):
         raise BadParams("class group 0 must be the identity class alone")
-    seen = sorted(c for grp in class_groups for c in grp)
-    if seen != list(range(table.n_classes)):
+    members = np.concatenate(class_groups)
+    if not np.array_equal(np.sort(members), np.arange(table.n_classes)):
         raise BadParams("class groups must partition the class indices")
-
-    kappa = np.asarray(table.class_sizes, dtype=float)
+    starts = np.cumsum([0] + [len(grp) for grp in class_groups[:-1]])
+    sizes = np.asarray(table.class_sizes)[members]
     dims = np.asarray(table.irrep_dims, dtype=float)
-    n = table.order
-    ngroups = len(class_groups)
 
-    ev = np.empty((len(dims), ngroups), dtype=complex)
-    for gi, grp in enumerate(class_groups):
-        ev[:, gi] = (table.values[:, list(grp)] * kappa[list(grp)]).sum(axis=1) / dims
+    ev = table.values[:, members]
+    ev *= sizes
+    ev = np.add.reduceat(ev, starts, axis=1)
+    ev /= dims[:, None]
     if np.max(np.abs(ev.imag)) > REALNESS_TOL:
         raise ComplexClassesWithoutSymmetrization(
             "fused class sums have non-real eigenvalues; merge inverse classes first"
         )
     ev = ev.real
 
-    buckets: dict[tuple[float, ...], list[int]] = {}
-    for i in range(len(dims)):
-        key = tuple(np.round(ev[i], FUSION_KEY_DECIMALS))
-        buckets.setdefault(key, []).append(i)
-    if len(buckets) != ngroups:
+    _, first, bucket = np.unique(
+        np.round(ev, FUSION_KEY_DECIMALS), axis=0, return_index=True, return_inverse=True
+    )
+    if len(first) != len(class_groups):
         raise BadParams(
-            f"fusion produced {len(buckets)} idempotents for {ngroups} relations; "
+            f"fusion produced {len(first)} idempotents for {len(class_groups)} relations; "
             "the class groups do not define a scheme"
         )
+    # Only the trivial row (the valencies) sums to the group order; the others sum to 0.
+    nontrivial = ev[first].sum(axis=1) < table.order / 2
+    order = np.lexsort((first, -ev[first, generating], nontrivial))
 
-    groups_of_irreps = sorted(buckets.values(), key=lambda idx: min(idx))
-    order = sorted(
-        range(ngroups),
-        key=lambda g: (-ev[groups_of_irreps[g][0], generating], min(groups_of_irreps[g])),
-    )
-    groups_of_irreps = [groups_of_irreps[g] for g in order]
-
-    sizes = tuple(int(sum(table.class_sizes[c] for c in grp)) for grp in class_groups)
-    P = np.array([ev[idx[0]] for idx in groups_of_irreps])
-    m = np.array([float(sum(table.irrep_dims[i] ** 2 for i in idx)) for idx in groups_of_irreps])
-    a = np.asarray(sizes, dtype=float)
-    Q = (m[None, :] * P.T) / a[:, None]
-    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=ValencyVector(sizes, n))
+    P = ev[first[order]]
+    m = np.bincount(bucket, weights=dims**2)[order]
+    valencies = ValencyVector(tuple(np.add.reduceat(sizes, starts).tolist()), table.order)
+    Q = (m[None, :] * P.T) / np.asarray(valencies.a, dtype=float)[:, None]
+    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
     es.validate()
     return es
 

@@ -19,6 +19,7 @@ from .errors import (
     InvalidIntersectionArray,
     InvalidOrder,
     NonIntegerValency,
+    NumericalInstability,
     UnsupportedOrder,
 )
 
@@ -180,30 +181,23 @@ class SchemeEigenstructure:
             raise InvalidIntersectionArray("rounded multiplicities do not sum to n")
         return tuple(rounded)
 
-    def validate(self, tol: float = MATRIX_TOL) -> None:
+    def validate(self) -> None:
         # Entries are bounded by n (|P_ij| <= a_j, |Q_ij| <= m_j) and rounding
-        # errors grow with them, so the checks compare against tol * n.
+        # errors grow with them, so all checks but that of the unit first
+        # columns compare against MATRIX_TOL * n.
         n = self.n
-        scaled = tol * n
+        scaled = MATRIX_TOL * n
         a = np.asarray(self.valencies.a, dtype=float)
         ident = n * np.eye(self.d + 1)
-        if np.max(np.abs(self.P @ self.Q - ident)) > scaled:
-            raise InvalidIntersectionArray("PQ != nI")
-        if np.max(np.abs(self.Q @ self.P - ident)) > scaled:
-            raise InvalidIntersectionArray("QP != nI")
-        if np.max(np.abs(self.P[:, 0] - 1.0)) > tol or np.max(np.abs(self.Q[:, 0] - 1.0)) > tol:
-            raise InvalidIntersectionArray("first columns of P and Q must be all ones")
-        if np.max(np.abs(self.P[0] - a)) > scaled:
-            raise InvalidIntersectionArray("row 0 of P must hold the valencies")
-        if np.max(np.abs(self.Q[0] - self.m)) > scaled:
-            raise InvalidIntersectionArray("row 0 of Q must hold the multiplicities")
-        # m_j P_{ji} = a_i Q_{ij}
-        lhs = self.m[:, None] * self.P
-        rhs = (a[:, None] * self.Q).T
-        if np.max(np.abs(lhs - rhs)) > scaled:
-            raise InvalidIntersectionArray("m_j P_ji != a_i Q_ij")
-        if abs(float(np.sum(self.m)) - n) > scaled:
-            raise InvalidIntersectionArray("multiplicities must sum to n")
+        check = NumericalInstability.check
+        check("PQ != nI", self.P @ self.Q - ident, scaled)
+        check("QP != nI", self.Q @ self.P - ident, scaled)
+        first_columns = np.concatenate((self.P[:, 0], self.Q[:, 0]))
+        check("first columns of P and Q must be all ones", first_columns - 1.0, MATRIX_TOL)
+        check("row 0 of P must hold the valencies", self.P[0] - a, scaled)
+        check("row 0 of Q must hold the multiplicities", self.Q[0] - self.m, scaled)
+        check("m_j P_ji != a_i Q_ij", self.m[:, None] * self.P - self.Q.T * a, scaled)
+        check("multiplicities must sum to n", float(np.sum(self.m)) - n, scaled)
 
 
 def eigenstructure_from_array(ia: IntersectionArray) -> SchemeEigenstructure:

@@ -104,10 +104,9 @@ class DiscreteInfiniteDistribution:
     """Countable atomic measure truncated once the tail mass drops below tolerance."""
 
     atom_at: Callable[[int], tuple[float, float]]
-    truncation_tol: float = DEFAULT_TAIL_TOL
 
-    def truncated(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        tol = self.truncation_tol if tol is None else tol
+    def truncated(self) -> tuple[np.ndarray, np.ndarray]:
+        tol = default_tail_tolerance()
         if not 0.0 < tol < 1.0:
             raise BadParameter(f"truncation tolerance must lie in (0, 1), got {tol}")
         atoms: list[float] = []
@@ -249,12 +248,8 @@ def continuous_line_distribution(nodes: int = 256) -> ContinuousDistribution:
     )
 
 
-def meixner_distribution(
-    p: float, truncation_tol: float | None = None
-) -> DiscreteInfiniteDistribution:
+def meixner_distribution(p: float) -> DiscreteInfiniteDistribution:
     """Geometric atomic measure of the sparse-limit growing-family walk (0 < p < 1)."""
-    if truncation_tol is None:
-        truncation_tol = default_tail_tolerance()
     if not (0.0 < p < 1.0):
         raise BadParameter(f"p must lie strictly between 0 and 1, got {p}")
     scale = math.sqrt(p * (2.0 - p))
@@ -265,4 +260,4 @@ def meixner_distribution(
         x = (-p + 2.0 * (1.0 - p) * k) / scale
         return x, head * ratio**k
 
-    return DiscreteInfiniteDistribution(atom_at=atom_at, truncation_tol=truncation_tol)
+    return DiscreteInfiniteDistribution(atom_at=atom_at)

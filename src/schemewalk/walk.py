@@ -23,6 +23,7 @@ from .errors import (
     DegenerateSpectrumUnmerged,
     EngineSpecMismatch,
     InconsistentInputs,
+    NumericalInstability,
 )
 from .groups import GroupWalkScheme, walk_scheme
 from .schemes import (
@@ -86,17 +87,16 @@ class AmplitudeSeries:
             raise BadParams("unitarity is a stratum-normalization property")
         return float(np.max(np.abs(self.probabilities().sum(axis=1) - 1.0)))
 
-    def validate(self, tol: float = UNITARITY_TOL) -> None:
+    def validate(self) -> None:
         if self.normalization == "stratum" and len(self.times):
-            if self.unitarity_defect() > tol:
-                raise BadParams("amplitude rows are not unit vectors")
+            check = NumericalInstability.check
+            check("amplitude rows are not unit vectors", self.unitarity_defect(), UNITARITY_TOL)
             at_zero = np.abs(self.times) < 1e-15
             if np.any(at_zero):
                 row = self.amplitudes[np.argmax(at_zero)]
                 target = np.zeros_like(row)
                 target[0] = 1.0
-                if np.max(np.abs(row - target)) > tol:
-                    raise BadParams("t = 0 row must be the origin indicator")
+                check("t = 0 row must be the origin indicator", row - target, UNITARITY_TOL)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from schemewalk import oracle
 from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
+from schemewalk.groups import partitions
 from schemewalk.schemes import FromCatalog, FromGroup, FromSRG, eigenstructure_from_array
 from schemewalk.walk import eigen_spectrum, intersection_array, jacobi_spectrum
 
@@ -398,6 +399,36 @@ def test_verify_even_dihedral_classes_match_the_oracle(capsys, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--t1", "10", "--steps", "16")
     assert code == 0
     assert "oracle_agreement" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "graph", ["group:symmetric:4:2", "group:symmetric:5:3", "group:symmetric:6:8"]
+)
+def test_verify_passes_on_even_symmetric_classes(capsys, graph):
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith("PASS") for row in rows)
+
+
+def test_average_on_an_even_class_stays_in_the_alternating_group(capsys):
+    code, out, _ = run_cli(capsys, "average", "--graph", "group:symmetric:5:2")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.splitlines()]
+    odd = [k for k, rho in enumerate(partitions(5)) if (5 - len(rho)) % 2]
+    assert odd == [1, 4, 5]
+    assert [values[k] for k in odd] == [0.0, 0.0, 0.0]
+    assert sum(values) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_verify_reports_a_numerical_defect_by_its_own_code(capsys):
+    # P/Q loses precision on H(48,2) (see eigenstructure_from_array), so the
+    # duality rows cannot be built; the array itself is valid.
+    code, out, err = run_cli(capsys, "verify", "--graph", "catalog:hamming:48,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numerical_instability: ")
 
 
 @pytest.mark.parametrize("graph", ["catalog:hamming:20,2", "catalog:johnson:20,10"])

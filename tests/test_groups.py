@@ -17,6 +17,7 @@ from schemewalk.errors import (
 from schemewalk.groups import (
     GroupWalkScheme,
     _root_of_unity,
+    character_table,
     character_table_cyclic,
     character_table_dihedral,
     character_table_symmetric,
@@ -33,7 +34,7 @@ from schemewalk.groups import (
     transposition_eigenvalue,
     walk_scheme,
 )
-from schemewalk.schemes import GroupDescriptor
+from schemewalk.schemes import FromGroup, GroupDescriptor
 from schemewalk.walk import eigen_spectrum
 
 # Textbook S3 and S4 tables in ascending partition order (classes and irreps).
@@ -302,21 +303,73 @@ def test_group_eigenstructure_s3_transposition_column():
 @pytest.mark.parametrize(
     "descriptor",
     [
-        GroupDescriptor("cyclic", 5),
-        GroupDescriptor("cyclic", 6),
-        GroupDescriptor("dihedral", 5),
-        GroupDescriptor("dihedral", 6),
-        GroupDescriptor("symmetric", 4),
-        GroupDescriptor("symmetric", 5),
+        FromGroup(GroupDescriptor("cyclic", 5)),
+        FromGroup(GroupDescriptor("cyclic", 6)),
+        FromGroup(GroupDescriptor("dihedral", 5)),
+        FromGroup(GroupDescriptor("dihedral", 6)),
+        FromGroup(GroupDescriptor("symmetric", 4)),
+        FromGroup(GroupDescriptor("symmetric", 5)),
+        # Even classes: the sign irrep ties the trivial one on them.
+        FromGroup(GroupDescriptor("symmetric", 4), 2),
+        FromGroup(GroupDescriptor("symmetric", 5), 3),
+        FromGroup(GroupDescriptor("symmetric", 5), 6),
     ],
 )
 def test_walk_scheme_duality(descriptor):
-    scheme = walk_scheme(descriptor)
+    scheme = walk_scheme(descriptor.group, descriptor.generating_class)
     es = scheme.eigenstructure
     size = es.d + 1
     assert np.max(np.abs(es.P @ es.Q - es.n * np.eye(size))) < 1e-9
     assert es.valencies.a[0] == 1
     assert es.m[0] == 1.0
+    assert np.array_equal(es.P[0], es.valencies.a)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_symmetric_class_generates_a_walk(n):
+    # The origin amplitude of the walk generated by class C is
+    # sum_lambda (f_lambda^2 / n!) exp(-i t |C| chi_lambda(C) / f_lambda),
+    # read here from the unfused character table.
+    table = character_table_symmetric(n)
+    dims = np.asarray(table.irrep_dims, dtype=float)
+    times = np.linspace(0.0, 2.0, 9)
+    for c in range(1, table.n_classes):
+        es = walk_scheme(GroupDescriptor("symmetric", n), c).eigenstructure
+        assert np.array_equal(es.P[0], es.valencies.a)
+        origin = eigen_spectrum(es, c).amplitudes(times).amplitudes[:, 0]
+        atoms = table.class_sizes[c] * table.values[:, c].real / dims
+        expected = np.exp(-1j * np.outer(times, atoms)) @ (dims**2 / factorial(n))
+        assert np.max(np.abs(origin - expected)) < 1e-10
+
+
+def _reference_buckets(table, groups):
+    """Distinct class-sum eigenvalue rows, each with the summed d^2 of its irreps."""
+    buckets = {}
+    for i, dim in enumerate(table.irrep_dims):
+        row = tuple(
+            round((sum(table.class_sizes[c] * table.values[i, c] for c in grp) / dim).real, 6)
+            + 0.0
+            for grp in groups
+        )
+        buckets[row] = buckets.get(row, 0) + dim * dim
+    return buckets
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("cyclic", 6), ("cyclic", 7), ("dihedral", 8), ("dihedral", 9), ("symmetric", 5)],
+)
+def test_fusion_matches_reference_buckets(kind, n):
+    descriptor = GroupDescriptor(kind, n)
+    groups = class_groups(descriptor)
+    expected = _reference_buckets(character_table(descriptor), groups)
+    for generating in range(1, len(groups)):
+        es = walk_scheme(descriptor, generating).eigenstructure
+        rows = [tuple(round(x, 6) + 0.0 for x in row) for row in es.P]
+        assert len(rows) == len(expected)
+        assert dict(zip(rows, es.m)) == expected
+        assert np.array_equal(es.P[0], es.valencies.a)
+        assert np.all(np.diff(es.P[1:, generating]) <= 0.0)
 
 
 def test_symmetrized_ordering_real_first():

@@ -5,6 +5,7 @@ from schemewalk.errors import (
     DegenerateAtoms,
     InvalidIntersectionArray,
     NonIntegerValency,
+    NumericalInstability,
 )
 from schemewalk.schemes import (
     IntersectionArray,
@@ -130,3 +131,14 @@ def test_degenerate_atoms_rejected():
 def test_structural_gate_raises():
     with pytest.raises(InvalidIntersectionArray):
         IntersectionArray(d=2, c=(3, 2), b=(2, 1)).ensure_valid()
+
+
+def test_lost_precision_is_a_numerical_instability():
+    # H(48,2) is a valid array, but P_lk = sqrt(a_k) U[k,l] / U[0,l] divides by
+    # weights near 2^-24 and PQ misses nI by more than MATRIX_TOL * n.
+    from schemewalk.catalog import hamming_intersection_array
+
+    ia = hamming_intersection_array(48, 2)
+    ia.ensure_valid()
+    with pytest.raises(NumericalInstability, match="PQ != nI: defect .* > bound"):
+        eigenstructure_from_array(ia)

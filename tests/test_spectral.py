@@ -252,19 +252,22 @@ def test_line_distribution_moments():
     )
 
 
-def test_meixner_weights_geometric():
+def test_meixner_weights_geometric(monkeypatch):
+    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-12")
     dist = meixner_distribution(0.5)
     atoms, weights = dist.truncated()
     assert weights[1] / weights[0] == pytest.approx(1.0 / 3.0)
     assert atoms[0] == pytest.approx(-0.5 / math.sqrt(0.75))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert 1.0 - weights.sum() < dist.truncation_tol
+    assert 1.0 - weights.sum() < 1e-12
 
 
-def test_meixner_respects_tail_tolerance():
-    loose = meixner_distribution(0.5, truncation_tol=1e-3)
-    atoms, _ = loose.truncated()
-    tight_atoms, _ = meixner_distribution(0.5, truncation_tol=1e-14).truncated()
+def test_meixner_respects_tail_tolerance(monkeypatch):
+    dist = meixner_distribution(0.5)
+    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-3")
+    atoms, _ = dist.truncated()
+    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-14")
+    tight_atoms, _ = dist.truncated()
     assert len(atoms) < len(tight_atoms)
 
 

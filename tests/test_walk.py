@@ -18,6 +18,7 @@ from schemewalk.errors import (
     DegenerateSpectrumUnmerged,
     EngineSpecMismatch,
     InconsistentInputs,
+    NumericalInstability,
 )
 from schemewalk.groups import walk_scheme
 from schemewalk.schemes import (
@@ -28,6 +29,7 @@ from schemewalk.schemes import (
     GroupDescriptor,
     IntersectionArray,
     ProductScheme,
+    ValencyVector,
     eigenstructure_from_array,
 )
 from schemewalk.spectral import (
@@ -39,6 +41,7 @@ from schemewalk.spectral import (
     meixner_distribution,
 )
 from schemewalk.walk import (
+    AmplitudeSeries,
     SchemeSpectrum,
     WalkRequest,
     average_from_distribution,
@@ -474,3 +477,10 @@ def test_resolved_averages_match_both_average_formulas(spec):
     # sum_l U[0, l]^2 U[k, l]^2 over the Jacobi eigenvectors of the array
     _, U = jacobi_eigh(jacobi_from_intersection(intersection_array(spec)))
     assert np.max(np.abs(averages.stratum - ((U[0] * U) ** 2).sum(axis=1))) < 1e-15
+
+
+def test_non_unit_amplitude_row_is_a_numerical_instability():
+    strata = ValencyVector((1, 3), 4)
+    series = AmplitudeSeries(np.array([0.5]), strata, np.array([[0.9 + 0j, 0.1 + 0j]]))
+    with pytest.raises(NumericalInstability, match="not unit vectors: defect 0.18 > bound"):
+        series.validate()
