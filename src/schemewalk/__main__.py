@@ -1,0 +1,8 @@
+"""``python -m schemewalk``: the command line of ``schemewalk.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, UnknownCatalogName
-from .schemes import IntersectionArray
+from .schemes import IntersectionArray, check_strata
 from .spectral import (
     DiscreteDistribution,
     SpectralDistribution,
@@ -51,6 +51,7 @@ def complete_distribution(n: int) -> DiscreteDistribution:
 def cycle_intersection_array(n: int) -> IntersectionArray:
     if n < 3:
         raise BadParams("cycle needs n >= 3")
+    check_strata(n // 2 + 1, f"the {n}-cycle")
     if n % 2 == 1:
         d = (n - 1) // 2
         return IntersectionArray(d=d, c=(2,) + (1,) * (d - 1), b=(1,) * d)
@@ -71,6 +72,7 @@ def cycle_distribution(n: int) -> DiscreteDistribution:
 def johnson_intersection_array(v: int, d: int) -> IntersectionArray:
     if d < 1 or v < 2 * d:
         raise BadParams("set-intersection family needs 1 <= d and 2d <= v")
+    check_strata(d + 1, f"J({v},{d})")
     c = tuple((d - i) * (v - d - i) for i in range(d))
     b = tuple(i * i for i in range(1, d + 1))
     return IntersectionArray(d=d, c=c, b=b)
@@ -80,6 +82,7 @@ def hamming_intersection_array(d: int, n: int) -> IntersectionArray:
     """Array of the product of d complete graphs K_n."""
     if d < 1 or n < 2:
         raise BadParams("product scheme needs d >= 1 and n >= 2")
+    check_strata(d + 1, f"H({d},{n})")
     c = tuple((n - 1) * (d - i) for i in range(d))
     b = tuple(range(1, d + 1))
     return IntersectionArray(d=d, c=c, b=b)

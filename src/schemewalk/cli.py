@@ -20,7 +20,7 @@ import numpy as np
 from . import oracle, walk
 from .catalog import catalog as catalog_lookup
 from .catalog import catalog_names
-from .errors import SchemaError, SchemeWalkError
+from .errors import SchemaError, SchemeWalkError, TooLarge
 from .groups import character_table, walk_scheme
 from .schemes import (
     MATRIX_TOL,
@@ -125,6 +125,8 @@ class _UsageExit(Exception):
 def _parse_spec(text: str) -> SchemeSpec:
     try:
         return parse_graph_spec(text)
+    except TooLarge:
+        raise  # a well-formed spec over the size budget is not a usage error
     except SchemeWalkError as exc:
         raise _UsageExit(exc) from exc
 

@@ -1,9 +1,11 @@
 """Conjugacy-class association schemes of cyclic, dihedral and symmetric groups.
 
-Character tables drive everything: class-sum eigenvalues give the scheme
-eigenvalue matrix, squared irrep dimensions give the multiplicities, and
-merging each complex class with its inverse class (or fusing classes along a
-blueprint) produces a symmetric scheme with real eigenmatrices.
+Class-sum eigenvalues give the scheme eigenvalue matrix, squared irrep
+dimensions give the multiplicities, and merging each complex class with its
+inverse class (or fusing classes along a blueprint) produces a symmetric
+scheme with real eigenmatrices.  Symmetric groups fuse their character
+table; the characters of cyclic and dihedral groups are cosines, so their
+fused schemes are built from cosines directly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .schemes import (
     GroupDescriptor,
     SchemeEigenstructure,
     ValencyVector,
+    check_strata,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -176,10 +179,38 @@ def _root_of_unity(num: int, den: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def _cosine_block(n: int, h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """2 cos(2 pi hj/n) for every h in ``h`` and j in ``j``.
+
+    The values come from one length-n vector, gathered at hj mod n.  Entry k
+    of the vector is cos(2 pi k/n) + cos(2 pi (n-k)/n), exact on the axes as in
+    ``_root_of_unity``: entries k and n-k agree bit for bit, so eigenvalues
+    that are equal in exact arithmetic stay equal, and the values match the
+    inverse-pair class sums of the cyclic character table.
+    """
+    cosines = np.array([_root_of_unity(k, n).real for k in range(n)])
+    cosines += cosines[-np.arange(n) % n]
+    index = np.multiply.outer(h, j)
+    index %= n
+    return cosines[index]
+
+
+def _dihedral_rotations(m: int) -> np.ndarray:
+    """Rotation exponents of D_2m's rotation classes in table order: e, a^(m/2) if m is even, a^j."""
+    central = [m // 2] if m % 2 == 0 else []
+    return np.array([0, *central, *range(1, (m + 1) // 2)])
+
+
+def _walk_strata(kind: str, n: int) -> int:
+    """d+1 of the walk scheme of Z_n or D_2n, known before anything is built."""
+    return n // 2 + (1 if kind == "cyclic" else 2)
+
+
 def character_table_cyclic(n: int) -> CharacterTable:
     """All-one-dimensional table chi_j(g^k) = exp(2 pi i jk/n)."""
     if n < 3:
         raise InvalidOrder(f"cyclic table needs n >= 3, got {n}")
+    check_strata(_walk_strata("cyclic", n), f"Z{n}")
     roots = np.array([_root_of_unity(k, n) for k in range(n)])
     exponents = np.outer(np.arange(n), np.arange(n))
     exponents %= n
@@ -199,23 +230,19 @@ def character_table_dihedral(m: int) -> CharacterTable:
     """Dihedral group of order 2m; the class layout depends on the parity of m."""
     if m < 3:
         raise InvalidOrder(f"dihedral table needs m >= 3, got {m}")
+    check_strata(_walk_strata("dihedral", m), f"D{2 * m}")
+    ell = m // 2
+    rotations = _dihedral_rotations(m)
     if m % 2 == 1:
-        half = (m - 1) // 2
-        sizes = (1, m) + (2,) * half
-        labels = ("e", "b") + tuple(f"a^{j}" for j in range(1, half + 1))
-        dims = (1, 1) + (2,) * half
-        irrep_labels = ("triv", "sgn_b") + tuple(f"E_{h}" for h in range(1, half + 1))
+        sizes = (1, m) + (2,) * ell
+        labels = ("e", "b") + tuple(f"a^{j}" for j in range(1, ell + 1))
+        dims = (1, 1) + (2,) * ell
+        irrep_labels = ("triv", "sgn_b") + tuple(f"E_{h}" for h in range(1, ell + 1))
         values = np.zeros((len(dims), len(sizes)), dtype=complex)
         values[0, :] = 1.0
-        values[1] = [1.0, -1.0] + [1.0] * half
-        for h in range(1, half + 1):
-            row = values[h + 1]
-            row[0] = 2.0
-            row[1] = 0.0
-            for j in range(1, half + 1):
-                row[1 + j] = 2.0 * math.cos(2.0 * math.pi * h * j / m)
+        values[1] = [1.0, -1.0] + [1.0] * ell
+        values[2:, [0, *range(2, ell + 2)]] = _cosine_block(m, rotations[1:], rotations)
     else:
-        ell = m // 2
         sizes = (1, 1) + (2,) * (ell - 1) + (ell, ell)
         labels = (
             ("e", f"a^{ell}")
@@ -240,14 +267,7 @@ def character_table_dihedral(m: int) -> CharacterTable:
             + [(-1.0) ** j for j in range(1, ell)]
             + [-1.0, 1.0]
         )
-        for h in range(1, ell):
-            row = values[3 + h]
-            row[0] = 2.0
-            row[1] = 2.0 * (-1.0) ** h
-            for j in range(1, ell):
-                row[1 + j] = 2.0 * math.cos(2.0 * math.pi * h * j / m)
-            row[nc - 2] = 0.0
-            row[nc - 1] = 0.0
+        values[4:, : ell + 1] = _cosine_block(m, rotations[2:], rotations)
     return CharacterTable(
         group_label=f"D{2 * m}",
         class_sizes=sizes,
@@ -321,6 +341,33 @@ def dihedral_merged_blueprint(m: int) -> tuple[tuple[int, ...], ...]:
     return ((0,), (nc - 2, nc - 1), (1,)) + tuple((j,) for j in range(2, ell + 1))
 
 
+def _ordered_eigenstructure(
+    rows: np.ndarray,
+    irreps: np.ndarray,
+    m: np.ndarray,
+    valencies: ValencyVector,
+    generating: int,
+) -> SchemeEigenstructure:
+    """Order distinct eigenvalue rows into P, derive Q = m P^T / a and validate.
+
+    The trivial idempotent comes first; the rest follow by decreasing
+    eigenvalue on the generating relation, then by lowest irrep index.
+    ``rows`` is reordered in place and becomes P, so no second copy outlives
+    the sort.
+    """
+    # Only the trivial row (the valencies) sums to the group order; the others sum to 0.
+    nontrivial = rows.sum(axis=1) < valencies.n / 2
+    order = np.lexsort((irreps, -rows[:, generating], nontrivial))
+    rows[:] = rows[order]
+    P = rows
+    m = m[order]
+    Q = P.T * m
+    Q /= np.asarray(valencies.a, dtype=float)[:, None]
+    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
+    es.validate()
+    return es
+
+
 def fused_eigenstructure(
     table: CharacterTable,
     class_groups: tuple[tuple[int, ...], ...],
@@ -329,9 +376,7 @@ def fused_eigenstructure(
     """Eigenstructure of the scheme whose relations are the fused class sums.
 
     Irreps whose class-sum eigenvalues agree on every fused class merge into
-    one idempotent of multiplicity sum(d_i^2).  The trivial idempotent comes
-    first; the rest follow by decreasing eigenvalue on the generating
-    relation, then by lowest irrep index.
+    one idempotent of multiplicity sum(d_i^2).
     """
     if class_groups[0] != (0,):
         raise BadParams("class group 0 must be the identity class alone")
@@ -360,17 +405,51 @@ def fused_eigenstructure(
             f"fusion produced {len(first)} idempotents for {len(class_groups)} relations; "
             "the class groups do not define a scheme"
         )
-    # Only the trivial row (the valencies) sums to the group order; the others sum to 0.
-    nontrivial = ev[first].sum(axis=1) < table.order / 2
-    order = np.lexsort((first, -ev[first, generating], nontrivial))
-
-    P = ev[first[order]]
-    m = np.bincount(bucket, weights=dims**2)[order]
+    m = np.bincount(bucket, weights=dims**2)
     valencies = ValencyVector(tuple(np.add.reduceat(sizes, starts).tolist()), table.order)
-    Q = (m[None, :] * P.T) / np.asarray(valencies.a, dtype=float)[:, None]
-    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
-    es.validate()
-    return es
+    return _ordered_eigenstructure(ev[first], first, m, valencies, generating)
+
+
+def _rotation_weights(n: int, j: np.ndarray) -> np.ndarray:
+    """Size of the rotation stratum {g^j, g^-j} of Z_n: 1 where g^j is its own inverse, else 2."""
+    return np.where(2 * j % n == 0, 1, 2)
+
+
+def _rotation_eigenvalues(n: int, h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Eigenvalue of the rotation stratum sum of g^j on irreps chi_h and chi_-h of Z_n."""
+    block = _cosine_block(n, h, j)
+    block *= _rotation_weights(n, j) / 2
+    return block
+
+
+def _cyclic_eigenstructure(n: int, generating: int) -> SchemeEigenstructure:
+    """Z_n in closed form: P_hj = 2 cos(2 pi hj/n), or the single character where g^j = g^-j.
+
+    Row h merges the irreps h and n-h, column j is cycle distance j, and the
+    scheme is self-dual: multiplicities and valencies are both 1 or 2.
+    """
+    j = np.arange(n // 2 + 1)
+    weights = _rotation_weights(n, j)
+    valencies = ValencyVector(tuple(weights.tolist()), n)
+    rows = _rotation_eigenvalues(n, j, j)
+    return _ordered_eigenstructure(rows, j, weights.astype(float), valencies, generating)
+
+
+def _dihedral_eigenstructure(m: int, generating: int) -> SchemeEigenstructure:
+    """D_2m in closed form on the strata identity, reflections, rotation classes.
+
+    Rows follow the table's irreps: triv and sgn_b, then the merged sgn_a and
+    sgn_ab for even m (the h = m/2 row, multiplicity 2), then E_h
+    (multiplicity 4).  On the rotation strata every row is a row of Z_m.
+    """
+    rotations = _dihedral_rotations(m)
+    h = np.concatenate(([0], rotations))
+    rows = np.insert(_rotation_eigenvalues(m, h, rotations), 1, 0.0, axis=1)
+    rows[:2, 1] = (m, -m)
+    weights = _rotation_weights(m, rotations[1:])
+    mults = np.concatenate(([1.0, 1.0], 2.0 * weights))
+    valencies = ValencyVector((1, m, *weights.tolist()), 2 * m)
+    return _ordered_eigenstructure(rows, np.arange(len(h)), mults, valencies, generating)
 
 
 def intersection_numbers_group(
@@ -557,7 +636,6 @@ def group_elements(descriptor: GroupDescriptor) -> GroupElements:
 class GroupWalkScheme:
     """Everything the walk engines need for a group scheme."""
 
-    table: CharacterTable
     class_groups: tuple[tuple[int, ...], ...]
     eigenstructure: SchemeEigenstructure
     generating: int  # stratum index of the generating relation
@@ -580,13 +658,22 @@ def class_groups(descriptor: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
 def walk_scheme(
     descriptor: GroupDescriptor, generating_class: int | None = None
 ) -> GroupWalkScheme:
-    """Build the scheme a walk on this group runs over; the default generating stratum is 1."""
-    table = character_table(descriptor)
+    """Build the scheme a walk on this group runs over; the default generating stratum is 1.
+
+    Cyclic and dihedral schemes come from their cosine closed forms, in
+    O(d^2) work and memory; symmetric groups fuse their character table.
+    """
+    kind, n = descriptor.kind, descriptor.n
+    if kind != "symmetric":
+        check_strata(_walk_strata(kind, n), f"Z{n}" if kind == "cyclic" else f"D{2 * n}")
     groups = class_groups(descriptor)
     generating = 1 if generating_class is None else generating_class
     if not 1 <= generating < len(groups):
         raise BadParams(f"generating class {generating} out of range")
-    es = fused_eigenstructure(table, groups, generating)
-    return GroupWalkScheme(
-        table=table, class_groups=groups, eigenstructure=es, generating=generating
-    )
+    if kind == "cyclic":
+        es = _cyclic_eigenstructure(n, generating)
+    elif kind == "dihedral":
+        es = _dihedral_eigenstructure(n, generating)
+    else:
+        es = fused_eigenstructure(character_table_symmetric(n), groups, generating)
+    return GroupWalkScheme(class_groups=groups, eigenstructure=es, generating=generating)

@@ -20,11 +20,24 @@ from .errors import (
     InvalidOrder,
     NonIntegerValency,
     NumericalInstability,
+    TooLarge,
     UnsupportedOrder,
 )
 
 MATRIX_TOL = 1e-9
 MULTIPLICITY_TOL = 1e-6
+MULTIPLICITY_ROUNDING = 12 * np.finfo(float).eps
+MAX_STRATA = 2048
+
+
+def check_strata(strata: int, what: str) -> None:
+    """Raise TooLarge for a scheme of more than MAX_STRATA strata, before it is built.
+
+    The eigenvalue, dual and weight matrices all have (d+1)^2 entries, so one
+    cap on d+1 bounds both the memory and the O((d+1)^3) work of every route.
+    """
+    if strata > MAX_STRATA:
+        raise TooLarge(f"{what} has {strata} strata, over the cap of {MAX_STRATA}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +146,11 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
     """Report-style validation (never raises).
 
     Beyond the structural checks this also flags arrays whose eigenvalue
-    multiplicities n*B_i are not near-integers; those cannot belong to an
-    actual scheme, although the quadrature machinery still accepts them as
-    formal inputs.
+    multiplicities m_i = n B_i are not near-integers; those cannot belong to
+    an actual scheme, although the quadrature machinery still accepts them as
+    formal inputs.  B_i = U[0, i]^2 carries an absolute error of a few eps in
+    U[0, i], so m_i is off by a few eps * sqrt(n m_i): the bound is the larger
+    of MULTIPLICITY_TOL and MULTIPLICITY_ROUNDING * sqrt(n m_i).
     """
     problems = _structural_problems(ia)
     if not problems:
@@ -145,8 +160,11 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
             valencies = derive_stratum_sizes(ia)
             dist = spectral.golub_welsch(spectral.jacobi_from_intersection(ia))
             mults = valencies.n * dist.weights
-            for i, m in enumerate(mults):
-                if abs(m - round(m)) > MULTIPLICITY_TOL or round(m) < 1:
+            bounds = np.maximum(
+                MULTIPLICITY_TOL, MULTIPLICITY_ROUNDING * np.sqrt(valencies.n * mults)
+            )
+            for i, (m, bound) in enumerate(zip(mults, bounds)):
+                if abs(m - round(m)) > bound or round(m) < 1:
                     problems.append(f"multiplicity m_{i} = {m:.6f} is not a positive integer")
         except Exception as exc:  # degenerate spectra and the like
             problems.append(f"spectral feasibility check failed: {exc}")
@@ -184,20 +202,28 @@ class SchemeEigenstructure:
     def validate(self) -> None:
         # Entries are bounded by n (|P_ij| <= a_j, |Q_ij| <= m_j) and rounding
         # errors grow with them, so all checks but that of the unit first
-        # columns compare against MATRIX_TOL * n.
+        # columns compare against MATRIX_TOL * n.  Residuals are formed in
+        # place: at d+1 in the thousands each (d+1)^2 temporary is tens of MB.
         n = self.n
         scaled = MATRIX_TOL * n
         a = np.asarray(self.valencies.a, dtype=float)
-        ident = n * np.eye(self.d + 1)
         check = NumericalInstability.check
-        check("PQ != nI", self.P @ self.Q - ident, scaled)
-        check("QP != nI", self.Q @ self.P - ident, scaled)
+        check("PQ != nI", _minus_diagonal(self.P @ self.Q, n), scaled)
+        check("QP != nI", _minus_diagonal(self.Q @ self.P, n), scaled)
         first_columns = np.concatenate((self.P[:, 0], self.Q[:, 0]))
         check("first columns of P and Q must be all ones", first_columns - 1.0, MATRIX_TOL)
         check("row 0 of P must hold the valencies", self.P[0] - a, scaled)
         check("row 0 of Q must hold the multiplicities", self.Q[0] - self.m, scaled)
-        check("m_j P_ji != a_i Q_ij", self.m[:, None] * self.P - self.Q.T * a, scaled)
+        duality = self.m[:, None] * self.P
+        duality -= self.Q.T * a
+        check("m_j P_ji != a_i Q_ij", duality, scaled)
         check("multiplicities must sum to n", float(np.sum(self.m)) - n, scaled)
+
+
+def _minus_diagonal(matrix: np.ndarray, n: int) -> np.ndarray:
+    """matrix - n I, computed in place."""
+    matrix[np.diag_indices_from(matrix)] -= n
+    return matrix
 
 
 def eigenstructure_from_array(ia: IntersectionArray) -> SchemeEigenstructure:

@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleParameters,
     PoleProximity,
 )
-from .schemes import IntersectionArray
+from .schemes import IntersectionArray, check_strata
 
 ATOM_SEPARATION = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
@@ -131,6 +131,7 @@ SpectralDistribution = (
 
 def jacobi_from_intersection(ia: IntersectionArray) -> JacobiCoefficients:
     """omega_k = c_{k-1} b_k and alpha_k = a_1 - b_{k-1} - c_{k-1}, with b_0 = c_d = 0."""
+    check_strata(ia.d + 1, f"an intersection array of diameter {ia.d}")
     ia.ensure_valid()
     a1 = ia.degree
     omega = tuple(float(ia.c_at(k - 1) * ia.b_at(k)) for k in range(1, ia.d + 1))

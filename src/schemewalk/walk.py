@@ -172,7 +172,8 @@ def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> Schem
     """Eigenvalue-matrix route: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
     a = np.asarray(es.valencies.a, dtype=float)
     table = es.Q.T * (np.sqrt(a) / es.n)
-    return SchemeSpectrum(es.P[:, generator_column], table, es.valencies, generator_column)
+    atoms = es.P[:, generator_column].copy()  # a view would keep all of P alive
+    return SchemeSpectrum(atoms, table, es.valencies, generator_column)
 
 
 def jacobi_spectrum(ia: IntersectionArray) -> SchemeSpectrum:

@@ -196,6 +196,41 @@ def test_computation_error_exit_code(capsys):
     assert err.startswith("invalid_intersection_array: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "--graph", "group:cyclic:20", "--times", "1"),
+        ("walk", "--graph", "group:dihedral:18", "--times", "1"),
+        ("walk", "--graph", "group:cyclic:20", "--engine", "spectral", "--times", "1"),
+        ("walk", "--graph", "catalog:cycle:20", "--times", "1"),
+        ("walk", "--graph", '{"kind":"catalog","name":"cycle","params":[20]}', "--times", "1"),
+        ("walk", "--graph", "catalog:hamming:10,2", "--times", "1"),
+        ("walk", "--graph", '{"kind":"product","n":2,"copies":10}', "--times", "1"),
+        ("average", "--graph", "catalog:johnson:20,10"),
+        ("spectrum", "--graph", "group:cyclic:20"),
+        ("verify", "--graph", "group:cyclic:20"),
+        ("characters", "--group", "cyclic:20"),
+        (
+            "walk",
+            "--graph",
+            json.dumps(
+                {"kind": "intersection_array", "d": 10, "c_forward": [2] + [1] * 9,
+                 "b_backward": [1] * 9 + [2]}
+            ),
+            "--times",
+            "1",
+        ),
+    ],
+)
+def test_size_budget_is_a_computation_error(capsys, monkeypatch, argv):
+    import schemewalk.schemes as schemes
+
+    monkeypatch.setattr(schemes, "MAX_STRATA", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("too_large: ") and "11 strata, over the cap of 10" in err
+
+
 def test_product_json_spec(capsys):
     code, out, _ = run_cli(
         capsys, "walk", "--graph", '{"kind":"product","n":2,"copies":2}',
@@ -280,6 +315,16 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "petersen" in result.stdout.splitlines()
+
+
+def test_package_runs_as_a_module():
+    argv = ["walk", "--graph", "catalog:petersen", "--times", "0,1"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+        for name in ("schemewalk", "schemewalk.cli")
+    )
+    assert package.returncode == 0, package.stderr
+    assert package.stdout == module.stdout != ""
 
 
 def test_import_loads_no_scipy():

@@ -512,3 +512,72 @@ def test_right_products_match_mul(kind, n):
     for g in data.elements:
         expected = [data.index(data.mul(alpha, g)) for alpha in data.elements]
         assert data.right_products(g).tolist() == expected
+
+
+CLOSED_FORM_SIZES = [("cyclic", n) for n in (*range(3, 81), 101, 300, 600, 601)] + [
+    ("dihedral", m) for m in (*range(3, 81), 200, 449, 450, 700)
+]
+
+
+@pytest.mark.parametrize("kind,n", CLOSED_FORM_SIZES)
+def test_closed_form_matches_table_fusion(kind, n):
+    """The cosine closed form gives the eigenstructure that fusing the full
+    character table gives, on every generating class."""
+    descriptor = GroupDescriptor(kind, n)
+    table = character_table(descriptor)
+    groups = class_groups(descriptor)
+    for generating in range(1, len(groups)):
+        es = walk_scheme(descriptor, generating).eigenstructure
+        ref = fused_eigenstructure(table, groups, generating)
+        assert es.valencies == ref.valencies
+        assert np.array_equal(es.m, ref.m)
+        for ours, theirs in ((es.P, ref.P), (es.Q, ref.Q)):
+            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+
+@pytest.mark.parametrize("m", [*range(3, 81), 200, 449, 450, 700])
+def test_dihedral_table_matches_the_cosine_loop(m):
+    """E_h rows against chi_h(a^j) = 2 cos(2 pi hj/m), evaluated term by term."""
+    table = character_table_dihedral(m)
+    for i, label in enumerate(table.irrep_labels):
+        if not label.startswith("E_"):
+            continue
+        h = int(label[2:])
+        for k, cls in enumerate(table.class_labels):
+            if cls.startswith("a^"):
+                expected = 2.0 * math.cos(2.0 * math.pi * h * int(cls[2:]) / m)
+            else:
+                expected = 2.0 if cls == "e" else 0.0
+            assert abs(table.values[i, k] - expected) < 1e-12
+
+
+def test_cyclic_walk_scheme_holds_no_order_squared_array():
+    import tracemalloc
+
+    n = 3000
+    tracemalloc.start()
+    try:
+        walk_scheme(GroupDescriptor("cyclic", n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    strata_bytes = (n // 2 + 1) ** 2 * 8
+    # The complex n x n table alone would be 8 * strata_bytes.
+    assert peak < 5 * strata_bytes
+
+
+def test_size_budget_is_checked_before_building(monkeypatch):
+    import schemewalk.schemes as schemes
+    from schemewalk.errors import TooLarge
+
+    monkeypatch.setattr(schemes, "MAX_STRATA", 10)
+    walk_scheme(GroupDescriptor("cyclic", 19))  # d + 1 = 10
+    walk_scheme(GroupDescriptor("dihedral", 17))  # d + 1 = 10
+    for build in (
+        lambda: walk_scheme(GroupDescriptor("cyclic", 20)),
+        lambda: walk_scheme(GroupDescriptor("dihedral", 18)),
+        lambda: character_table_cyclic(20),
+        lambda: character_table_dihedral(18),
+    ):
+        with pytest.raises(TooLarge, match="11 strata, over the cap of 10"):
+            build()

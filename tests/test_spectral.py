@@ -330,6 +330,8 @@ def test_catalog_arrays_pass_feasibility_validation():
         ("complete", (5,)),
         ("hamming", (3, 3)),
         ("johnson", (7, 3)),
+        # m_7 = 73629072.000006: rounding grows as sqrt(n m), past any absolute bound
+        ("hamming", (48, 2)),
     ]
     for name, params in trusted:
         report = validate_intersection_array(catalog(name, params).array)
