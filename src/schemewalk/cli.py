@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -176,9 +177,34 @@ def parse_graph_spec(text: str) -> SchemeSpec:
         raise SchemaError(f"/: malformed JSON ({exc.msg})") from exc
 
 
-def _fmt(x: float) -> str:
-    out = f"{x:.12f}"
-    return "0.000000000000" if out == "-0.000000000000" else out
+_ZERO = "0.000000000000"
+_JSON_ROW = '{{"t":{:.12},"stratum":{:.0f},"re":{:.12},"im":{:.12},"prob":{:.12}}},'
+_JSON_REPR = re.compile(r":(-?[\d.]+e(?:\+|-3\d)\d+)")
+
+
+def _csv(row: str, *columns) -> str:
+    """``row`` once per entry of the columns, with every %.12f cell printing -0 as 0.
+
+    The columns are stacked as floats, which ``%d`` prints as integers.
+    """
+    text = "\n" + row * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
+    return text.replace("\n-" + _ZERO, "\n" + _ZERO).replace(",-" + _ZERO, "," + _ZERO)[1:]
+
+
+def _json_walk(*columns) -> str:
+    """Walk rows as one JSON array whose floats print as json.dumps prints the
+    values rounded to 12 significant digits.
+
+    "{:.12}" is "%.12g" that keeps ".0" on integers, as repr does.  Where it
+    shows an exponent that repr would not (from about 1e11) or a subnormal
+    with more digits than its repr, the cell is printed again by repr.
+    """
+    values = np.column_stack(columns)
+    text = (_JSON_ROW * len(values)).format(*values.ravel().tolist())[:-1]
+    magnitude = np.abs(values)
+    if not np.all((magnitude < 9e10) & ((magnitude > 1e-300) | (magnitude == 0))):
+        text = _JSON_REPR.sub(lambda m: ":" + repr(float(m[1])), text)
+    return "[" + text.replace("inf", "Infinity").replace("nan", "NaN") + "]\n"
 
 
 def _time_grid(
@@ -196,7 +222,8 @@ def _time_grid(
         points = (t0, t1)
     if not all(math.isfinite(t) and t >= 0 for t in points):
         raise SchemaError("times must be finite and nonnegative")
-    return points if times is not None else tuple(np.linspace(t0, t1, steps))
+    grid = np.asarray(points if times is not None else np.linspace(t0, t1, steps), float)
+    return tuple(grid + 0.0)  # -0.0 + 0.0 is 0.0, so -0 prints as 0 in every format
 
 
 def _with_class_override(spec: SchemeSpec, args) -> SchemeSpec:
@@ -208,39 +235,23 @@ def _with_class_override(spec: SchemeSpec, args) -> SchemeSpec:
     return FromGroup(spec.group, override)
 
 
-def _walk_rows(args) -> list[tuple[float, int, float, float, float]]:
+def _cmd_walk(args) -> int:
     spec = _with_class_override(_parse_spec(args.graph), args)
     times = _time_grid(args.times, args.t0, args.t1, args.steps, 0)
-    series = walk.dispatch(
-        walk.WalkRequest(spec, times, args.engine, args.normalized)
-    )
+    series = walk.dispatch(walk.WalkRequest(spec, times, args.engine, args.normalized))
     if args.vertex_level:
         series = series.to_vertex()
-    rows = []
-    for ti, t in enumerate(series.times):
-        for k in range(series.amplitudes.shape[1]):
-            amp = series.amplitudes[ti, k]
-            rows.append((float(t), k, amp.real, amp.imag, abs(amp) ** 2))
-    return rows
-
-
-def _cmd_walk(args) -> int:
-    rows = _walk_rows(args)
+    steps, strata = series.amplitudes.shape
+    amps = series.amplitudes.ravel()
+    # np.hypot is abs(amp) bit for bit, and a float's ** 2 is the scalar pow;
+    # x * x can differ from it in the last bit.
+    prob = [m**2 for m in np.hypot(amps.real, amps.imag).tolist()]
+    columns = (np.repeat(series.times, strata), np.tile(np.arange(strata), steps),
+               amps.real, amps.imag, prob)
     if args.format == "json":
-        payload = [
-            {
-                "t": float(f"{t:.12g}"),
-                "stratum": k,
-                "re": float(f"{re:.12g}"),
-                "im": float(f"{im:.12g}"),
-                "prob": float(f"{prob:.12g}"),
-            }
-            for t, k, re, im, prob in rows
-        ]
-        print(json.dumps(payload, indent=None, separators=(",", ":")))
+        sys.stdout.write(_json_walk(*columns))
     else:
-        for t, k, re, im, prob in rows:
-            print(f"{_fmt(t)},{k},{_fmt(re)},{_fmt(im)},{_fmt(prob)}")
+        sys.stdout.write(_csv("%.12f,%d,%.12f,%.12f,%.12f\n", *columns))
     return 0
 
 
@@ -248,12 +259,11 @@ def _cmd_spectrum(args) -> int:
     spec = _parse_spec(args.graph)
     entry = catalog_lookup(spec.name, spec.params) if isinstance(spec, FromCatalog) else None
     if entry is not None and entry.array is None:
-        rows = zip(entry.expected.nodes, entry.expected.node_weights)
+        atoms, weights = entry.expected.nodes, entry.expected.node_weights
     else:
         spectrum = walk.resolve(spec, "spectral")
-        rows = zip(spectrum.atoms, spectrum.table[:, 0])
-    for atom, weight in rows:
-        print(f"{_fmt(atom)},{_fmt(weight)}")
+        atoms, weights = spectrum.atoms, spectrum.table[:, 0]
+    sys.stdout.write(_csv("%.12f,%.12f\n", atoms, weights))
     return 0
 
 
@@ -261,8 +271,7 @@ def _cmd_average(args) -> int:
     spec = _with_class_override(_parse_spec(args.graph), args)
     averages = walk.resolve(spec).averages()
     values = averages.vertex if args.vertex_level else averages.stratum
-    for k, value in enumerate(values):
-        print(f"{k},{_fmt(value)}")
+    sys.stdout.write(_csv("%d,%.12f\n", np.arange(len(values)), values))
     return 0
 
 
@@ -309,22 +318,16 @@ def _cmd_characters(args) -> int:
     except SchemeWalkError as exc:
         raise _UsageExit(exc) from exc
     table = character_table(descriptor)
-    for i in range(len(table.irrep_dims)):
-        cells = []
-        for k in range(table.n_classes):
-            value = table.values[i, k]
-            re = value.real if value.real != 0 else 0.0
-            im = value.imag if value.imag != 0 else 0.0
-            cells.append(f"{re:.12g}{im:+.12g}i")
-        print(",".join(cells))
+    values = table.values + 0.0  # -0.0 + 0.0 is 0.0, in both parts
+    row = ",".join(["%.12g%+.12gi"] * table.n_classes) + "\n"
+    sys.stdout.write(row * len(values) % tuple(values.view(np.float64).ravel().tolist()))
     return 0
 
 
 def _cmd_catalog(args) -> int:
     if args.action != "list":
         raise SchemaError("catalog supports only the 'list' action")
-    for name in catalog_names():
-        print(name)
+    sys.stdout.write("".join(f"{name}\n" for name in catalog_names()))
     return 0
 
 
@@ -381,13 +384,13 @@ def _cmd_verify(args) -> int:
     spec = _parse_spec(args.graph)
     times = np.array(_time_grid(None, 0.0, args.t1, args.steps, 1))
     checks = _verify_checks(spec, times)
-    failed = False
-    print(f"{'check':<24}{'max_dev':>14}{'threshold':>12}  status")
-    for name, value, threshold in checks:
-        ok = value < threshold
-        failed = failed or not ok
-        print(f"{name:<24}{value:>14.3e}{threshold:>12.0e}  {'PASS' if ok else 'FAIL'}")
-    return 1 if failed else 0
+    passed = [value < threshold for _, value, threshold in checks]
+    lines = [f"{'check':<24}{'max_dev':>14}{'threshold':>12}  status\n"] + [
+        f"{name:<24}{value:>14.3e}{threshold:>12.0e}  {'PASS' if ok else 'FAIL'}\n"
+        for (name, value, threshold), ok in zip(checks, passed)
+    ]
+    sys.stdout.write("".join(lines))
+    return 0 if all(passed) else 1
 
 
 @functools.cache

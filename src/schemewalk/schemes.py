@@ -148,9 +148,11 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
     Beyond the structural checks this also flags arrays whose eigenvalue
     multiplicities m_i = n B_i are not near-integers; those cannot belong to
     an actual scheme, although the quadrature machinery still accepts them as
-    formal inputs.  B_i = U[0, i]^2 carries an absolute error of a few eps in
-    U[0, i], so m_i is off by a few eps * sqrt(n m_i): the bound is the larger
-    of MULTIPLICITY_TOL and MULTIPLICITY_ROUNDING * sqrt(n m_i).
+    formal inputs.  B_i = U[0, i]^2 and the eigenvector U[:, i] of the Jacobi
+    matrix J is perturbed by about eps ||J|| / gap_i, gap_i being the distance
+    from atom i to its nearest atom, so m_i is off by about
+    eps sqrt(n m_i) ||J|| / gap_i: the bound is the larger of MULTIPLICITY_TOL
+    and MULTIPLICITY_ROUNDING * sqrt(n m_i) * ||J|| / gap_i.
     """
     problems = _structural_problems(ia)
     if not problems:
@@ -160,9 +162,10 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
             valencies = derive_stratum_sizes(ia)
             dist = spectral.golub_welsch(spectral.jacobi_from_intersection(ia))
             mults = valencies.n * dist.weights
-            bounds = np.maximum(
-                MULTIPLICITY_TOL, MULTIPLICITY_ROUNDING * np.sqrt(valencies.n * mults)
-            )
+            gaps = np.diff(dist.atoms)
+            gaps = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+            rounding = MULTIPLICITY_ROUNDING * np.sqrt(valencies.n * mults)
+            bounds = np.maximum(MULTIPLICITY_TOL, rounding * np.max(np.abs(dist.atoms)) / gaps)
             for i, (m, bound) in enumerate(zip(mults, bounds)):
                 if abs(m - round(m)) > bound or round(m) < 1:
                     problems.append(f"multiplicity m_{i} = {m:.6f} is not a positive integer")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import shlex
@@ -5,16 +7,27 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from schemewalk import cli as cli_module
 from schemewalk import oracle
+from schemewalk import walk as walk_module
 from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
 from schemewalk.groups import partitions
-from schemewalk.schemes import FromCatalog, FromGroup, FromSRG, eigenstructure_from_array
-from schemewalk.walk import eigen_spectrum, intersection_array, jacobi_spectrum
+from schemewalk.schemes import (
+    FromCatalog,
+    FromGroup,
+    FromSRG,
+    ValencyVector,
+    eigenstructure_from_array,
+)
+from schemewalk.walk import AmplitudeSeries, eigen_spectrum, intersection_array, jacobi_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -558,3 +571,197 @@ def test_readme_quick_tour_runs(capsys):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+# The per-cell writer the CLI used before it formatted whole tables in one
+# pass, kept as the byte-for-byte reference for the table writer.
+
+
+def _fmt(x: float) -> str:
+    out = f"{x:.12f}"
+    return "0.000000000000" if out == "-0.000000000000" else out
+
+
+def _reference_walk(times, amplitudes, fmt):
+    rows = []
+    for ti, t in enumerate(times):
+        for k in range(amplitudes.shape[1]):
+            amp = amplitudes[ti, k]
+            rows.append((float(t), k, amp.real, amp.imag, abs(amp) ** 2))
+    if fmt == "json":
+        payload = [
+            {
+                "t": float(f"{t:.12g}"),
+                "stratum": k,
+                "re": float(f"{re:.12g}"),
+                "im": float(f"{im:.12g}"),
+                "prob": float(f"{prob:.12g}"),
+            }
+            for t, k, re, im, prob in rows
+        ]
+        return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+    return "".join(
+        f"{_fmt(t)},{k},{_fmt(re)},{_fmt(im)},{_fmt(prob)}\n" for t, k, re, im, prob in rows
+    )
+
+
+def _reference_characters(values):
+    lines = []
+    for row in values:
+        cells = []
+        for value in row:
+            re = value.real if value.real != 0 else 0.0
+            im = value.imag if value.imag != 0 else 0.0
+            cells.append(f"{re:.12g}{im:+.12g}i")
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _stdout_of(argv):
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert out.writes == 1
+    return out.getvalue()
+
+
+def _walk_stdout(times, amplitudes, fmt):
+    series = AmplitudeSeries(
+        np.asarray(times, dtype=float), ValencyVector((1,), 1), np.asarray(amplitudes)
+    )
+    with mock.patch.object(walk_module, "dispatch", lambda request: series):
+        return _stdout_of(["walk", "--graph", "catalog:petersen", "--format", fmt])
+
+
+EDGE_FLOATS = (
+    0.0, -0.0, -1e-13, -4.9e-13, 4.9e-13, 1.0, -1.0, 3.0, 20.0, 1e-5, -1e-5, 0.1,
+    0.9999999999996, 99999999999.96, 123456789012.0, 1.5e12, 1e16, -1e16,
+    5e-324, -5e-324, 1e-310, 2.5e-320, 2.2250738585072014e-308, 1e-35,
+)
+TIMES = st.one_of(st.sampled_from([0.0, 1.0, 20.0, 1e-5, 1.5e12, 1e16, 5e-324]),
+                  st.floats(min_value=0.0, max_value=1e300))
+PARTS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(min_value=-1e150, max_value=1e150))
+
+
+@st.composite
+def walk_tables(draw):
+    steps = draw(st.integers(0, 4))
+    strata = draw(st.integers(1, 4))
+    times = draw(st.lists(TIMES, min_size=steps, max_size=steps))
+    parts = draw(st.lists(PARTS, min_size=2 * steps * strata, max_size=2 * steps * strata))
+    amplitudes = np.array(parts, dtype=float).view(complex).reshape(steps, strata)
+    return times, amplitudes
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_tables(), st.sampled_from(["csv", "json"]))
+@example(([99999999999.96, 123456789012.0], np.array([[0.5 - 0.25j], [1.0]])), "json")
+def test_walk_writer_matches_the_per_cell_reference(table, fmt):
+    times, amplitudes = table
+    assert _walk_stdout(times, amplitudes, fmt) == _reference_walk(times, amplitudes, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_walk_writer_edge_values(fmt):
+    values = np.array(EDGE_FLOATS)
+    amplitudes = values[:, None] + 1j * values[None, ::-1]
+    times = np.abs(values)
+    assert _walk_stdout(times, amplitudes, fmt) == _reference_walk(times, amplitudes, fmt)
+
+
+def test_walk_writer_keeps_json_spelling_of_non_finite_values():
+    amplitudes = np.array([[complex(math.inf, -math.inf), complex(math.nan, 0.0)]])
+    expected = _reference_walk([0.0], amplitudes, "json")
+    assert _walk_stdout([0.0], amplitudes, "json") == expected
+    assert "Infinity" in expected and "NaN" in expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(PARTS, PARTS), max_size=12))
+@example([(-1e-13, -4.9e-13), (-0.0, 1e16), (5e-324, -0.0)])
+def test_spectrum_and_average_writers_match_the_per_cell_reference(rows):
+    first = np.array([a for a, _ in rows], dtype=float)
+    second = np.array([b for _, b in rows], dtype=float)
+    spectrum = mock.Mock(atoms=first, table=second[:, None])
+    spectrum.averages.return_value = mock.Mock(stratum=second)
+    with mock.patch.object(walk_module, "resolve", lambda *args: spectrum):
+        spectrum_out = _stdout_of(["spectrum", "--graph", "catalog:petersen"])
+        average_out = _stdout_of(["average", "--graph", "catalog:petersen"])
+    assert spectrum_out == "".join(f"{_fmt(a)},{_fmt(w)}\n" for a, w in zip(first, second))
+    assert average_out == "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(second))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=12), st.integers(1, 4))
+def test_characters_writer_matches_the_per_cell_reference(cells, classes):
+    values = np.array([complex(*c) for c in cells] * classes).reshape(-1, classes)
+    table = mock.Mock(values=values, n_classes=classes)
+    with mock.patch.object(cli_module, "character_table", lambda descriptor: table):
+        out = _stdout_of(["characters", "--group", "cyclic:3"])
+    assert out == _reference_characters(values)
+
+
+@pytest.mark.parametrize("group", ["cyclic:12", "dihedral:16", "symmetric:6"])
+def test_characters_of_real_groups_match_the_per_cell_reference(group):
+    from schemewalk.groups import character_table
+    from schemewalk.schemes import GroupDescriptor
+
+    kind, n = group.split(":")
+    values = character_table(GroupDescriptor(kind, int(n))).values
+    assert _stdout_of(["characters", "--group", group]) == _reference_characters(values)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--graph", "catalog:petersen", "--steps", "5"],
+        ["walk", "--graph", "catalog:hamming:12,2", "--steps", "5", "--format", "json"],
+        ["walk", "--graph", "group:dihedral:12", "--steps", "5", "--vertex-level"],
+        ["spectrum", "--graph", "catalog:johnson:8,4"],
+        ["spectrum", "--graph", "catalog:line"],
+        ["average", "--graph", "catalog:hamming:12,2"],
+        ["characters", "--group", "symmetric:5"],
+        ["catalog", "list"],
+        ["verify", "--graph", "catalog:petersen", "--steps", "4"],
+    ],
+)
+def test_every_command_writes_stdout_once(argv):
+    assert _stdout_of(argv)
+
+
+def test_walk_on_real_schemes_matches_the_per_cell_reference():
+    for graph in ("catalog:hamming:20,2", "group:cyclic:25", "catalog:cycle:201"):
+        request = walk_module.WalkRequest(parse_graph_spec(graph), tuple(np.linspace(0, 9, 7)))
+        series = walk_module.dispatch(request)
+        for fmt in ("csv", "json"):
+            argv = ["walk", "--graph", graph, "--t1", "9", "--steps", "7", "--format", fmt]
+            assert _stdout_of(argv) == _reference_walk(series.times, series.amplitudes, fmt)
+
+
+def test_zero_steps_print_an_empty_table(capsys):
+    assert run_cli(capsys, "walk", "--graph", "catalog:petersen", "--steps", "0") == (0, "", "")
+    code, out, _ = run_cli(
+        capsys, "walk", "--graph", "catalog:petersen", "--steps", "0", "--format", "json"
+    )
+    assert (code, out) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("argv", [["--times=-0"], ["--t0=-0", "--t1", "1", "--steps", "2"]])
+def test_negative_zero_time_prints_as_zero_in_both_formats(capsys, argv):
+    _, csv_out, _ = run_cli(capsys, "walk", "--graph", "catalog:petersen", *argv)
+    _, json_out, _ = run_cli(
+        capsys, "walk", "--graph", "catalog:petersen", *argv, "--format", "json"
+    )
+    assert csv_out.startswith("0.000000000000,0,")
+    assert json_out.startswith('[{"t":0.0,"stratum":0,')
+    assert '"t":-0' not in json_out

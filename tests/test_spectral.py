@@ -332,6 +332,13 @@ def test_catalog_arrays_pass_feasibility_validation():
         ("johnson", (7, 3)),
         # m_7 = 73629072.000006: rounding grows as sqrt(n m), past any absolute bound
         ("hamming", (48, 2)),
+        ("hamming", (60, 2)),
+        ("cycle", (1001,)),
+        # m_0 = 35357670.000001 on J(32,16): close atoms cost the weights more
+        # rounding, so the bound grows with ||J|| / gap
+        ("johnson", (32, 16)),
+        ("johnson", (46, 23)),
+        ("johnson", (52, 26)),
     ]
     for name, params in trusted:
         report = validate_intersection_array(catalog(name, params).array)
