@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -25,10 +27,16 @@ from .spectral import (
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A family at given parameters; ``expected`` is built on first read."""
+
     name: str
     params: tuple[int, ...]
     array: IntersectionArray | None
-    expected: SpectralDistribution | None
+    closed_form: Callable[[], SpectralDistribution | None]
+
+    @cached_property
+    def expected(self) -> SpectralDistribution | None:
+        return self.closed_form()
 
 
 def _dist(pairs: list[tuple[float, float]]) -> DiscreteDistribution:
@@ -109,12 +117,15 @@ def _gen_dodecagon(s: int) -> IntersectionArray:
     return IntersectionArray(d=6, c=(2 * s, s, s, s, s, s), b=(1, 1, 1, 1, 1, 2))
 
 
-def _incidence_pg(k: int):
+def _incidence_pg(k: int) -> IntersectionArray:
     if k not in (4, 5, 7, 8):
         raise BadParams("incidence family is tabulated for k in {4, 5, 7, 8}")
-    ia = IntersectionArray(d=4, c=(k, k - 1, k - 1, 1), b=(1, 1, k - 1, k))
+    return IntersectionArray(d=4, c=(k, k - 1, k - 1, 1), b=(1, 1, k - 1, k))
+
+
+def _incidence_pg_distribution(k: int) -> DiscreteDistribution:
     root = math.sqrt(k)
-    expected = _dist(
+    return _dist(
         [
             (-float(k), 1.0 / (2 * k * k)),
             (-root, (k - 1) / (2 * k)),
@@ -123,7 +134,6 @@ def _incidence_pg(k: int):
             (float(k), 1.0 / (2 * k * k)),
         ]
     )
-    return ia, expected
 
 
 _M22 = (
@@ -193,80 +203,59 @@ _FOSTER = (
 )
 
 
-def _entry_petersen() -> tuple[IntersectionArray, DiscreteDistribution]:
-    return (
-        IntersectionArray(d=2, c=(3, 2), b=(1, 1)),
-        _dist([(-2.0, 2 / 5), (1.0, 1 / 2), (3.0, 1 / 10)]),
-    )
+_PETERSEN = (
+    IntersectionArray(d=2, c=(3, 2), b=(1, 1)),
+    _dist([(-2.0, 2 / 5), (1.0, 1 / 2), (3.0, 1 / 10)]),
+)
 
 
-_PARAM_COUNTS = {
-    "complete": ("n",),
-    "cycle": ("n",),
-    "petersen": (),
-    "johnson": ("v", "d"),
-    "hamming": ("d", "n"),
-    "gen_octagon": ("s", "t"),
-    "gen_dodecagon": ("s",),
-    "m22": (),
-    "incidence_pg": ("k",),
-    "doubly_truncated_binary_golay": (),
-    "extended_ternary_golay": (),
-    "wells": (),
-    "three_cover_gq22": (),
-    "double_hoffman_singleton": (),
-    "foster": (),
-    "line": (),
+def _fixed(entry: tuple[IntersectionArray, DiscreteDistribution]):
+    """Array and expected-distribution builders of a parameter-free family."""
+    return lambda: entry[0], lambda: entry[1]
+
+
+def _none(*params: int) -> None:
+    """The expected-distribution builder of a family with no trusted closed form."""
+    return None
+
+
+# name -> (parameter names, array builder, expected-distribution builder)
+_FAMILIES = {
+    "complete": (("n",), complete_intersection_array, complete_distribution),
+    "cycle": (("n",), cycle_intersection_array, cycle_distribution),
+    "petersen": ((), *_fixed(_PETERSEN)),
+    "johnson": (("v", "d"), johnson_intersection_array, _none),
+    "hamming": (("d", "n"), hamming_intersection_array, hamming_distribution),
+    "gen_octagon": (("s", "t"), _gen_octagon, _none),
+    "gen_dodecagon": (("s",), _gen_dodecagon, _none),
+    "m22": ((), *_fixed(_M22)),
+    "incidence_pg": (("k",), _incidence_pg, _incidence_pg_distribution),
+    "doubly_truncated_binary_golay": ((), *_fixed(_BINARY_GOLAY)),
+    "extended_ternary_golay": ((), *_fixed(_TERNARY_GOLAY)),
+    "wells": ((), *_fixed(_WELLS)),
+    "three_cover_gq22": ((), *_fixed(_THREE_COVER_GQ22)),
+    "double_hoffman_singleton": ((), *_fixed(_DOUBLE_HOFFMAN_SINGLETON)),
+    "foster": ((), *_fixed(_FOSTER)),
+    "line": ((), _none, continuous_line_distribution),
 }
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_PARAM_COUNTS))
+    return tuple(sorted(_FAMILIES))
 
 
 def catalog(name: str, params: tuple[int, ...] = ()) -> CatalogEntry:
-    """Look up a named family, substituting the given integer parameters."""
-    if name not in _PARAM_COUNTS:
+    """Look up a named family, substituting the given integer parameters.
+
+    The array is built and checked now; the closed-form distribution only
+    when ``expected`` is first read.
+    """
+    if name not in _FAMILIES:
         raise UnknownCatalogName(f"unknown catalog name {name!r}")
-    expected_params = _PARAM_COUNTS[name]
+    expected_params, array_of, expected_of = _FAMILIES[name]
     params = tuple(int(p) for p in params)
     if len(params) != len(expected_params):
         raise BadParams(
             f"{name} expects parameters {expected_params}, got {len(params)}"
         )
-
-    array: IntersectionArray | None
-    expected: SpectralDistribution | None
-    if name == "complete":
-        array, expected = complete_intersection_array(*params), complete_distribution(*params)
-    elif name == "cycle":
-        array, expected = cycle_intersection_array(*params), cycle_distribution(*params)
-    elif name == "petersen":
-        array, expected = _entry_petersen()
-    elif name == "johnson":
-        array, expected = johnson_intersection_array(*params), None
-    elif name == "hamming":
-        array, expected = hamming_intersection_array(*params), hamming_distribution(*params)
-    elif name == "gen_octagon":
-        array, expected = _gen_octagon(*params), None
-    elif name == "gen_dodecagon":
-        array, expected = _gen_dodecagon(*params), None
-    elif name == "m22":
-        array, expected = _M22
-    elif name == "incidence_pg":
-        array, expected = _incidence_pg(*params)
-    elif name == "doubly_truncated_binary_golay":
-        array, expected = _BINARY_GOLAY
-    elif name == "extended_ternary_golay":
-        array, expected = _TERNARY_GOLAY
-    elif name == "wells":
-        array, expected = _WELLS
-    elif name == "three_cover_gq22":
-        array, expected = _THREE_COVER_GQ22
-    elif name == "double_hoffman_singleton":
-        array, expected = _DOUBLE_HOFFMAN_SINGLETON
-    elif name == "foster":
-        array, expected = _FOSTER
-    else:  # line
-        array, expected = None, continuous_line_distribution()
-    return CatalogEntry(name=name, params=params, array=array, expected=expected)
+    return CatalogEntry(name, params, array_of(*params), partial(expected_of, *params))

@@ -224,6 +224,11 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
     raise EngineSpecMismatch(f"no vertex builder for {type(spec).__name__}")
 
 
+def _neighbour_counts(g: VertexGraph, onehot: np.ndarray) -> np.ndarray:
+    """A @ onehot as a float64 BLAS product; the small integer counts are exact."""
+    return g.adjacency.astype(float) @ onehot.astype(float)
+
+
 def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     """Distance partition from the root plus the intersection array it induces."""
     distances = _bfs_distances(g.adjacency, g.root)
@@ -236,7 +241,7 @@ def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     # counts[v, k + 1]: neighbours of v at distance k; the zero columns at
     # both ends stand for distances -1 and d + 1.
     onehot = distances[:, None] == np.arange(-1, d + 2)
-    counts = g.adjacency @ onehot.astype(np.int64)
+    counts = _neighbour_counts(g, onehot).astype(np.int64)
     vertices = np.arange(g.n)
     outward = counts[vertices, distances + 2]
     backward = counts[vertices, distances]
@@ -257,9 +262,19 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
     _check_size(g.n)
     times = np.asarray(times, dtype=float)
     evals, vecs = g.eigh
-    coeff = vecs[g.root]
-    phases = np.exp(-1j * np.outer(times, evals))
-    return (phases * coeff) @ vecs.T
+    steps = len(times)
+    # [cos; sin] (xt) scaled by the root's eigenvector entries, times V^T in
+    # one real product: the real part, then minus the imaginary part.
+    trig = np.empty((2 * steps, g.n))
+    phase = np.multiply.outer(times, evals, out=trig[steps:])
+    np.cos(phase, out=trig[:steps])
+    np.sin(phase, out=phase)
+    trig *= vecs[g.root]
+    halves = trig @ vecs.T
+    amps = np.empty((steps, g.n), dtype=complex)
+    amps.real = halves[:steps]
+    np.subtract(0.0, halves[steps:], out=amps.imag)
+    return amps
 
 
 def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
@@ -343,7 +358,7 @@ def ladder_residual(
     strata = np.arange(ia.d + 1)
     onehot = distances[:, None] == strata
     scale = 1.0 / np.sqrt(partition.sizes)
-    counts = g.adjacency @ onehot.astype(np.int64)
+    counts = _neighbour_counts(g, onehot)
     ladder = np.where(np.abs(distances[:, None] - strata) <= 1, counts * scale, 0.0)
     off = np.sqrt(jc.omega)
     jacobi = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)

@@ -57,18 +57,6 @@ class IntersectionArray:
         object.__setattr__(self, "c", tuple(int(x) for x in self.c))
         object.__setattr__(self, "b", tuple(int(x) for x in self.b))
 
-    def c_at(self, i: int) -> int:
-        """c_i with the implicit boundary c_d = 0."""
-        if i == self.d:
-            return 0
-        return self.c[i]
-
-    def b_at(self, i: int) -> int:
-        """b_i with the implicit boundary b_0 = 0."""
-        if i == 0:
-            return 0
-        return self.b[i - 1]
-
     @property
     def degree(self) -> int:
         return self.c[0]

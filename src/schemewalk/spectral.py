@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,6 +61,28 @@ class JacobiCoefficients:
     @property
     def d(self) -> int:
         return len(self.omega)
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (atoms, U) of the Jacobi matrix, computed once per object.
+
+        J has diagonal alpha and off-diagonal sqrt(omega).  Atoms come back
+        ascending and each column of U is signed so that U[0, l] > 0; then
+        U[k, l] = U[0, l] p_k(x_l) with p_k the orthonormal polynomials, and
+        the weight at atom l is U[0, l]^2.
+        """
+        off = np.sqrt(self.omega)
+        matrix = np.diag(self.alpha) + np.diag(off, 1) + np.diag(off, -1)
+        try:
+            atoms, U = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverNoConvergence(f"Jacobi eigensolver failed: {exc}") from exc
+        if np.any(np.diff(atoms) <= ATOM_SEPARATION):
+            raise DegenerateAtoms("quadrature produced coincident atoms")
+        U *= np.where(U[0] < 0, -1.0, 1.0)
+        atoms.flags.writeable = False
+        U.flags.writeable = False
+        return atoms, U
 
 
 @dataclass(frozen=True)
@@ -133,29 +156,19 @@ def jacobi_from_intersection(ia: IntersectionArray) -> JacobiCoefficients:
     """omega_k = c_{k-1} b_k and alpha_k = a_1 - b_{k-1} - c_{k-1}, with b_0 = c_d = 0."""
     check_strata(ia.d + 1, f"an intersection array of diameter {ia.d}")
     ia.ensure_valid()
-    a1 = ia.degree
-    omega = tuple(float(ia.c_at(k - 1) * ia.b_at(k)) for k in range(1, ia.d + 1))
-    alpha = tuple(float(a1 - ia.b_at(k - 1) - ia.c_at(k - 1)) for k in range(1, ia.d + 2))
-    return JacobiCoefficients(omega, alpha)
+    c = np.array(ia.c + (0,), dtype=float)  # c_0..c_d
+    b = np.array((0,) + ia.b, dtype=float)  # b_0..b_d
+    omega = c[:-1] * b[1:]
+    alpha = ia.degree - b - c
+    return JacobiCoefficients(tuple(omega.tolist()), tuple(alpha.tolist()))
 
 
 def jacobi_eigh(jc: JacobiCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition J = U diag(atoms) U^T of the Jacobi matrix.
+    """Eigendecomposition J = U diag(atoms) U^T of the Jacobi matrix: ``jc.eigh``.
 
-    J has diagonal alpha and off-diagonal sqrt(omega).  Atoms come back
-    ascending and each column of U is signed so that U[0, l] > 0; then
-    U[k, l] = U[0, l] p_k(x_l) with p_k the orthonormal polynomials, and the
-    weight at atom l is U[0, l]^2.
+    Each coefficient object decomposes its matrix once; the arrays are read-only.
     """
-    off = np.sqrt(jc.omega)
-    matrix = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
-    try:
-        atoms, U = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverNoConvergence(f"Jacobi eigensolver failed: {exc}") from exc
-    if np.any(np.diff(atoms) <= ATOM_SEPARATION):
-        raise DegenerateAtoms("quadrature produced coincident atoms")
-    return atoms, U * np.where(U[0] < 0, -1.0, 1.0)
+    return jc.eigh
 
 
 def golub_welsch(jc: JacobiCoefficients) -> DiscreteDistribution:

@@ -11,7 +11,6 @@ units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +108,11 @@ class WalkRequest:
     normalized_adjacency: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        grid = np.asarray(self.times, dtype=float)
+        object.__setattr__(self, "times", tuple(grid.tolist()))
         if self.engine not in ENGINES:
             raise BadParams(f"unknown engine {self.engine!r}")
-        if any(not math.isfinite(t) or t < 0 for t in self.times):
+        if not np.all(np.isfinite(grid) & (grid >= 0)):
             raise BadParams("times must be finite and nonnegative")
 
 
@@ -125,8 +125,22 @@ def _series(times, strata, amplitudes) -> AmplitudeSeries:
 
 
 def _phase_sum(times, atoms, table) -> np.ndarray:
-    """sum_l e^{-i x_l t} table[l]: the one kernel behind every finite route."""
-    return np.exp(-1j * np.outer(times, atoms)) @ table
+    """sum_l e^{-i x_l t} table[l]: the one kernel behind every finite route.
+
+    The table is real, so the sum is one real product [cos(xt); sin(xt)] @ table:
+    its first half is the real part and minus its second half the imaginary
+    part, taken as 0.0 - s so that a zero stays +0.0.
+    """
+    steps = len(times)
+    trig = np.empty((2 * steps, len(atoms)))
+    phase = np.multiply.outer(times, atoms, out=trig[steps:])
+    np.cos(phase, out=trig[:steps])
+    np.sin(phase, out=phase)
+    halves = trig @ table
+    result = np.empty(halves[:steps].shape, dtype=complex)
+    result.real = halves[:steps]
+    np.subtract(0.0, halves[steps:], out=result.imag)
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +190,15 @@ def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> Schem
     return SchemeSpectrum(atoms, table, es.valencies, generator_column)
 
 
-def jacobi_spectrum(ia: IntersectionArray) -> SchemeSpectrum:
-    """Spectral route: Jacobi atoms and table U[0, l] U[k, l]; column 0 holds the weights."""
-    atoms, U = jacobi_eigh(jacobi_from_intersection(ia))
+def jacobi_spectrum(
+    ia: IntersectionArray, jc: JacobiCoefficients | None = None
+) -> SchemeSpectrum:
+    """Spectral route: Jacobi atoms and table U[0, l] U[k, l]; column 0 holds the weights.
+
+    ``jc`` is the array's own recurrence when the caller already has it, so
+    its decomposition is reused.
+    """
+    atoms, U = jacobi_eigh(jacobi_from_intersection(ia) if jc is None else jc)
     return SchemeSpectrum(atoms, (U[0] * U).T, derive_stratum_sizes(ia))
 
 
@@ -202,7 +222,7 @@ def average_from_distribution(
         )
     if jc != jacobi_from_intersection(ia):
         raise InconsistentInputs("recurrence coefficients do not come from the array")
-    spectrum = jacobi_spectrum(ia)
+    spectrum = jacobi_spectrum(ia, jc)
     atoms = spectrum.atoms
     tol = ATOM_SEPARATION * max(1.0, float(np.max(np.abs(atoms))))
     if dist.atoms.shape != atoms.shape or np.max(np.abs(dist.atoms - atoms)) > tol:

@@ -116,6 +116,14 @@ def test_line_entry_is_continuous():
     assert entry.expected.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_closed_form_is_built_on_first_read():
+    entry = catalog("cycle", (4001,))
+    assert "expected" not in vars(entry)
+    assert entry.expected is entry.expected
+    assert np.array_equal(entry.expected.atoms, catalog("cycle", (4001,)).expected.atoms)
+    assert len(entry.expected.atoms) == 2001
+
+
 def test_catalog_errors():
     with pytest.raises(UnknownCatalogName):
         catalog("moebius_kantor", ())

@@ -116,6 +116,28 @@ def test_walk_json_format(capsys):
     assert {row["stratum"] for row in payload} == {0, 1, 2}
 
 
+@pytest.mark.parametrize(
+    "graph,engine",
+    [
+        ("catalog:petersen", "spectral"),
+        ("catalog:hamming:4,3", "eigen"),
+        ("group:cyclic:9", "eigen"),
+        ("group:dihedral:10", "character"),
+        ("group:symmetric:4", "auto"),
+    ],
+)
+def test_walk_json_time_zero_prints_a_positive_zero(capsys, graph, engine):
+    code, out, _ = run_cli(
+        capsys, "walk", "--graph", graph, "--engine", engine, "--times", "0,1.5",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = out.strip()[2:-2].split("},{")
+    at_zero = [row for row in rows if row.startswith('"t":0.0,')]
+    assert len(at_zero) == len(rows) // 2
+    assert all('"im":0.0,' in row for row in at_zero)
+
+
 def test_characters_cyclic_format(capsys):
     code, out, _ = run_cli(capsys, "characters", "--group", "cyclic:4")
     assert code == 0

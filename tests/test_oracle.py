@@ -388,3 +388,28 @@ def test_bfs_strata_names_the_first_uneven_stratum():
         A[i, j] = A[j, i] = 1
     with pytest.raises(NotDistanceRegular, match="stratum 1 "):
         oracle.bfs_strata(oracle.VertexGraph(A, tuple("abcdef")))
+
+
+@pytest.mark.parametrize(
+    "graph_factory",
+    [
+        lambda: oracle.complete_graph(9),
+        lambda: oracle.cycle_graph(200),
+        lambda: oracle.kneser_graph(7, 3),
+        oracle.petersen_graph,
+        lambda: oracle.johnson_graph(8, 3),
+        lambda: oracle.hamming_graph(6, 3),
+        lambda: oracle.cayley_graph(GroupDescriptor("cyclic", 12), (3,)),
+        lambda: oracle.cayley_graph(GroupDescriptor("dihedral", 8), (1, 2)),
+        lambda: oracle.cayley_graph(GroupDescriptor("symmetric", 5)),
+    ],
+)
+def test_neighbour_counts_equal_the_integer_product(graph_factory):
+    # bfs_strata and ladder_residual count neighbours per stratum in float64.
+    g = graph_factory()
+    distances = oracle._bfs_distances(g.adjacency, g.root)
+    d = int(distances.max())
+    for columns in (np.arange(-1, d + 2), np.arange(d + 1)):
+        onehot = distances[:, None] == columns
+        counts = oracle._neighbour_counts(g, onehot)
+        assert np.array_equal(counts, g.adjacency @ onehot.astype(np.int64))

@@ -122,6 +122,52 @@ def test_jacobi_eigh_failure_is_a_solver_error(monkeypatch):
         golub_welsch(jacobi_from_intersection(PETERSEN))
 
 
+def test_each_recurrence_decomposes_once_into_read_only_arrays(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    first, second = jacobi_from_intersection(M22), jacobi_from_intersection(M22)
+    assert first == second and first is not second
+    atoms, U = jacobi_eigh(first)
+    assert jacobi_eigh(first) is first.eigh
+    golub_welsch(first)
+    golub_welsch(second)
+    jacobi_eigh(second)
+    assert calls == [(5, 5), (5, 5)]
+    assert not atoms.flags.writeable and not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "ia",
+    [
+        PETERSEN,
+        C7,
+        M22,
+        IntersectionArray(d=4, c=(2, 1, 1, 1), b=(1, 1, 1, 2)),
+        IntersectionArray(d=60, c=tuple(60 - i for i in range(60)), b=tuple(range(1, 61))),
+    ],
+)
+def test_recurrence_matches_the_per_index_formula(ia):
+    def c(i):
+        return 0 if i == ia.d else ia.c[i]
+
+    def b(i):
+        return 0 if i == 0 else ia.b[i - 1]
+
+    omega = tuple(float(c(k - 1) * b(k)) for k in range(1, ia.d + 1))
+    alpha = tuple(float(ia.degree - b(k - 1) - c(k - 1)) for k in range(1, ia.d + 2))
+    jc = jacobi_from_intersection(ia)
+    assert jc == JacobiCoefficients(omega, alpha)
+    assert all(type(x) is float for x in jc.omega + jc.alpha)
+
+
 def test_polynomials_accept_arrays():
     jc = jacobi_from_intersection(M22)
     xs = np.array([-4.0, 0.5, 7.0])

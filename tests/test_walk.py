@@ -40,6 +40,7 @@ from schemewalk.spectral import (
     jacobi_from_intersection,
     meixner_distribution,
 )
+from schemewalk import walk as walk_module
 from schemewalk.walk import (
     AmplitudeSeries,
     SchemeSpectrum,
@@ -353,6 +354,56 @@ def test_walk_request_validation():
         WalkRequest(FromCatalog("petersen"), (-1.0,), "auto")
     with pytest.raises(BadParams):
         WalkRequest(FromCatalog("petersen"), (float("nan"),), "auto")
+    with pytest.raises(BadParams):
+        WalkRequest(FromCatalog("petersen"), (1.0, float("inf")), "auto")
+    req = WalkRequest(FromCatalog("petersen"), np.array([-0.0, 2]), "auto")
+    assert req.times == (0.0, 2.0) and all(type(t) is float for t in req.times)
+
+
+def _kernel_reference(times, atoms, table):
+    return np.exp(-1j * np.outer(times, atoms)) @ table
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(1)
+    small = rng.uniform(-5, 5, 7), rng.standard_normal((7, 4)) / 7
+    wide = rng.uniform(-40, 40, 31), rng.uniform(-1, 1, (31, 9)) / 31
+    cycle = jacobi_spectrum(cycle_intersection_array(898))  # 450 atoms
+    return [(TIMES, *small), (TIMES, *wide), (np.array([]), *small),
+            (TIMES, cycle.atoms, cycle.table)]
+
+
+@pytest.mark.parametrize(
+    "times,atoms,table", _kernel_cases(), ids=["random-7", "random-31", "empty-grid", "cycle-898"]
+)
+def test_phase_kernel_matches_the_complex_exponential(times, atoms, table):
+    amps = walk_module._phase_sum(times, atoms, table)
+    expected = _kernel_reference(times, atoms, table)
+    assert amps.dtype == complex and amps.shape == expected.shape
+    assert np.max(np.abs(amps - expected), initial=0.0) < 1e-13
+    assert not np.any(np.signbit(walk_module._phase_sum(np.zeros(1), atoms, table).imag))
+
+
+def test_phase_kernel_takes_the_one_dimensional_meixner_weights():
+    atoms, weights = meixner_distribution(0.5).truncated()
+    expected = _kernel_reference(TIMES, atoms, weights)
+    assert np.max(np.abs(johnson_limit_amplitudes(0.5, 0, TIMES) - expected)) < 1e-13
+
+
+def test_average_from_distribution_decomposes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ia = cycle_intersection_array(601)
+    jc = jacobi_from_intersection(ia)
+    averages = average_from_distribution(golub_welsch(jc), jc, ia)
+    assert calls == [(301, 301)]
+    assert np.max(np.abs(averages.stratum - jacobi_spectrum(ia).averages().stratum)) == 0
 
 
 def test_spectral_inputs_must_agree():
