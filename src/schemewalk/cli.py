@@ -2,7 +2,8 @@
 
 Subcommands: walk, spectrum, average, characters, catalog, verify.  Graph
 specifications are JSON documents (inline or file) or compact tokens such as
-``catalog:petersen``, ``srg:10,3,0,1`` and ``group:symmetric:4``.  Output is
+``catalog:petersen``, ``srg:10,3,0,1`` and ``group:symmetric:4``, each of
+which expands to the document it abbreviates before one schema check.  Output is
 CSV (or JSON for walks), formatted to 12 digits and byte-identical across
 runs.  Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -35,6 +36,7 @@ from .schemes import (
     SchemeSpec,
     eigenstructure_from_array,
 )
+from .spectral import jacobi_from_intersection
 
 _SCHEMAS = {
     "intersection_array": {"kind", "d", "c_forward", "b_backward"},
@@ -65,10 +67,11 @@ def _require_int_list(obj: dict, key: str) -> list[int]:
     return value
 
 
-def _spec_from_json(obj) -> SchemeSpec:
+def _spec_from_json(obj, default_kind: str | None = None) -> SchemeSpec:
+    """The one schema check: a JSON document (without a kind, ``default_kind``) as a spec."""
     if not isinstance(obj, dict):
         raise SchemaError("/: expected a JSON object")
-    kind = obj.get("kind")
+    kind = obj.get("kind", default_kind)
     if kind not in _SCHEMAS:
         raise SchemaError(f"/kind: expected one of {sorted(_SCHEMAS)}")
     unknown = set(obj) - _SCHEMAS[kind]
@@ -106,13 +109,59 @@ def _spec_from_json(obj) -> SchemeSpec:
     name = obj.get("name")
     if not isinstance(name, str):
         raise SchemaError("/name: expected a string")
-    params = obj.get("params", [])
-    if not isinstance(params, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in params
-    ):
-        raise SchemaError("/params: expected an array of integers")
+    params = _require_int_list(obj, "params") if "params" in obj else []
     catalog_lookup(name, tuple(params))  # reject unknown names and bad params now
     return FromCatalog(name, tuple(params))
+
+
+# token head -> (separator of its parts, the document fields they fill in order)
+_TOKENS = {
+    "catalog": (":", ("name", "params")),
+    "srg": (",", ("n", "kappa", "lambda", "eta")),
+    "group": (":", ("group", "n", "class")),
+}
+
+
+def _token_value(field: str, part: str):
+    """The document value of a token part: text for a name, a list for params,
+    else an integer.  A part that is no integer stays text, for the schema
+    check to reject."""
+    if field in ("name", "group"):
+        return part
+    if field == "params":
+        return [_token_value("n", x) for x in part.split(",") if x]
+    try:
+        return int(part)
+    except ValueError:
+        return part
+
+
+def _document(text: str):
+    """The JSON document a spec text stands for: a token's expansion, inline JSON
+    or the JSON of a file."""
+    head, colon, body = text.partition(":")
+    if colon and head in _TOKENS:
+        separator, fields = _TOKENS[head]
+        parts = body.split(separator)
+        if len(parts) > len(fields):
+            raise SchemaError(f"{head} token takes at most {separator.join(fields)}")
+        return {"kind": head, **{f: _token_value(f, p) for f, p in zip(fields, parts)}}
+    raw = text
+    if not text.lstrip().startswith("{"):
+        try:
+            with open(text, "r", encoding="utf-8") as handle:
+                raw = handle.read()
+        except OSError as exc:
+            raise SchemaError(f"cannot read graph spec file {text!r}: {exc}") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"/: malformed JSON ({exc.msg})") from exc
+
+
+def parse_graph_spec(text: str) -> SchemeSpec:
+    """Turn a CLI token, inline JSON or JSON file path into a scheme specification."""
+    return _spec_from_json(_document(text))
 
 
 class _UsageExit(Exception):
@@ -123,58 +172,17 @@ class _UsageExit(Exception):
         self.inner = inner
 
 
-def _parse_spec(text: str) -> SchemeSpec:
+def _parse_spec(text: str, default_kind: str | None = None) -> SchemeSpec:
+    """parse_graph_spec for a command, where a document without a kind takes
+    ``default_kind``; every error but TooLarge is a usage error."""
     try:
-        return parse_graph_spec(text)
+        if default_kind is None:
+            return parse_graph_spec(text)
+        return _spec_from_json(_document(text), default_kind)
     except TooLarge:
         raise  # a well-formed spec over the size budget is not a usage error
     except SchemeWalkError as exc:
         raise _UsageExit(exc) from exc
-
-
-def _ints(text: str, context: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError as exc:
-        raise SchemaError(f"{context}: expected comma-separated integers") from exc
-
-
-def parse_graph_spec(text: str) -> SchemeSpec:
-    """Turn a CLI token, inline JSON or JSON file path into a scheme specification."""
-    if text.startswith("catalog:"):
-        parts = text.split(":")
-        name = parts[1] if len(parts) > 1 else ""
-        params = _ints(parts[2], "catalog params") if len(parts) > 2 else ()
-        catalog_lookup(name, tuple(params))  # validate name and params now
-        return FromCatalog(name, tuple(params))
-    if text.startswith("srg:"):
-        params = _ints(text[4:], "srg params")
-        if len(params) != 4:
-            raise SchemaError("srg token needs n,kappa,lambda,eta")
-        return FromSRG(*params)
-    if text.startswith("group:"):
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise SchemaError("group token is group:<kind>:<n>[:<class>]")
-        (n,) = _ints(parts[2], "group order")
-        generating = None
-        if len(parts) == 4:
-            (generating,) = _ints(parts[3], "generating class")
-        return FromGroup(GroupDescriptor(parts[1], n), generating)
-    if text.lstrip().startswith("{"):
-        try:
-            return _spec_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"/: malformed JSON ({exc.msg})") from exc
-    try:
-        with open(text, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read graph spec file {text!r}: {exc}") from exc
-    try:
-        return _spec_from_json(json.loads(raw))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"/: malformed JSON ({exc.msg})") from exc
 
 
 _ZERO = "0.000000000000"
@@ -275,49 +283,16 @@ def _cmd_average(args) -> int:
     return 0
 
 
-def _descriptor_from_token(token: str) -> GroupDescriptor:
-    if token.startswith("group:"):
-        spec = parse_graph_spec(token)
-        assert isinstance(spec, FromGroup)
-        return spec.group
-    raw: str | None = None
-    if token.lstrip().startswith("{"):
-        raw = token
-    elif ":" in token:
-        kind, _, tail = token.partition(":")
-        (n,) = _ints(tail, "group order")
-        return GroupDescriptor(kind, n)
-    else:
-        try:
-            with open(token, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read group descriptor {token!r}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"/: malformed JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("/: expected a JSON object")
-    if "kind" in obj:
-        spec = _spec_from_json(obj)
-        if not isinstance(spec, FromGroup):
-            raise SchemaError("/kind: characters needs a group specification")
-        return spec.group
-    unknown = set(obj) - {"group", "n"}
-    if unknown:
-        raise SchemaError(f"/{sorted(unknown)[0]}: unknown field")
-    if obj.get("group") not in ("cyclic", "dihedral", "symmetric"):
-        raise SchemaError("/group: expected cyclic, dihedral or symmetric")
-    return GroupDescriptor(obj["group"], _require_int(obj, "n"))
-
-
 def _cmd_characters(args) -> int:
-    try:
-        descriptor = _descriptor_from_token(args.group)
-    except SchemeWalkError as exc:
-        raise _UsageExit(exc) from exc
-    table = character_table(descriptor)
+    text = args.group
+    # The short forms <kind>:<n> and {"group": ..., "n": ...} leave out the
+    # token head and the document kind.
+    if ":" in text and not text.lstrip().startswith(("group:", "{")):
+        text = "group:" + text
+    spec = _parse_spec(text, "group")
+    if not isinstance(spec, FromGroup):
+        raise SchemaError("/kind: characters needs a group specification")
+    table = character_table(spec.group)
     values = table.values + 0.0  # -0.0 + 0.0 is 0.0, in both parts
     row = ",".join(["%.12g%+.12gi"] * table.n_classes) + "\n"
     sys.stdout.write(row * len(values) % tuple(values.view(np.float64).ravel().tolist()))
@@ -342,8 +317,9 @@ def _verify_checks(spec: SchemeSpec, times) -> list[tuple[str, float, float]]:
         series = walk.eigen_spectrum(es, scheme.generating).amplitudes(times)
     else:
         ia = walk.intersection_array(spec)
-        es = eigenstructure_from_array(ia)
-        series = walk.jacobi_spectrum(ia).amplitudes(times)
+        jc = jacobi_from_intersection(ia)  # one decomposition for both routes
+        es = eigenstructure_from_array(ia, jc)
+        series = walk.jacobi_spectrum(ia, jc).amplitudes(times)
 
     checks = [("unitarity", series.unitarity_defect(), walk.UNITARITY_TOL)]
     if ia is not None:

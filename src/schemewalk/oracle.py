@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .schemes import (
 )
 
 MAX_VERTICES = 2000
-ORACLE_SYMMETRIC_MAX_N = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +51,16 @@ class VertexGraph:
         return self.adjacency.shape[0]
 
     @cached_property
+    def float_adjacency(self) -> np.ndarray:
+        """Read-only float64 copy of A, converted once for every BLAS product."""
+        A = self.adjacency.astype(float)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense eigendecomposition (evals, vecs) of A, shared by every oracle check."""
-        return np.linalg.eigh(self.adjacency)
+        return np.linalg.eigh(self.float_adjacency)
 
     def validate(self) -> None:
         A = self.adjacency
@@ -168,13 +174,10 @@ def cayley_graph(
     closed under inversion by adding inverse classes when needed.  The class
     partition of the vertices rides along for stratum-level comparisons.
     """
-    if descriptor.kind == "symmetric" and descriptor.n > ORACLE_SYMMETRIC_MAX_N:
-        raise TooLarge(
-            f"symmetric-group oracle capped at n = {ORACLE_SYMMETRIC_MAX_N}"
-        )
+    kind, order = descriptor.kind, descriptor.n
+    n = factorial(order) if kind == "symmetric" else 2 * order if kind == "dihedral" else order
+    _check_size(n)  # the group order, before any element is enumerated
     data: GroupElements = group_elements(descriptor)
-    n = len(data.elements)
-    _check_size(n)
     wanted = set(generating_classes)
     gen_set = {i for i, cls in enumerate(data.class_of) if cls in wanted}
     if 0 in gen_set:
@@ -226,7 +229,7 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
 
 def _neighbour_counts(g: VertexGraph, onehot: np.ndarray) -> np.ndarray:
     """A @ onehot as a float64 BLAS product; the small integer counts are exact."""
-    return g.adjacency.astype(float) @ onehot.astype(float)
+    return g.float_adjacency @ onehot.astype(float)
 
 
 def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
@@ -280,9 +283,8 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
 def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
     """(orthonormality defect, eigen-equation residual) of the dense solver."""
     evals, vecs = g.eigh
-    A = g.adjacency.astype(float)
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(g.n))))
-    resid = float(np.max(np.abs(A @ vecs - vecs * evals)))
+    resid = float(np.max(np.abs(g.float_adjacency @ vecs - vecs * evals)))
     return ortho, resid
 
 

@@ -217,18 +217,19 @@ def _minus_diagonal(matrix: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
-def eigenstructure_from_array(ia: IntersectionArray) -> SchemeEigenstructure:
+def eigenstructure_from_array(ia: IntersectionArray, jc=None) -> SchemeEigenstructure:
     """Eigenvalue/dual-eigenvalue matrices of the scheme defined by ``ia``.
 
     From the Jacobi eigenvectors U (atoms in decreasing order, so row 0 is
     the valency row): P_lk = sqrt(a_k) U[k, l] / U[0, l], m_l = n U[0, l]^2
-    and Q_kl = n U[0, l] U[k, l] / sqrt(a_k).
+    and Q_kl = n U[0, l] U[k, l] / sqrt(a_k).  ``jc`` is the array's own
+    recurrence when the caller already has it, so its decomposition is reused.
     """
     from . import spectral
 
     ia.ensure_valid()
     valencies = derive_stratum_sizes(ia)
-    _, U = spectral.jacobi_eigh(spectral.jacobi_from_intersection(ia))
+    _, U = spectral.jacobi_eigh(spectral.jacobi_from_intersection(ia) if jc is None else jc)
     U = U[:, ::-1]
     root_a = np.sqrt(np.asarray(valencies.a, dtype=float))[:, None]
     P = (root_a * U / U[0]).T

@@ -300,6 +300,100 @@ def test_parse_graph_spec_tokens():
         parse_graph_spec("/nonexistent/path.json")
 
 
+# Each token abbreviates one JSON document; both spellings must give one spec.
+SPELLINGS = [
+    ("catalog:petersen", {"kind": "catalog", "name": "petersen"}),
+    ("catalog:m22", {"kind": "catalog", "name": "m22", "params": []}),
+    ("catalog:line", {"kind": "catalog", "name": "line"}),
+    ("catalog:cycle:9", {"kind": "catalog", "name": "cycle", "params": [9]}),
+    ("catalog:cycle:4001", {"kind": "catalog", "name": "cycle", "params": [4001]}),
+    ("catalog:johnson:7,3", {"kind": "catalog", "name": "johnson", "params": [7, 3]}),
+    ("catalog:hamming:6,3", {"kind": "catalog", "name": "hamming", "params": [6, 3]}),
+    ("catalog:gen_octagon:2,1", {"kind": "catalog", "name": "gen_octagon", "params": [2, 1]}),
+    ("catalog:incidence_pg:4", {"kind": "catalog", "name": "incidence_pg", "params": [4]}),
+    ("srg:10,3,0,1", {"kind": "srg", "n": 10, "kappa": 3, "lambda": 0, "eta": 1}),
+    ("srg:100,22,0,6", {"kind": "srg", "n": 100, "kappa": 22, "lambda": 0, "eta": 6}),
+    ("group:symmetric:4", {"kind": "group", "group": "symmetric", "n": 4}),
+    ("group:symmetric:5:3", {"kind": "group", "group": "symmetric", "n": 5, "class": 3}),
+    ("group:cyclic:3000", {"kind": "group", "group": "cyclic", "n": 3000}),
+    ("group:dihedral:5", {"kind": "group", "group": "dihedral", "n": 5}),
+]
+
+
+@pytest.mark.parametrize("token, document", SPELLINGS)
+def test_token_and_document_give_one_spec(tmp_path, token, document):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    spec = parse_graph_spec(token)
+    assert parse_graph_spec(json.dumps(document)) == spec
+    assert parse_graph_spec(str(path)) == spec
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        ("cyclic:5", '{"group": "cyclic", "n": 5}', "group:cyclic:5",
+         '{"kind": "group", "group": "cyclic", "n": 5}'),
+        ("dihedral:6", '{"group": "dihedral", "n": 6}', "group:dihedral:6:2"),
+        ("symmetric:4", '{"n": 4, "group": "symmetric"}', "group:symmetric:4"),
+    ],
+)
+def test_characters_short_forms_name_the_group_spec(capsys, spellings):
+    outputs = {run_cli(capsys, "characters", "--group", text) for text in spellings}
+    assert len(outputs) == 1 and outputs.pop()[0] == 0
+
+
+def _doc(**fields):
+    return json.dumps(fields)
+
+
+# (command, token, the document it abbreviates, the error code of both)
+MALFORMED = [
+    # the five inputs that once ended in a Python traceback
+    ("walk", "group:cyclic:7,8", _doc(kind="group", group="cyclic", n=[7, 8]), "schema_error"),
+    ("walk", "group:cyclic:", _doc(kind="group", group="cyclic", n=""), "schema_error"),
+    ("walk", "group:cyclic:7:2,3", _doc(kind="group", group="cyclic", n=7, **{"class": [2, 3]}),
+     "schema_error"),
+    ("characters", "cyclic:", _doc(group="cyclic", n=""), "schema_error"),
+    ("characters", "srg:10,3,0,1", _doc(kind="srg", n=10, kappa=3, eta=1, **{"lambda": 0}),
+     "schema_error"),
+    # parts past the grammar, and missing parts
+    ("walk", "catalog:cycle:9:junk", _doc(kind="catalog", name="cycle", params=[9], junk="junk"),
+     "schema_error"),
+    ("walk", "srg:10,3,0,1,5", _doc(kind="srg", n=10, kappa=3, eta=1, mu=5, **{"lambda": 0}),
+     "schema_error"),
+    ("walk", "srg:10,3", _doc(kind="srg", n=10, kappa=3), "schema_error"),
+    ("walk", "group:cyclic", _doc(kind="group", group="cyclic"), "schema_error"),
+    # non-integers and unknown group kinds
+    ("walk", "catalog:cycle:x", _doc(kind="catalog", name="cycle", params=["x"]), "schema_error"),
+    ("walk", "srg:10,3,0,x", _doc(kind="srg", n=10, kappa=3, eta="x", **{"lambda": 0}),
+     "schema_error"),
+    ("walk", "group:cyclic:1.5", _doc(kind="group", group="cyclic", n=1.5), "schema_error"),
+    ("walk", "group:bogus:5", _doc(kind="group", group="bogus", n=5), "schema_error"),
+    ("characters", "bogus:5", _doc(group="bogus", n=5), "schema_error"),
+    # well-formed documents whose values are out of range
+    ("spectrum", "catalog:heawood", _doc(kind="catalog", name="heawood"), "unknown_catalog_name"),
+    ("walk", "catalog:cycle", _doc(kind="catalog", name="cycle"), "bad_params"),
+    ("walk", "catalog:johnson:7", _doc(kind="catalog", name="johnson", params=[7]), "bad_params"),
+    ("walk", "catalog:cycle:2", _doc(kind="catalog", name="cycle", params=[2]), "bad_params"),
+    ("walk", "group:cyclic:2", _doc(kind="group", group="cyclic", n=2), "invalid_order"),
+    ("characters", "symmetric:1", _doc(group="symmetric", n=1), "invalid_order"),
+    ("walk", "group:symmetric:13", _doc(kind="group", group="symmetric", n=13),
+     "unsupported_order"),
+    ("verify", "catalog:cycle:99999", _doc(kind="catalog", name="cycle", params=[99999]),
+     "too_large"),
+]
+
+
+@pytest.mark.parametrize("command, token, document, code", MALFORMED)
+def test_both_spellings_of_a_bad_spec_fail_alike(capsys, command, token, document, code):
+    flag = "--group" if command == "characters" else "--graph"
+    for text in (token, document):
+        status, out, err = run_cli(capsys, command, flag, text)
+        assert (status, out) == (1 if code == "too_large" else 2, "")
+        assert err.startswith(f"{code}: ") and err.count("\n") == 1, (text, err)
+
+
 def test_engine_flags_agree(capsys):
     outputs = []
     for engine in ("auto", "eigen", "spectral"):
@@ -574,6 +668,29 @@ def test_verify_decomposes_the_oracle_graph_once(capsys, monkeypatch, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
     assert code == 0 and "FAIL" not in out
     assert sizes.count(n) == 1
+
+
+@pytest.mark.parametrize("graph, sizes", [("catalog:cycle:201", [101, 201]),
+                                          ("catalog:hamming:6,3", [7, 729])])
+def test_verify_decomposes_an_arrays_jacobi_matrix_once(capsys, monkeypatch, graph, sizes):
+    from schemewalk.spectral import JacobiCoefficients
+
+    argv = ("verify", "--graph", graph, "--steps", "8")
+    with monkeypatch.context() as patch:  # a fresh decomposition at every read
+        patch.setattr(JacobiCoefficients, "eigh", property(JacobiCoefficients.eigh.func))
+        code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        seen.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == fresh
+    assert seen == sizes
 
 
 def _readme_block(heading, language):

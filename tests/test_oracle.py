@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schemewalk import oracle
+from schemewalk import groups, oracle
 from schemewalk.errors import (
     BadParams,
     EngineSpecMismatch,
@@ -238,13 +238,41 @@ def test_size_cap_precedes_enumeration(monkeypatch):
 
     monkeypatch.setattr(oracle, "product", enumerate_nothing)
     monkeypatch.setattr(oracle, "combinations", enumerate_nothing)
+    monkeypatch.setattr(groups, "permutations", enumerate_nothing)
     for build, args in [
         (oracle.hamming_graph, (12, 2)),
         (oracle.johnson_graph, (14, 7)),
         (oracle.kneser_graph, (14, 7)),
+        (oracle.cayley_graph, (GroupDescriptor("symmetric", 7),)),
     ]:
         with pytest.raises(TooLarge):
             build(*args)
+
+
+class _CountingArray(np.ndarray):
+    """An integer adjacency matrix that counts its conversions to floats."""
+
+    conversions = 0
+
+    def astype(self, dtype, *args, **kwargs):
+        if self.dtype.kind == "i" and np.dtype(dtype).kind == "f":
+            _CountingArray.conversions += 1
+        return super().astype(dtype, *args, **kwargs)
+
+
+def test_oracle_converts_the_adjacency_to_float_once(monkeypatch):
+    built = oracle.hamming_graph(3, 3)
+    g = oracle.VertexGraph(built.adjacency.view(_CountingArray), built.labels)
+    monkeypatch.setattr(_CountingArray, "conversions", 0)
+    partition, ia = oracle.bfs_strata(g)
+    assert oracle.ladder_residual(g, partition, ia) < 1e-10
+    ortho, resid = oracle.eigensolver_residuals(g)
+    assert max(ortho, resid) < 1e-10
+    oracle.exact_walk(g, TIMES)
+    assert _CountingArray.conversions == 1
+    assert g.adjacency.dtype == np.int64 and g.float_adjacency.dtype == np.float64
+    assert not g.float_adjacency.flags.writeable
+    assert np.array_equal(g.float_adjacency, built.adjacency)
 
 
 def test_vertex_graph_validation():
