@@ -124,16 +124,13 @@ _TOKENS = {
 
 def _token_value(field: str, part: str):
     """The document value of a token part: text for a name, a list for params,
-    else an integer.  A part that is no integer stays text, for the schema
-    check to reject."""
+    else an integer.  Only a full ``-?[0-9]+`` is an integer, as in JSON; any
+    other part stays text, for the schema check to reject."""
     if field in ("name", "group"):
         return part
     if field == "params":
         return [_token_value("n", x) for x in part.split(",") if x]
-    try:
-        return int(part)
-    except ValueError:
-        return part
+    return int(part) if re.fullmatch("-?[0-9]+", part) else part
 
 
 def _document(text: str):

@@ -186,10 +186,15 @@ def _cosine_block(n: int, h: np.ndarray, j: np.ndarray) -> np.ndarray:
     of the vector is cos(2 pi k/n) + cos(2 pi (n-k)/n), exact on the axes as in
     ``_root_of_unity``: entries k and n-k agree bit for bit, so eigenvalues
     that are equal in exact arithmetic stay equal, and the values match the
-    inverse-pair class sums of the cyclic character table.
+    inverse-pair class sums of the cyclic character table.  For even n, the
+    first quadrant fills the rest so that entry k + n/2 is exactly -entry k.
     """
     cosines = np.array([_root_of_unity(k, n).real for k in range(n)])
     cosines += cosines[-np.arange(n) % n]
+    if n % 2 == 0:
+        quadrant = np.arange(n // 4 + 1)
+        cosines[n // 2 - quadrant] = 0.0 - cosines[quadrant]
+        cosines[n // 2 + 1 :] = cosines[n // 2 - 1 : 0 : -1]
     index = np.multiply.outer(h, j)
     index %= n
     return cosines[index]

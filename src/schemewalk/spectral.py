@@ -1,11 +1,11 @@
 """Spectral distributions from intersection arrays.
 
 The route is: intersection array -> three-term recurrence coefficients ->
-one dense eigendecomposition J = U diag(x) U^T of the symmetric tridiagonal
-Jacobi matrix, which is the adjacency matrix restricted to the span of the
-stratum vectors.  Atoms x are the distinct adjacency eigenvalues and the
-weights U[0, l]^2 are the spectral measure seen from any fixed vertex, so
-multiplicities are n times the weights.  The rest of U carries the stratum
+one eigendecomposition J = U diag(x) U^T of the symmetric tridiagonal Jacobi
+matrix (a half-size SVD when the array is bipartite), which is the adjacency
+matrix restricted to the span of the stratum vectors.  Atoms x are the
+distinct adjacency eigenvalues and the weights U[0, l]^2 are the spectral
+measure seen from any fixed vertex, so multiplicities are n times the weights.  The rest of U carries the stratum
 amplitudes, the eigenvalue matrix and the long-time averages.
 """
 
@@ -69,12 +69,16 @@ class JacobiCoefficients:
         J has diagonal alpha and off-diagonal sqrt(omega).  Atoms come back
         ascending and each column of U is signed so that U[0, l] > 0; then
         U[k, l] = U[0, l] p_k(x_l) with p_k the orthonormal polynomials, and
-        the weight at atom l is U[0, l]^2.
+        the weight at atom l is U[0, l]^2.  A bipartite array (every alpha 0)
+        is decomposed at half size by ``_bipartite_eigh``.
         """
         off = np.sqrt(self.omega)
-        matrix = np.diag(self.alpha) + np.diag(off, 1) + np.diag(off, -1)
         try:
-            atoms, U = np.linalg.eigh(matrix)
+            if any(self.alpha):
+                matrix = np.diag(self.alpha) + np.diag(off, 1) + np.diag(off, -1)
+                atoms, U = np.linalg.eigh(matrix)
+            else:
+                atoms, U = _bipartite_eigh(off)
         except np.linalg.LinAlgError as exc:
             raise EigensolverNoConvergence(f"Jacobi eigensolver failed: {exc}") from exc
         if np.any(np.diff(atoms) <= ATOM_SEPARATION):
@@ -83,6 +87,26 @@ class JacobiCoefficients:
         atoms.flags.writeable = False
         U.flags.writeable = False
         return atoms, U
+
+
+def _bipartite_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending (atoms, U) of the zero-diagonal Jacobi matrix with off-diagonal ``off``.
+
+    Even indices first, J = [[0, B], [B^T, 0]]; the SVD B = Y diag(s) Z^T gives
+    atoms -s, s with vectors (y, -z)/sqrt(2), (y, z)/sqrt(2), and an odd size
+    adds 0.0 with the null column (y, 0) of Y (Golub and Van Loan, Matrix
+    Computations, 8.6).  The atoms are antisymmetric bit for bit.
+    """
+    size, half = len(off) + 1, len(off[::2])
+    B = np.zeros((size - half, half))
+    B.flat[:: half + 1], B.flat[half :: half + 1] = off[::2], off[1::2]
+    Y, s, Zt = np.linalg.svd(B)
+    U = np.zeros((size, size))
+    U[0::2, :half], U[1::2, :half] = Y[:, :half], -Zt.T
+    U[0::2, size - half :], U[1::2, size - half :] = Y[:, :half][:, ::-1], Zt[::-1].T
+    U *= math.sqrt(0.5)
+    U[0::2, half : size - half] = Y[:, half:]
+    return np.concatenate((-s, np.zeros(size - 2 * half), s[::-1])), U
 
 
 @dataclass(frozen=True)
@@ -245,11 +269,12 @@ def continuous_line_distribution(nodes: int = 256) -> ContinuousDistribution:
 
     Quadrature nodes are x = 2 cos(theta) at midpoints of a uniform theta grid,
     which integrates the weight function exactly, so every node carries mass 1/N.
+    The nodes mirror bit for bit, x == -x[::-1], with 0.0 in the middle of an odd N.
     """
     if nodes < 1:
         raise BadParameter("need at least one quadrature node")
-    theta = (np.arange(nodes) + 0.5) * math.pi / nodes
-    xs = 2.0 * np.cos(theta)[::-1]
+    upper = 2.0 * np.cos((np.arange(nodes // 2) + 0.5) * math.pi / nodes)
+    xs = np.concatenate((-upper, np.zeros(nodes % 2), upper[::-1]))
 
     def density(x: float) -> float:
         return 1.0 / (math.pi * math.sqrt(4.0 - x * x))

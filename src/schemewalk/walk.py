@@ -124,13 +124,31 @@ def _series(times, strata, amplitudes) -> AmplitudeSeries:
     return series
 
 
+def _grouped(atoms, table, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending atoms, one per run of gaps <= tol, and the sums of their table rows."""
+    order = np.argsort(atoms, kind="stable")
+    ordered = atoms[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] - ordered[:-1] > tol)))
+    return ordered[starts], np.add.reduceat(table[order], starts)
+
+
 def _phase_sum(times, atoms, table) -> np.ndarray:
     """sum_l e^{-i x_l t} table[l]: the one kernel behind every finite route.
 
     The table is real, so the sum is one real product [cos(xt); sin(xt)] @ table:
     its first half is the real part and minus its second half the imaginary
-    part, taken as 0.0 - s so that a zero stays +0.0.
+    part, taken as 0.0 - s so that a zero stays +0.0.  Bitwise equal atoms are
+    merged, and a symmetric spectrum is folded by ``_folded_sum``.
     """
+    order = atoms.argsort(kind="stable")
+    ordered = atoms[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        atoms, table = _grouped(atoms, table, 0.0)
+        ordered, order = atoms, slice(None)
+    if (ordered == -ordered[::-1]).all():
+        folded = _folded_sum(times, ordered, table[order].reshape(len(ordered), -1))
+        if folded is not None:
+            return folded.reshape(folded.shape[:1] + table.shape[1:])
     steps = len(times)
     trig = np.empty((2 * steps, len(atoms)))
     phase = np.multiply.outer(times, atoms, out=trig[steps:])
@@ -140,6 +158,25 @@ def _phase_sum(times, atoms, table) -> np.ndarray:
     result = np.empty(halves[:steps].shape, dtype=complex)
     result.real = halves[:steps]
     np.subtract(0.0, halves[steps:], out=result.imag)
+    return result
+
+
+def _folded_sum(times, atoms, rows) -> np.ndarray | None:
+    """The sum over ascending atoms x == -x[::-1], in pairs: even columns (rows
+    equal at x and -x) are cos(x+ t) @ 2W+ plus the centre row, odd columns
+    (opposite rows, centre 0) are 0.0 - i sin(x+ t) @ 2W+.  None if a column is neither.
+    """
+    pairs = len(atoms) // 2
+    plus, minus = rows[pairs:], rows[len(atoms) - pairs - 1 :: -1]  # the centre pairs with itself
+    even = (minus == plus).all(0)
+    if not (even | (minus == -plus).all(0)).all():
+        return None
+    weights = 2 * plus
+    weights[: len(atoms) % 2] /= 2  # the centre row counts once
+    phase = np.multiply.outer(times, atoms[pairs:])
+    result = np.zeros((len(times), rows.shape[1]), dtype=complex)
+    result.real[:, even] = np.cos(phase) @ weights[:, even]
+    result.imag[:, ~even] = 0.0 - np.sin(phase) @ weights[:, ~even]
     return result
 
 
@@ -175,9 +212,7 @@ class SchemeSpectrum:
         Coincident atoms are merged first; the cross terms they would
         otherwise contribute do not average out.
         """
-        order = np.argsort(self.atoms, kind="stable")
-        starts = np.flatnonzero(np.diff(self.atoms[order], prepend=-np.inf) > MERGE_TOL)
-        stratum = (np.add.reduceat(self.table[order], starts) ** 2).sum(axis=0)
+        stratum = (_grouped(self.atoms, self.table, MERGE_TOL)[1] ** 2).sum(axis=0)
         a = np.asarray(self.strata.a, dtype=float)
         return AverageProbabilities(stratum=stratum, vertex=stratum / a)
 

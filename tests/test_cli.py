@@ -371,6 +371,13 @@ MALFORMED = [
     ("walk", "group:cyclic:1.5", _doc(kind="group", group="cyclic", n=1.5), "schema_error"),
     ("walk", "group:bogus:5", _doc(kind="group", group="bogus", n=5), "schema_error"),
     ("characters", "bogus:5", _doc(group="bogus", n=5), "schema_error"),
+    # integer spellings that Python's int() reads but JSON has not
+    ("walk", "catalog:cycle:1_0", _doc(kind="catalog", name="cycle", params=["1_0"]),
+     "schema_error"),
+    ("walk", "group:cyclic:+7", _doc(kind="group", group="cyclic", n="+7"), "schema_error"),
+    ("walk", "group:cyclic: 7", _doc(kind="group", group="cyclic", n=" 7"), "schema_error"),
+    ("walk", "srg:10,3,0,1 ", _doc(kind="srg", n=10, kappa=3, eta="1 ", **{"lambda": 0}),
+     "schema_error"),
     # well-formed documents whose values are out of range
     ("spectrum", "catalog:heawood", _doc(kind="catalog", name="heawood"), "unknown_catalog_name"),
     ("walk", "catalog:cycle", _doc(kind="catalog", name="cycle"), "bad_params"),

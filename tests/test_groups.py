@@ -581,3 +581,22 @@ def test_size_budget_is_checked_before_building(monkeypatch):
     ):
         with pytest.raises(TooLarge, match="11 strata, over the cap of 10"):
             build()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 30, 600, 602, 1000])
+def test_even_cyclic_cosines_are_antisymmetric_bit_for_bit(n):
+    from schemewalk.groups import _cosine_block
+
+    cosines = _cosine_block(n, np.array([1]), np.arange(n))[0]
+    k = np.arange(n)
+    assert np.array_equal(cosines, cosines[-k % n])
+    assert np.array_equal(cosines[(k + n // 2) % n], -cosines)
+    assert not np.any(np.signbit(cosines[cosines == 0]))
+    assert np.max(np.abs(cosines - 2 * np.cos(2 * np.pi * k / n))) < 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [4, 30, 600, 602])
+def test_even_cyclic_spectra_are_symmetric(n):
+    es = walk_scheme(GroupDescriptor("cyclic", n)).eigenstructure
+    atoms = np.sort(es.P[:, 1])
+    assert np.array_equal(atoms, -atoms[::-1])

@@ -419,3 +419,100 @@ def test_catalog_sweep_weight_properties():
         assert derive_stratum_sizes(ia).n * dist.weights[-1] == pytest.approx(
             1.0, abs=1e-6
         )
+
+
+# ---------------------------------------------------------------------------
+# Half-size decomposition of bipartite arrays
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+BIPARTITE = (
+    [("cycle", (n,)) for n in (4, 6, 8, 10, 100, 998, 1000, 1002, 4000)]
+    + [("hamming", (d, 2)) for d in (1, 2, 3, 7, 20, 47, 60)]
+    + [("incidence_pg", (k,)) for k in (4, 5, 7, 8)]
+    + [("foster", ()), ("double_hoffman_singleton", ())]
+)
+
+
+def _dense_eigh(jc):
+    off = np.sqrt(jc.omega)
+    atoms, U = np.linalg.eigh(np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1))
+    return atoms, U * np.where(U[0] < 0, -1.0, 1.0)
+
+
+def _cycle_table(n):
+    """Closed-form table sqrt(a_k) m_l cos(2 pi lk/n) / n of C_n, rows by ascending atom."""
+    j = np.arange(n // 2 + 1)
+    ends = np.where((j == 0) | (2 * j == n), 1.0, 2.0)  # m_l and a_k alike
+    table = np.sqrt(ends) * ends[:, None] * np.cos(2 * np.pi * np.outer(j, j) / n) / n
+    return table[::-1]
+
+
+@pytest.mark.parametrize("name, params", BIPARTITE, ids=lambda x: str(x))
+def test_bipartite_decomposition_matches_the_dense_eigensolver(name, params):
+    from schemewalk.catalog import catalog
+
+    jc = jacobi_from_intersection(catalog(name, params).array)
+    assert not any(jc.alpha)
+    atoms, U = jacobi_eigh(jc)
+    dense_atoms, dense_U = _dense_eigh(jc)
+    norm = float(np.max(np.abs(dense_atoms)))
+    assert np.array_equal(atoms, -atoms[::-1])
+    assert np.all(np.diff(atoms) > 0) and np.all(U[0] > 0)
+    assert not atoms.flags.writeable and not U.flags.writeable
+    assert np.max(np.abs(atoms - dense_atoms)) < 32 * EPS * norm
+    assert np.max(np.abs(U.T @ U - np.eye(jc.d + 1))) < 32 * EPS * (jc.d + 1)
+    off = np.sqrt(jc.omega)
+    residual = U * atoms - (np.diag(off, 1) + np.diag(off, -1)) @ U
+    assert np.max(np.abs(residual)) < 32 * EPS * norm
+    if jc.d <= 8:  # well separated atoms: the vectors agree as well
+        assert np.max(np.abs(U - dense_U)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 100, 1000, 4000])
+def test_bipartite_cycle_tables_match_the_closed_form(n):
+    from schemewalk.catalog import cycle_distribution, cycle_intersection_array
+
+    jc = jacobi_from_intersection(cycle_intersection_array(n))
+    closed = _cycle_table(n)
+    atoms, U = jacobi_eigh(jc)
+    dense_atoms, dense_U = _dense_eigh(jc)
+    # measured: 1.4e-14 (half size) and 1.3e-15 (dense) on C_100, 1.6e-13 and 6.5e-14 on C_4000
+    for route_atoms, route_U in ((atoms, U), (dense_atoms, dense_U)):
+        assert np.max(np.abs((route_U[0] * route_U).T - closed)) < n * EPS
+        assert np.max(np.abs(route_atoms - cycle_distribution(n).atoms)) < 16 * EPS
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 47, 60])
+def test_bipartite_hamming_weights_match_the_binomials(d):
+    from schemewalk.catalog import hamming_distribution, hamming_intersection_array
+
+    jc = jacobi_from_intersection(hamming_intersection_array(d, 2))
+    expected = hamming_distribution(d, 2)
+    atoms, U = jacobi_eigh(jc)
+    assert np.max(np.abs(U[0] ** 2 - expected.weights)) < 4 * EPS
+    assert np.max(np.abs(atoms - expected.atoms)) < 32 * EPS * d
+
+
+def test_bipartite_odd_size_has_an_exact_zero_atom():
+    h42 = IntersectionArray(d=4, c=(4, 3, 2, 1), b=(1, 2, 3, 4))
+    atoms, U = jacobi_eigh(jacobi_from_intersection(h42))
+    assert atoms[2] == 0.0 and not np.signbit(atoms[2])
+    assert np.all(U[1::2, 2] == 0.0)
+
+
+def test_bipartite_svd_failure_is_a_solver_error(monkeypatch):
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(EigensolverNoConvergence):
+        golub_welsch(jacobi_from_intersection(IntersectionArray(d=2, c=(2, 1), b=(1, 2))))
+
+
+def test_line_nodes_are_mirrored_bit_for_bit():
+    for nodes in (1, 2, 3, 8, 9, 512, 513):
+        xs = continuous_line_distribution(nodes).nodes
+        assert np.array_equal(xs, -xs[::-1]) and np.all(np.diff(xs) > 0)
+        theta = (np.arange(nodes) + 0.5) * math.pi / nodes
+        assert np.max(np.abs(xs - 2.0 * np.cos(theta)[::-1])) < 16 * EPS

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -535,3 +536,137 @@ def test_non_unit_amplitude_row_is_a_numerical_instability():
     series = AmplitudeSeries(np.array([0.5]), strata, np.array([[0.9 + 0j, 0.1 + 0j]]))
     with pytest.raises(NumericalInstability, match="not unit vectors: defect 0.18 > bound"):
         series.validate()
+
+
+# ---------------------------------------------------------------------------
+# Merged and folded phase sums
+# ---------------------------------------------------------------------------
+
+SYMMETRIC_SPECS = [
+    (FromCatalog("cycle", (1000,)), "spectral"),
+    (FromCatalog("cycle", (10,)), "eigen"),
+    (ProductScheme(n=2, copies=10), "auto"),
+    (FromCatalog("foster"), "auto"),
+    (FromCatalog("incidence_pg", (7,)), "auto"),
+    (FromGroup(GroupDescriptor("cyclic", 600)), "auto"),
+    (FromGroup(GroupDescriptor("cyclic", 602)), "spectral"),
+    (FromGroup(GroupDescriptor("dihedral", 449)), "auto"),
+    (FromGroup(GroupDescriptor("dihedral", 450)), "auto"),
+    (FromGroup(GroupDescriptor("symmetric", 6)), "auto"),
+]
+
+
+def _recorded_folds(monkeypatch):
+    """Atom counts of the sums folded while the test runs."""
+    counts = []
+    folded_sum = walk_module._folded_sum
+
+    def recording(times, atoms, rows):
+        folded = folded_sum(times, atoms, rows)
+        if folded is not None:
+            counts.append(len(atoms))
+        return folded
+
+    monkeypatch.setattr(walk_module, "_folded_sum", recording)
+    return counts
+
+
+@pytest.mark.parametrize("spec, engine", SYMMETRIC_SPECS, ids=lambda x: str(x)[:40])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_folded_kernel_matches_the_complex_exponential(monkeypatch, spec, engine, normalized):
+    counts = _recorded_folds(monkeypatch)
+    spectrum = resolve(spec, engine)
+    times = np.concatenate(([0.0], TIMES))
+    amps = spectrum.amplitudes(times, normalized=normalized).amplitudes
+    scale = spectrum.strata.a[spectrum.generating] if normalized else 1
+    expected = _kernel_reference(times, spectrum.atoms / scale, spectrum.table)
+    assert counts and np.max(np.abs(amps - expected)) < 1e-13
+    # the exact zeros of a symmetric spectrum are +0.0: odd strata have no
+    # real part, even strata no imaginary part
+    real_zero, imag_zero = np.all(amps.real == 0, axis=0), np.all(amps.imag == 0, axis=0)
+    assert np.all(real_zero | imag_zero)
+    assert not np.any(np.signbit(amps.real[:, real_zero]))
+    assert not np.any(np.signbit(amps.imag[:, imag_zero]))
+    assert not np.any(np.signbit(amps[0].imag))
+
+
+def test_bipartite_arrays_put_odd_strata_on_the_imaginary_axis():
+    amps = spectral_series(cycle_intersection_array(100)).amplitudes
+    assert np.all(amps[:, 1::2].real == 0) and not np.any(np.signbit(amps[:, 1::2].real))
+    assert np.all(amps[:, 0::2].imag == 0) and not np.any(np.signbit(amps[:, 0::2].imag))
+
+
+def test_folded_kernel_takes_a_one_dimensional_table(monkeypatch):
+    counts = _recorded_folds(monkeypatch)
+    dist = continuous_line_distribution(33)
+    atoms = np.concatenate((dist.nodes, dist.nodes[:5]))  # five repeated atoms
+    weights = np.concatenate((dist.node_weights, dist.node_weights[:5]))
+    amps = walk_module._phase_sum(TIMES, atoms, weights)
+    assert amps.shape == TIMES.shape and counts == []  # the merged rows are not even
+    assert np.max(np.abs(amps - _kernel_reference(TIMES, atoms, weights))) < 1e-13
+    amps = walk_module._phase_sum(TIMES, dist.nodes, dist.node_weights)
+    assert amps.shape == TIMES.shape and counts == [33]
+    assert np.max(np.abs(amps - _kernel_reference(TIMES, dist.nodes, dist.node_weights))) < 1e-13
+    assert np.all(amps.imag == 0) and not np.any(np.signbit(amps.imag))
+
+
+def test_line_walk_folds(monkeypatch):
+    counts = _recorded_folds(monkeypatch)
+    line_walk(TIMES, 8, nodes=64)
+    assert counts == [64]
+
+
+@pytest.mark.parametrize("m", [3, 4, 57, 449, 450])
+def test_dihedral_walks_reach_the_kernel_with_three_atoms(monkeypatch, m):
+    counts = _recorded_folds(monkeypatch)
+    spec = FromGroup(GroupDescriptor("dihedral", m))
+    assert len(resolve(spec).atoms) == m // 2 + 2
+    dispatch(WalkRequest(spec, tuple(TIMES)))
+    dispatch(WalkRequest(spec, tuple(TIMES), normalized_adjacency=True))
+    assert counts == [3, 3]
+
+
+def test_merged_atoms_sum_their_rows():
+    atoms = np.array([1.0, -2.0, 1.0, 0.5, 1.0])
+    table = np.arange(10.0).reshape(5, 2)
+    merged, rows = walk_module._grouped(atoms, table, 0.0)
+    assert merged.tolist() == [-2.0, 0.5, 1.0]
+    assert rows.tolist() == [[2.0, 3.0], [6.0, 7.0], [12.0, 15.0]]
+    assert np.max(np.abs(
+        walk_module._phase_sum(TIMES, atoms, table) - _kernel_reference(TIMES, atoms, table)
+    )) < 1e-13
+
+
+@pytest.mark.parametrize("spec, engine", SYMMETRIC_SPECS[:6], ids=lambda x: str(x)[:40])
+def test_an_atom_moved_by_one_ulp_takes_the_unfolded_path(monkeypatch, spec, engine):
+    counts = _recorded_folds(monkeypatch)
+    spectrum = resolve(spec, engine)
+    moved = spectrum.atoms.copy()
+    top = int(np.argmax(moved))
+    moved[top] = np.nextafter(moved[top], np.inf)
+    amps = walk_module._phase_sum(TIMES, moved, spectrum.table)
+    assert counts == []
+    assert np.max(np.abs(amps - _kernel_reference(TIMES, moved, spectrum.table))) < 1e-13
+
+
+def test_unfolded_kernel_keeps_its_arithmetic(monkeypatch):
+    # a spectrum that neither repeats nor pairs its atoms: one product [cos; sin] @ table
+    counts = _recorded_folds(monkeypatch)
+    spectrum = jacobi_spectrum(PETERSEN)
+    steps = len(TIMES)
+    trig = np.concatenate((np.cos(np.outer(TIMES, spectrum.atoms)),
+                           np.sin(np.outer(TIMES, spectrum.atoms))))
+    halves = trig @ spectrum.table
+    amps = walk_module._phase_sum(TIMES, spectrum.atoms, spectrum.table)
+    assert counts == []
+    assert np.array_equal(amps.real, halves[:steps]) and np.array_equal(amps.imag, -halves[steps:])
+
+
+def test_time_zero_rows_print_a_positive_zero_imaginary_part(capsys):
+    from schemewalk.cli import main
+
+    for graph in ("catalog:cycle:40", "catalog:hamming:9,2", "group:dihedral:9",
+                  "group:cyclic:12", "group:symmetric:5"):
+        assert main(["walk", "--graph", graph, "--times", "0,1.5", "--format", "json"]) == 0
+        at_zero = re.findall(r'\{"t":0\.0,[^}]*\}', capsys.readouterr().out)
+        assert at_zero and all('"im":0.0,' in row for row in at_zero), graph
