@@ -327,15 +327,15 @@ def _verify_checks(spec: SchemeSpec, times) -> list[tuple[str, float, float]]:
     checks.append(("eigenmatrix_duality", pq, MATRIX_TOL * es.n))
     if graph is None:
         return checks
+    ortho, resid = oracle.eigensolver_residuals(graph)
+    checks.append(("oracle_orthonormality", ortho, 1e-10))
+    checks.append(("oracle_eigen_residual", resid, 1e-8))
     if ia is None:
         strata = tuple(
             tuple(v for c in grp for v in graph.class_partition[c])
             for grp in scheme.class_groups
         )
     else:
-        ortho, resid = oracle.eigensolver_residuals(graph)
-        checks.append(("oracle_orthonormality", ortho, 1e-10))
-        checks.append(("oracle_eigen_residual", resid, 1e-8))
         partition, bfs_ia = oracle.bfs_strata(graph)
         checks.append(("bfs_array_match", float(bfs_ia != ia), 0.5))
         strata = partition.strata

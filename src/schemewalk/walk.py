@@ -138,13 +138,17 @@ def _phase_sum(times, atoms, table) -> np.ndarray:
     The table is real, so the sum is one real product [cos(xt); sin(xt)] @ table:
     its first half is the real part and minus its second half the imaginary
     part, taken as 0.0 - s so that a zero stays +0.0.  Bitwise equal atoms are
-    merged, and a symmetric spectrum is folded by ``_folded_sum``.
+    merged, and a symmetric spectrum is folded by ``_folded_sum``.  Atoms that
+    arrive ascending and distinct, as every Jacobi spectrum does, skip the sort.
     """
-    order = atoms.argsort(kind="stable")
-    ordered = atoms[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        atoms, table = _grouped(atoms, table, 0.0)
+    if (atoms[1:] > atoms[:-1]).all():
         ordered, order = atoms, slice(None)
+    else:
+        order = atoms.argsort(kind="stable")
+        ordered = atoms[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            atoms, table = _grouped(atoms, table, 0.0)
+            ordered, order = atoms, slice(None)
     if (ordered == -ordered[::-1]).all():
         folded = _folded_sum(times, ordered, table[order].reshape(len(ordered), -1))
         if folded is not None:

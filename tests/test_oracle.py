@@ -106,6 +106,103 @@ def test_eigensolver_residuals():
         assert resid < 1e-8
 
 
+# Krylov oracle: the walk from the root against a dense eigendecomposition of A.
+
+
+def _prism(n):
+    """The prism C_n x K_2: regular and vertex-transitive; at n = 5 not distance-regular."""
+    A = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for side in (0, n):
+        for v in range(n):
+            A[side + v, side + (v + 1) % n] = A[side + (v + 1) % n, side + v] = 1
+    A[np.arange(n), np.arange(n) + n] = A[np.arange(n) + n, np.arange(n)] = 1
+    return oracle.VertexGraph(A, tuple(str(v) for v in range(2 * n)))
+
+
+def _group_graph(kind, n):
+    return lambda: oracle.build_graph(FromGroup(GroupDescriptor(kind, n)))
+
+
+KRYLOV_GRAPHS = {
+    "K1": lambda: oracle.complete_graph(1),
+    "K7": lambda: oracle.complete_graph(7),
+    "C12": lambda: oracle.cycle_graph(12),
+    "C13": lambda: oracle.cycle_graph(13),
+    "petersen": oracle.petersen_graph,
+    "J7_3": lambda: oracle.johnson_graph(7, 3),
+    "H4_3": lambda: oracle.hamming_graph(4, 3),
+    "S4": _group_graph("symmetric", 4),
+    "S5": _group_graph("symmetric", 5),
+    "S6": _group_graph("symmetric", 6),
+    "D12": _group_graph("dihedral", 6),
+    "D14": _group_graph("dihedral", 7),
+    "Z15": _group_graph("cyclic", 15),
+    "S4_transpositions": lambda: oracle.cayley_graph(GroupDescriptor("symmetric", 4)),
+    "prism5": lambda: _prism(5),
+}
+
+
+def _dense_walk(g, times):
+    evals, vecs = np.linalg.eigh(g.adjacency.astype(float))
+    return (np.exp(-1j * np.outer(times, evals)) * vecs[g.root]) @ vecs.T
+
+
+@pytest.mark.parametrize("name", KRYLOV_GRAPHS)
+def test_krylov_walk_matches_a_dense_eigendecomposition(name):
+    g = KRYLOV_GRAPHS[name]()
+    g.validate()
+    evals, vecs = g.eigh
+    assert vecs.shape == (g.n, evals.size) and evals.size <= g.n
+    assert np.max(np.abs(oracle.exact_walk(g, TIMES) - _dense_walk(g, TIMES))) < 1e-12
+    ortho, resid = oracle.eigensolver_residuals(g)
+    assert ortho < 1e-13 and resid < 1e-13
+
+
+@pytest.mark.parametrize("name", ["S4_transpositions", "prism5"])
+def test_krylov_oracle_assumes_no_scheme_structure(name):
+    g = KRYLOV_GRAPHS[name]()
+    with pytest.raises(NotDistanceRegular):
+        oracle.bfs_strata(g)
+    # the walk still stays in the root's Krylov space, smaller than the graph
+    assert g.eigh[0].size < g.n
+
+
+@pytest.mark.parametrize("name", ["K1", "K7", "C12", "C13", "petersen", "J7_3", "H4_3"])
+def test_krylov_dimension_is_the_diameter_plus_one(name):
+    g = KRYLOV_GRAPHS[name]()
+    _, ia = oracle.bfs_strata(g)
+    assert g.eigh[0].size == ia.d + 1
+
+
+def _lanczos_basis(g, steps):
+    """Rows q_0 .. q_{steps-1} of the root's Lanczos basis and the next residual vector."""
+    A = g.adjacency.astype(float)
+    Q = np.eye(g.n)[[g.root]]
+    for _ in range(steps):
+        w = A @ Q[-1]
+        w -= Q.T @ (Q @ w)
+        w -= Q.T @ (Q @ w)
+        Q = np.vstack((Q, w / np.linalg.norm(w)))
+    return Q[:-1], w
+
+
+@pytest.mark.parametrize("name", ["C12", "petersen", "J7_3", "H4_3", "S5", "prism5"])
+def test_a_basis_cut_short_fails_the_residual_row(name):
+    g = KRYLOV_GRAPHS[name]()
+    m = g.eigh[0].size
+    Q, w = _lanczos_basis(g, m - 1)  # one step early: q_{m-1} is left out
+    beta = np.linalg.norm(w)
+    H = Q @ g.adjacency @ Q.T
+    theta, V = np.linalg.eigh((H + H.T) / 2)
+    g.__dict__["eigh"] = (theta, Q.T @ V)
+    ortho, resid = oracle.eigensolver_residuals(g)
+    # A W - W Theta is the rank-one beta q_{m-1} V[-1]: its largest entry is
+    # beta max|q_{m-1}| max|V[-1]|, and a unit row of m-1 entries has one >= 1/sqrt(m-1).
+    assert ortho < 1e-13
+    assert resid >= beta * np.max(np.abs(w / beta)) / np.sqrt(m - 1) * (1 - 1e-12)
+    assert resid > 1e-8  # the verify threshold
+
+
 @pytest.mark.parametrize("builder", ["petersen", "c9", "k2"])
 def test_stratum_uniformity(builder):
     if builder == "petersen":

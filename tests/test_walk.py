@@ -662,6 +662,30 @@ def test_unfolded_kernel_keeps_its_arithmetic(monkeypatch):
     assert np.array_equal(amps.real, halves[:steps]) and np.array_equal(amps.imag, -halves[steps:])
 
 
+@pytest.mark.parametrize("array", [PETERSEN, cycle_intersection_array(899),
+                                   cycle_intersection_array(10), cycle_intersection_array(900),
+                                   intersection_array(ProductScheme(n=2, copies=10))],
+                         ids=["petersen", "c899", "c10", "c900", "h10_2"])
+def test_ascending_atoms_skip_the_sort_bit_for_bit(array):
+    # Jacobi atoms arrive ascending and skip the sort.  Reversed, the same
+    # spectrum takes the sort: a folded sum reads only the sorted rows, and an
+    # unfolded one is the product [cos; sin] @ table in the order given.
+    spectrum = jacobi_spectrum(array)
+    atoms = spectrum.atoms
+    times = np.concatenate(([0.0], TIMES))
+    folds = bool((atoms == -atoms[::-1]).all())
+    for table in (spectrum.table, spectrum.table[:, 0].copy()):
+        fast = walk_module._phase_sum(times, atoms, table)
+        if folds:
+            expected = walk_module._phase_sum(times, atoms[::-1].copy(), table[::-1].copy())
+        else:
+            trig = np.concatenate((np.cos(np.outer(times, atoms)), np.sin(np.outer(times, atoms))))
+            halves = trig @ table
+            expected = np.empty(fast.shape, dtype=complex)
+            expected.real, expected.imag = halves[: len(times)], 0.0 - halves[len(times):]
+        assert fast.tobytes() == expected.tobytes()
+
+
 def test_time_zero_rows_print_a_positive_zero_imaginary_part(capsys):
     from schemewalk.cli import main
 
