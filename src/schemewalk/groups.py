@@ -513,8 +513,8 @@ class GroupElements:
     def inv(self, x):
         raise NotImplementedError
 
-    def right_products(self, g) -> np.ndarray:
-        """Index of alpha * g for every element alpha, in element order."""
+    def right_products(self, gs) -> np.ndarray:
+        """Table of right products: entry (a, j) is the index of element a times gs[j]."""
         raise NotImplementedError
 
 
@@ -525,8 +525,9 @@ class _CyclicElements(GroupElements):
     def inv(self, x):
         return (-x) % self.descriptor.n
 
-    def right_products(self, g) -> np.ndarray:
-        return (np.arange(self.descriptor.n) + g) % self.descriptor.n
+    def right_products(self, gs) -> np.ndarray:
+        n = self.descriptor.n
+        return (np.arange(n)[:, None] + np.array(gs, dtype=np.int64)) % n
 
 
 class _DihedralElements(GroupElements):
@@ -541,12 +542,12 @@ class _DihedralElements(GroupElements):
         r, s = x
         return ((-r) % m, 0) if s == 0 else x
 
-    def right_products(self, g) -> np.ndarray:
+    def right_products(self, gs) -> np.ndarray:
         # Element (r, s) sits at index s * m + r; see group_elements.
         m = self.descriptor.n
-        r2, s2 = g
-        r = np.tile(np.arange(m), 2)
-        s = np.repeat([0, 1], m)
+        r2, s2 = np.array(gs, dtype=np.int64).reshape(-1, 2).T
+        r = np.tile(np.arange(m), 2)[:, None]
+        s = np.repeat([0, 1], m)[:, None]
         return (s ^ s2) * m + (r + np.where(s == 0, r2, -r2)) % m
 
 
@@ -568,10 +569,11 @@ class _SymmetricElements(GroupElements):
         place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         return perms, place, perms @ place
 
-    def right_products(self, g) -> np.ndarray:
+    def right_products(self, gs) -> np.ndarray:
         # Elements are sorted tuples, so their base-n keys ascend.
         perms, place, keys = self._perms
-        return np.searchsorted(keys, perms[:, list(g)] @ place)
+        gs = np.array(gs, dtype=np.int64).reshape(-1, len(place))
+        return np.searchsorted(keys, perms[:, gs] @ place)
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,18 +1,20 @@
 """Ground-truth engine: explicit graphs, exact evolution, structure checks.
 
-Everything here works at the vertex level from the adjacency matrix alone,
+Everything here works at the vertex level from each vertex's k neighbours,
 independently of the algebraic machinery, so it can arbitrate disagreements:
-graphs are built from first principles, e^{-iAt} e_root comes from Lanczos on
-the root's Krylov space (d+1 dimensions on a distance-regular graph), and
+graphs are built from first principles by index arithmetic, e^{-iAt} e_root
+comes from Lanczos on the root's Krylov space (d+1 dimensions on a
+distance-regular graph) with A applied as sums over neighbour lists, and
 stratification is breadth-first search (or conjugacy classes for Cayley
 graphs, whose distance partition may be coarser than the scheme partition).
+No step forms the n x n adjacency matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, factorial
 
 import numpy as np
@@ -36,26 +38,36 @@ from .schemes import (
 )
 
 MAX_VERTICES = 2000
+Strata = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class VertexGraph:
-    """Simple regular connected graph with a distinguished root vertex."""
+    """Simple regular connected graph with a distinguished root vertex.
 
-    adjacency: np.ndarray
+    Row v of the read-only n x k array ``neighbours`` lists the neighbours of
+    v; it is stored column by column, so each gather reads whole columns.
+    """
+
+    neighbours: np.ndarray
     labels: tuple[str, ...]
     root: int = 0
-    class_partition: tuple[tuple[int, ...], ...] | None = None
+    class_partition: Strata | None = None
+
+    def __post_init__(self) -> None:
+        neighbours = np.asfortranarray(self.neighbours, dtype=np.intp)
+        neighbours.flags.writeable = False
+        object.__setattr__(self, "neighbours", neighbours)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.neighbours.shape[0]
 
-    @cached_property
-    def float_adjacency(self) -> np.ndarray:
-        """Read-only float64 copy of A, converted once for every BLAS product."""
-        A = self.adjacency.astype(float)
-        A.flags.writeable = False
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The n x n 0/1 int64 matrix, rebuilt on every read; no oracle step reads it."""
+        A = np.zeros((self.n, self.n), dtype=np.int64)
+        A[np.arange(self.n)[:, None], self.neighbours] = 1
         return A
 
     @cached_property
@@ -68,14 +80,12 @@ class VertexGraph:
         beta is at most n eps k, with k = ||A||_inf the degree.  The m Ritz
         pairs of Q A Q^T are returned as evals and the n x m matrix Q^T V.
         """
-        n = self.n
-        neighbours = (np.flatnonzero(self.adjacency.astype(bool)) % n).reshape(n, -1).T.copy()
+        n, neighbours = self.n, self.neighbours.T
         floor = n * np.finfo(float).eps * len(neighbours)
-        Q = np.empty((n + 1, n))
-        AQ = np.empty((n, n))
+        Q, AQ = np.empty((n + 1, n)), np.empty((n, n))
         Q[0] = np.arange(n) == self.root
         for m in range(1, n + 1):
-            Aq = np.add.reduce(Q[m - 1].take(neighbours), axis=0, out=AQ[m - 1])
+            Aq = _neighbour_sum(neighbours, Q[m - 1], AQ[m - 1])
             w = np.subtract(Aq, (Q[:m] @ Aq) @ Q[:m], out=Q[m])
             beta = float(w @ w) ** 0.5
             if beta <= floor:
@@ -86,25 +96,34 @@ class VertexGraph:
         return evals, Q[:m].T @ V
 
     def validate(self) -> None:
-        A = self.adjacency
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise BadParams("adjacency must be square")
-        if np.any(A != A.T):
-            raise BadParams("adjacency must be symmetric")
-        if np.any(np.diag(A) != 0):
-            raise BadParams("adjacency must have zero diagonal")
-        if not np.all((A == 0) | (A == 1)):
-            raise BadParams("adjacency must be 0/1")
-        degrees = A.sum(axis=1)
-        if np.any(degrees != degrees[0]):
-            raise BadParams("graph must be regular")
-        if np.any(_bfs_distances(A, self.root) < 0):
+        N, n = self.neighbours, len(self.labels)
+        if N.ndim != 2 or N.shape[0] != n or (N.size and (N.min() < 0 or N.max() >= n)):
+            raise BadParams("neighbours must be an n x k array of vertex indices")
+        rows, ordered = np.arange(n)[:, None], np.sort(N, axis=1)
+        if np.any(N == rows):
+            raise BadParams("graph must have no self-loop")
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise BadParams("neighbours must be distinct")
+        # edge codes v n + u ascend row by row; the reversed edges must give the same set
+        if not np.array_equal((rows * n + ordered).ravel(), np.sort(ordered * n + rows, axis=None)):
+            raise BadParams("graph must be undirected")
+        if np.any(_bfs_distances(N, self.root) < 0):
             raise BadParams("graph must be connected")
+
+
+def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = A x over the k x n neighbour columns, gathering a few thousand entries at a
+    time: small gathers reuse freed memory, where one k x n gather faults in fresh pages."""
+    rows = max(1, 4096 // x.size)
+    np.add.reduce(x.take(neighbours[:rows]), axis=0, out=out)
+    for start in range(rows, len(neighbours), rows):
+        out += np.add.reduce(x.take(neighbours[start : start + rows]), axis=0)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class DistancePartition:
-    strata: tuple[tuple[int, ...], ...]
+    strata: Strata
     distances: np.ndarray
 
     @property
@@ -112,15 +131,16 @@ class DistancePartition:
         return tuple(len(s) for s in self.strata)
 
 
-def _bfs_distances(A: np.ndarray, root: int) -> np.ndarray:
+def _bfs_distances(neighbours: np.ndarray, root: int) -> np.ndarray:
     """Distance from the root to every vertex; -1 marks vertices it cannot reach."""
-    dist = np.full(A.shape[0], -1)
-    dist[root] = 0
-    frontier = dist == 0
-    k = 0
-    while frontier.any():
+    dist = np.full(len(neighbours), -1)
+    dist[root] = k = 0
+    frontier = np.array([root])
+    while frontier.size and (dist < 0).any():  # the last level is not expanded
         k += 1
-        frontier = A[frontier].any(axis=0) & (dist < 0)
+        reached = np.zeros(len(dist), dtype=bool)
+        reached[neighbours.T.take(frontier, axis=1)] = True
+        frontier = np.flatnonzero(reached & (dist < 0))
         dist[frontier] = k
     return dist
 
@@ -132,32 +152,53 @@ def _check_size(n: int) -> None:
 
 def complete_graph(n: int) -> VertexGraph:
     _check_size(n)
-    A = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return VertexGraph(A, tuple(str(v) for v in range(n)))
+    j = np.arange(n - 1)[:, None]  # neighbour j of v is j, or j + 1 from j = v on
+    return VertexGraph((j + (np.arange(n) <= j)).T, tuple(map(str, range(n))))
 
 
 def cycle_graph(n: int) -> VertexGraph:
+    if n < 3:
+        raise BadParams("cycle needs n >= 3")
     _check_size(n)
-    step = np.roll(np.eye(n, dtype=bool), 1, axis=1)
-    A = (step | step.T).astype(np.int64)
-    return VertexGraph(A, tuple(str(v) for v in range(n)))
+    return VertexGraph(((np.arange(n) + np.array([[1], [-1]])) % n).T, tuple(map(str, range(n))))
 
 
-def _subset_intersections(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The k-subsets of range(v) in lexicographic order and their intersection sizes."""
-    subsets = list(combinations(range(v), k))
-    incidence = np.zeros((len(subsets), v), dtype=np.int64)
-    incidence[np.arange(len(subsets))[:, None], np.array(subsets, dtype=np.int64)] = 1
-    return subsets, incidence @ incidence.T
+def _subsets(v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of range(v) in lexicographic order and their complements, as ascending rows."""
+    subsets = np.array(list(combinations(range(v), k)), dtype=np.intp).reshape(comb(v, k), k)
+    member = np.zeros((len(subsets), v), dtype=bool)
+    member[np.arange(len(subsets))[:, None], subsets] = True
+    return subsets, np.nonzero(~member)[1].reshape(len(subsets), v - k)
+
+
+def _subset_rank(v: int, subsets: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of ascending k-subsets (last axis) of range(v): by the combinatorial
+    number system, C(v,k) - 1 - sum_j C(v-1-s_j, k-j).  As s_j >= j, no term exceeds C(v,k)."""
+    k = subsets.shape[-1]
+    rank = np.full(subsets.shape[:-1], comb(v, k) - 1)
+    for j in range(k):  # one gather per position; k is small, as C(v, k) is capped
+        rank -= np.take([comb(v - 1 - x, k - j) if x >= j else 0 for x in range(v)], subsets[..., j])
+    return rank
+
+
+def _johnson_neighbours(v: int, subsets: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Ranks of the subsets that share all but one point: swap one point, sort, rank."""
+    n, k = subsets.shape
+    if 2 * k > v:  # complements keep adjacency and reverse the lexicographic order
+        return (n - 1 - _johnson_neighbours(v, outside[::-1], subsets[::-1]))[::-1]
+    point = np.eye(k, dtype=bool)[:, None]  # swapped[s, i, b]: subset s, point i replaced by b
+    swapped = np.where(point, outside[:, None, :, None], subsets[:, None, None])
+    return _subset_rank(v, np.sort(swapped, axis=-1)).reshape(n, -1)
 
 
 def kneser_graph(v: int, k: int) -> VertexGraph:
     """Vertices are k-subsets of a v-set, adjacent when disjoint."""
     _check_size(comb(v, k))
-    subsets, meet = _subset_intersections(v, k)
-    A = (meet == 0).astype(np.int64)
-    np.fill_diagonal(A, 0)  # for k = 0 the one vertex is disjoint from itself
-    return VertexGraph(A, tuple("".join(map(str, s)) for s in subsets))
+    subsets, outside = _subsets(v, k)
+    # the k-subsets of each complement, ascending; there are none if k = 0 or 2k > v
+    picks = _subsets(v - k, k)[0] if 0 < 2 * k <= v else np.empty((0, k), dtype=np.intp)
+    labels = tuple("".join(map(str, s)) for s in subsets.tolist())
+    return VertexGraph(_subset_rank(v, outside[:, picks]), labels)
 
 
 def petersen_graph() -> VertexGraph:
@@ -169,9 +210,9 @@ def johnson_graph(v: int, d: int) -> VertexGraph:
     if d < 1 or v < d:
         raise BadParams("need 1 <= d <= v")
     _check_size(comb(v, d))
-    subsets, meet = _subset_intersections(v, d)
-    A = (meet == d - 1).astype(np.int64)
-    return VertexGraph(A, tuple("".join(map(str, s)) for s in subsets))
+    subsets, outside = _subsets(v, d)
+    labels = tuple("".join(map(str, s)) for s in subsets.tolist())
+    return VertexGraph(_johnson_neighbours(v, subsets, outside), labels)
 
 
 def hamming_graph(d: int, n: int) -> VertexGraph:
@@ -179,13 +220,13 @@ def hamming_graph(d: int, n: int) -> VertexGraph:
     if d < 1 or n < 2:
         raise BadParams("need d >= 1 and n >= 2")
     _check_size(n**d)
-    words = list(product(range(n), repeat=d))
-    letters = np.array(words, dtype=np.int64)
-    disagreements = np.zeros((len(words), len(words)), dtype=np.int8)
-    for column in letters.T:
-        disagreements += column[:, None] != column[None, :]
-    A = (disagreements == 1).astype(np.int64)
-    return VertexGraph(A, tuple("".join(map(str, w)) for w in words))
+    labels = tuple("".join(map(str, w)) for w in product(range(n), repeat=d))
+    # word w has index sum_i w_i n^(d-1-i); change letter i by each shift in 1..n-1
+    words = np.arange(n**d)
+    place = n ** np.arange(d - 1, -1, -1)[:, None, None]
+    letters = words // place % n
+    changed = (letters + np.arange(1, n)[:, None]) % n
+    return VertexGraph((words + (changed - letters) * place).reshape(-1, n**d).T, labels)
 
 
 def cayley_graph(
@@ -206,16 +247,11 @@ def cayley_graph(
     if 0 in gen_set:
         raise NonSymmetricGeneratingSet("identity cannot generate a loopless graph")
     closed = gen_set | {data.index(data.inv(data.elements[i])) for i in gen_set}
-    A = np.zeros((n, n), dtype=np.int64)
-    rows = np.arange(n)
-    for i in sorted(closed):
-        A[rows, data.right_products(data.elements[i])] = 1
-    if np.any(A != A.T):
-        raise NonSymmetricGeneratingSet("generating set not closed under inversion")
+    neighbours = data.right_products([data.elements[i] for i in sorted(closed)])
     partition: list[list[int]] = [[] for _ in range(max(data.class_of) + 1)]
     for i, c in enumerate(data.class_of):
         partition[c].append(i)
-    return VertexGraph(A, data.labels, 0, tuple(map(tuple, partition)))
+    return VertexGraph(neighbours, data.labels, 0, tuple(map(tuple, partition)))
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
@@ -229,58 +265,42 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
     if isinstance(spec, FromSRG):
         if (spec.n, spec.kappa, spec.lam, spec.eta) == (10, 3, 0, 1):
             return petersen_graph()
-        raise EngineSpecMismatch(
-            "only the (10,3,0,1) strongly regular graph has a vertex builder"
-        )
+        raise EngineSpecMismatch("only the (10,3,0,1) strongly regular graph has a vertex builder")
     if isinstance(spec, ProductScheme):
         return hamming_graph(spec.copies, spec.n)
-    if isinstance(spec, FromCatalog):
-        name, params = spec.name, spec.params
-        if name == "complete":
-            return complete_graph(*params)
-        if name == "cycle":
-            return cycle_graph(*params)
-        if name == "petersen":
-            return petersen_graph()
-        if name == "johnson":
-            return johnson_graph(*params)
-        if name == "hamming":
-            return hamming_graph(*params)
-        raise EngineSpecMismatch(f"no vertex builder for catalog entry {name!r}")
-    raise EngineSpecMismatch(f"no vertex builder for {type(spec).__name__}")
+    if not isinstance(spec, FromCatalog):
+        raise EngineSpecMismatch(f"no vertex builder for {type(spec).__name__}")
+    builders = {"complete": complete_graph, "cycle": cycle_graph, "petersen": petersen_graph,
+                "johnson": johnson_graph, "hamming": hamming_graph}
+    if spec.name not in builders:
+        raise EngineSpecMismatch(f"no vertex builder for catalog entry {spec.name!r}")
+    return builders[spec.name](*spec.params)
 
 
-def _neighbour_counts(g: VertexGraph, onehot: np.ndarray) -> np.ndarray:
-    """A @ onehot as a float64 BLAS product; the small integer counts are exact."""
-    return g.float_adjacency @ onehot.astype(float)
+def _stratum_counts(g: VertexGraph, distances: np.ndarray) -> np.ndarray:
+    """counts[j, v]: neighbours of v at distance distances[v] + j - 1, for j = 0, 1, 2."""
+    distances = distances.astype(np.min_scalar_type(-len(distances)))  # k x n small ints
+    step = distances.take(g.neighbours.T) - distances
+    return np.add.reduce(step == np.arange(-1, 2, dtype=step.dtype)[:, None, None], axis=1)
 
 
 def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     """Distance partition from the root plus the intersection array it induces."""
-    distances = _bfs_distances(g.adjacency, g.root)
+    distances = _bfs_distances(g.neighbours, g.root)
     if np.any(distances < 0):
         raise NotDistanceRegular("graph is disconnected")
-    d = int(distances.max())
-    strata = tuple(
-        tuple(int(v) for v in np.flatnonzero(distances == k)) for k in range(d + 1)
-    )
-    # counts[v, k + 1]: neighbours of v at distance k; the zero columns at
-    # both ends stand for distances -1 and d + 1.
-    onehot = distances[:, None] == np.arange(-1, d + 2)
-    counts = _neighbour_counts(g, onehot).astype(np.int64)
-    vertices = np.arange(g.n)
-    outward = counts[vertices, distances + 2]
-    backward = counts[vertices, distances]
-    first = np.array([stratum[0] for stratum in strata])
-    peer = first[distances]  # the first vertex of each vertex's stratum
+    order = np.argsort(distances, kind="stable")
+    sizes = np.bincount(distances)
+    first = order[np.cumsum(sizes) - sizes]  # the first vertex of each stratum
+    backward, _, outward = _stratum_counts(g, distances)
+    peer = first[distances]
     uneven = (outward != outward[peer]) | (backward != backward[peer])
     if uneven.any():
         k = int(distances[uneven].min())
         raise NotDistanceRegular(f"stratum {k} has non-constant intersection numbers")
-    c = tuple(int(x) for x in outward[first[:-1]])
-    b = tuple(int(x) for x in backward[first[1:]])
-    partition = DistancePartition(strata, distances)
-    return partition, IntersectionArray(d=d, c=c, b=b)
+    c, b = tuple(outward[first[:-1]].tolist()), tuple(backward[first[1:]].tolist())
+    strata = tuple(tuple(part.tolist()) for part in np.split(order, np.cumsum(sizes)[:-1]))
+    return DistancePartition(strata, distances), IntersectionArray(d=len(sizes) - 1, c=c, b=b)
 
 
 def exact_walk(g: VertexGraph, times) -> np.ndarray:
@@ -305,87 +325,67 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
 
 def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
     """(orthonormality defect, max|A W - W Theta|) of the Ritz pairs in ``g.eigh``; the
-    residual holds the norm at which Lanczos stopped, so a basis cut short fails it."""
+    residual holds the norm at which Lanczos stopped, so a basis cut short fails it.
+    A W is summed over the neighbour lists here, not read from the Lanczos run."""
     evals, vecs = g.eigh
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(evals.size))))
-    resid = float(np.max(np.abs(g.float_adjacency @ vecs - vecs * evals)))
+    AW = np.array([_neighbour_sum(g.neighbours.T, w, np.empty(g.n)) for w in vecs.T])
+    resid = float(np.max(np.abs(AW.T - vecs * evals)))
     return ortho, resid
 
 
-def stratum_amplitudes(
-    g: VertexGraph,
-    strata: tuple[tuple[int, ...], ...],
-    times,
-    vertex_amps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size).
+def _by_stratum(g: VertexGraph, strata: Strata, times, vertex_amps) -> tuple[np.ndarray, ...]:
+    """(amplitudes gathered stratum after stratum, where each stratum starts, stratum sizes)."""
+    vertex_amps = exact_walk(g, times) if vertex_amps is None else vertex_amps
+    sizes = np.array([len(stratum) for stratum in strata])
+    order = np.fromiter(chain.from_iterable(strata), dtype=np.intp, count=int(sizes.sum()))
+    return vertex_amps.take(order, axis=1), np.cumsum(sizes) - sizes, sizes
 
-    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it.
-    """
-    if vertex_amps is None:
-        vertex_amps = exact_walk(g, times)
-    cols = [
-        vertex_amps[:, list(stratum)].sum(axis=1) / np.sqrt(len(stratum))
-        for stratum in strata
-    ]
-    return np.stack(cols, axis=1)
+
+def stratum_amplitudes(
+    g: VertexGraph, strata: Strata, times, vertex_amps: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size);
+    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it."""
+    block, starts, sizes = _by_stratum(g, strata, times, vertex_amps)
+    return np.add.reduceat(block, starts, axis=1) / np.sqrt(sizes)
 
 
 def check_stratum_uniformity(
-    g: VertexGraph,
-    strata: tuple[tuple[int, ...], ...],
-    times,
-    vertex_amps: np.ndarray | None = None,
+    g: VertexGraph, strata: Strata, times, vertex_amps: np.ndarray | None = None
 ) -> float:
-    """Largest within-stratum amplitude spread over all times and strata.
-
-    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it.
-    """
-    if vertex_amps is None:
-        vertex_amps = exact_walk(g, times)
-    spread = 0.0
-    for stratum in strata:
-        block = vertex_amps[:, list(stratum)]
-        gap = np.max(np.abs(block - block[:, :1])) if len(stratum) > 1 else 0.0
-        spread = max(spread, float(gap))
-    return spread
+    """Largest within-stratum amplitude spread over all times and strata;
+    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it."""
+    block, starts, sizes = _by_stratum(g, strata, times, vertex_amps)
+    return float(np.max(np.abs(block - block.take(np.repeat(starts, sizes), axis=1))))
 
 
-def quantum_decomposition(
-    g: VertexGraph, distances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def quantum_decomposition(g: VertexGraph, distances: np.ndarray) -> tuple[np.ndarray, ...]:
     """Split A into raising, lowering and stratum-diagonal parts (A+, A-, A0).
 
     Entry (beta, gamma) of A+ survives when beta lies one stratum further from
     the root than gamma, so A+ raises the stratum index by one.
     """
-    A = g.adjacency
-    diff = distances[:, None] - distances[None, :]
-    a_plus = A * (diff == 1)
-    a_minus = A * (diff == -1)
-    a_zero = A * (diff == 0)
-    return a_plus, a_minus, a_zero
+    A, diff = g.adjacency, distances[:, None] - distances[None, :]
+    return A * (diff == 1), A * (diff == -1), A * (diff == 0)
 
 
-def ladder_residual(
-    g: VertexGraph, partition: DistancePartition, ia: IntersectionArray
-) -> float:
+def ladder_residual(g: VertexGraph, partition: DistancePartition, ia: IntersectionArray) -> float:
     """Largest defect of the raising/lowering/diagonal actions on stratum vectors.
 
     With Phi the unit stratum vectors as columns, A+ + A- + A0 acting on Phi
     is A @ Phi restricted to equal or neighbouring strata, and it should equal
     Phi @ J for the Jacobi matrix J (diagonal alpha, off-diagonal sqrt(omega)).
-    A @ Phi is taken from exact integer neighbour counts, rounded once.
+    Entry j of row v of both is at stratum distances[v] + j - 1, where A @ Phi
+    is an exact neighbour count times that stratum's scale.
     """
     from .spectral import jacobi_from_intersection
 
     jc = jacobi_from_intersection(ia)
     distances = partition.distances
-    strata = np.arange(ia.d + 1)
-    onehot = distances[:, None] == strata
     scale = 1.0 / np.sqrt(partition.sizes)
-    counts = _neighbour_counts(g, onehot)
-    ladder = np.where(np.abs(distances[:, None] - strata) <= 1, counts * scale, 0.0)
+    padded = np.concatenate(([0.0], scale, [0.0]))  # padded[s + 1]: scale of stratum s
     off = np.sqrt(jc.omega)
-    jacobi = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
-    return float(np.max(np.abs(ladder - (onehot * scale) @ jacobi)))
+    band = np.stack(([0.0, *off], jc.alpha, [*off, 0.0]))  # band[j, s] = J[s, s + j - 1]
+    ladder = _stratum_counts(g, distances) * padded[distances + np.arange(3)[:, None]]
+    return float(np.max(np.abs(ladder - scale[distances] * band[:, distances])))

@@ -602,6 +602,29 @@ def test_average_on_an_even_class_stays_in_the_alternating_group(capsys):
     assert sum(values) == pytest.approx(1.0, abs=1e-11)
 
 
+@pytest.mark.parametrize(
+    "graph, reason",
+    [
+        ("catalog:wells", "no vertex builder for catalog entry 'wells'"),
+        ("catalog:johnson:70,2", "2415 vertices exceed the oracle cap of 2000"),
+    ],
+)
+def test_verify_says_when_it_skips_the_oracle(capsys, graph, reason):
+    code, out, err = run_cli(capsys, "verify", "--graph", graph, "--steps", "8")
+    assert code == 0
+    assert err == f"oracle skipped: {reason}\n"
+    rows = out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [
+        "unitarity", "engine_agreement", "eigenmatrix_duality"
+    ]
+    assert all(row.endswith("PASS") for row in rows)
+
+
+def test_verify_with_the_oracle_writes_nothing_to_stderr(capsys):
+    code, _, err = run_cli(capsys, "verify", "--graph", "catalog:johnson:100,1", "--steps", "8")
+    assert (code, err) == (0, "")
+
+
 def test_verify_reports_a_numerical_defect_by_its_own_code(capsys):
     # P/Q loses precision on H(48,2) (see eigenstructure_from_array), so the
     # duality rows cannot be built; the array itself is valid.

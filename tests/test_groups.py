@@ -508,10 +508,16 @@ def test_walk_scheme_generating_range():
     ],
 )
 def test_right_products_match_mul(kind, n):
+    # one call multiplies every element by many generators: column j is gs[j]
     data = group_elements(GroupDescriptor(kind, n))
-    for g in data.elements:
+    size = len(data.elements)
+    table = data.right_products(data.elements)
+    assert table.shape == (size, size)
+    for j, g in enumerate(data.elements):
         expected = [data.index(data.mul(alpha, g)) for alpha in data.elements]
-        assert data.right_products(g).tolist() == expected
+        assert table[:, j].tolist() == expected
+    assert np.array_equal(data.right_products(data.elements[1:3]), table[:, 1:3])
+    assert data.right_products([]).shape == (size, 0)
 
 
 CLOSED_FORM_SIZES = [("cyclic", n) for n in (*range(3, 81), 101, 300, 600, 601)] + [

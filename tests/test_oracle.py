@@ -109,14 +109,19 @@ def test_eigensolver_residuals():
 # Krylov oracle: the walk from the root against a dense eigendecomposition of A.
 
 
+def _from_edges(n, edges):
+    """The graph on range(n) with these undirected edges, as neighbour lists."""
+    lists = [[] for _ in range(n)]
+    for i, j in edges:
+        lists[i].append(j)
+        lists[j].append(i)
+    return oracle.VertexGraph(np.array(lists).reshape(n, -1), tuple(str(v) for v in range(n)))
+
+
 def _prism(n):
     """The prism C_n x K_2: regular and vertex-transitive; at n = 5 not distance-regular."""
-    A = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for side in (0, n):
-        for v in range(n):
-            A[side + v, side + (v + 1) % n] = A[side + (v + 1) % n, side + v] = 1
-    A[np.arange(n), np.arange(n) + n] = A[np.arange(n) + n, np.arange(n)] = 1
-    return oracle.VertexGraph(A, tuple(str(v) for v in range(2 * n)))
+    cycles = [(side + v, side + (v + 1) % n) for side in (0, n) for v in range(n)]
+    return _from_edges(2 * n, cycles + [(v, v + n) for v in range(n)])
 
 
 def _group_graph(kind, n):
@@ -346,36 +351,38 @@ def test_size_cap_precedes_enumeration(monkeypatch):
             build(*args)
 
 
-class _CountingArray(np.ndarray):
-    """An integer adjacency matrix that counts its conversions to floats."""
+def test_oracle_never_reads_the_adjacency_matrix(monkeypatch):
+    g = oracle.hamming_graph(3, 3)
 
-    conversions = 0
+    def dense(self):
+        raise AssertionError("the oracle read the n x n adjacency matrix")
 
-    def astype(self, dtype, *args, **kwargs):
-        if self.dtype.kind == "i" and np.dtype(dtype).kind == "f":
-            _CountingArray.conversions += 1
-        return super().astype(dtype, *args, **kwargs)
-
-
-def test_oracle_converts_the_adjacency_to_float_once(monkeypatch):
-    built = oracle.hamming_graph(3, 3)
-    g = oracle.VertexGraph(built.adjacency.view(_CountingArray), built.labels)
-    monkeypatch.setattr(_CountingArray, "conversions", 0)
+    monkeypatch.setattr(oracle.VertexGraph, "adjacency", property(dense))
+    g.validate()
     partition, ia = oracle.bfs_strata(g)
-    assert oracle.ladder_residual(g, partition, ia) < 1e-10
+    assert oracle.ladder_residual(g, partition, ia) < 1e-13
     ortho, resid = oracle.eigensolver_residuals(g)
-    assert max(ortho, resid) < 1e-10
-    oracle.exact_walk(g, TIMES)
-    assert _CountingArray.conversions == 1
-    assert g.adjacency.dtype == np.int64 and g.float_adjacency.dtype == np.float64
-    assert not g.float_adjacency.flags.writeable
-    assert np.array_equal(g.float_adjacency, built.adjacency)
+    assert max(ortho, resid) < 1e-13
+    amps = oracle.exact_walk(g, TIMES)
+    series = jacobi_spectrum(ia).amplitudes(TIMES).amplitudes
+    exact = oracle.stratum_amplitudes(g, partition.strata, TIMES, amps)
+    assert np.max(np.abs(exact - series)) < 1e-12
+    assert oracle.check_stratum_uniformity(g, partition.strata, TIMES, amps) < 1e-13
+    assert not g.neighbours.flags.writeable
 
 
 def test_vertex_graph_validation():
-    bad = oracle.VertexGraph(np.array([[0, 1], [0, 0]]), ("a", "b"))
-    with pytest.raises(BadParams):
-        bad.validate()
+    for lists, message in [
+        ([[1, 2], [0, 1], [0, 1]], "self-loop"),
+        ([[1, 1], [0, 0]], "distinct"),
+        ([[1], [2], [0]], "undirected"),  # the directed triangle 0 -> 1 -> 2 -> 0
+        ([[1], [0], [3], [2]], "connected"),
+        ([[1], [2]], "vertex indices"),
+    ]:
+        bad = oracle.VertexGraph(np.array(lists), tuple("abcd"[: len(lists)]))
+        with pytest.raises(BadParams, match=message):
+            bad.validate()
+    _prism(5).validate()
 
 
 # Pair-loop references: every builder must produce exactly these graphs.
@@ -466,6 +473,82 @@ def test_cayley_builder_matches_pair_loop(kind, n):
         _assert_same_graph(g, A, data.labels, partition)
 
 
+# Edge cases within the cap: one-point subsets of 100 points (K_100), the
+# largest alphabet, subsets past half the points, K_1 and the 45 double
+# transpositions of S_6.
+
+
+def _row_loop(n, adjacent_row):
+    """Pair-loop reference one row at a time: adjacent_row(i) flags each j adjacent to i."""
+    return np.array([adjacent_row(i) for i in range(n)], dtype=np.int64).reshape(n, n)
+
+
+def _incidence(v, k):
+    """0/1 rows marking the k-subsets of range(v), in lexicographic order."""
+    incidence = np.zeros((math.comb(v, k), v), dtype=bool)
+    for row, subset in zip(incidence, itertools.combinations(range(v), k)):
+        row[list(subset)] = True
+    return incidence
+
+
+@pytest.mark.parametrize("v,k", [(100, 1), (63, 2), (13, 6), (16, 4), (9, 6), (8, 7), (5, 5)])
+def test_johnson_builder_matches_pair_rows_at_the_edges(v, k):
+    incidence = _incidence(v, k)
+    A = _row_loop(len(incidence), lambda i: (incidence & incidence[i]).sum(axis=1) == k - 1)
+    g = oracle.johnson_graph(v, k)
+    g.validate()
+    assert np.array_equal(g.adjacency, A)
+    _, ia = oracle.bfs_strata(g)
+    assert ia.d == min(k, v - k)
+
+
+@pytest.mark.parametrize("v,k", [(9, 3), (10, 5), (12, 2), (5, 3), (4, 0)])
+def test_kneser_builder_matches_pair_rows(v, k):
+    incidence = _incidence(v, k)
+    A = _row_loop(len(incidence), lambda i: ~(incidence & incidence[i]).any(axis=1))
+    if k == 0:
+        A[0, 0] = 0  # the empty set is disjoint from itself, but no loop is drawn
+    assert np.array_equal(oracle.kneser_graph(v, k).adjacency, A)
+
+
+def test_hamming_builder_on_the_largest_alphabet():
+    g = oracle.hamming_graph(1, 1500)
+    g.validate()
+    words = np.arange(1500)[:, None]
+    assert np.array_equal(g.adjacency, _row_loop(1500, lambda i: (words != words[i]).sum(axis=1) == 1))
+    assert oracle.bfs_strata(g)[1] == IntersectionArray(d=1, c=(1499,), b=(1,))
+
+
+def test_complete_graph_on_one_vertex():
+    g = oracle.complete_graph(1)
+    g.validate()
+    assert g.neighbours.shape == (1, 0)
+    assert g.adjacency.tolist() == [[0]]
+    partition, ia = oracle.bfs_strata(g)
+    assert partition.strata == ((0,),) and ia.d == 0
+    assert np.allclose(oracle.exact_walk(g, TIMES), 1.0)
+
+
+def test_cayley_builder_on_a_large_s6_class_matches_right_multiplication():
+    descriptor = GroupDescriptor("symmetric", 6)
+    data = group_elements(descriptor)
+    generating = class_groups(descriptor)[2]
+    connection = [x for x, c in zip(data.elements, data.class_of) if c in generating]
+    A = np.zeros((720, 720), dtype=np.int64)
+    for i, x in enumerate(data.elements):
+        for y in connection:  # x^-1 z = y, so z = x y
+            A[i, data.index(data.mul(x, y))] = 1
+    g = oracle.cayley_graph(descriptor, generating)
+    assert np.array_equal(g.adjacency, A)
+    with pytest.raises(NotDistanceRegular, match="disconnected"):  # even class: A_6 and its coset
+        oracle.bfs_strata(g)
+
+
+def test_cycle_builder_needs_three_vertices():
+    with pytest.raises(BadParams):
+        oracle.cycle_graph(2)
+
+
 def _ladder_loop(g, partition, ia):
     """Stratum-by-stratum ladder check written from A+, A- and A0."""
     jc = jacobi_from_intersection(ia)
@@ -506,13 +589,15 @@ def test_ladder_residual_matches_decomposition_loop():
 
 
 def test_bfs_strata_names_the_first_uneven_stratum():
-    # A tree rooted at 0: vertices 1 and 2 (stratum 1) have 2 and 0 children,
-    # vertices 3 and 4 (stratum 2) have 1 and 0.
-    A = np.zeros((6, 6), dtype=np.int64)
-    for i, j in [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5)]:
-        A[i, j] = A[j, i] = 1
+    # A cubic graph rooted at 0.  In stratum 1 = {1, 2, 6}, vertices 1 and 6
+    # are adjacent, so they have one neighbour further out and 2 has two; in
+    # stratum 2 = {3, 4, 8}, vertex 3 has two neighbours back and 4 has one.
+    edges = [(0, 1), (0, 2), (0, 6), (1, 3), (1, 6), (2, 3), (2, 8), (3, 8),
+             (4, 5), (4, 6), (4, 9), (5, 7), (5, 9), (7, 8), (7, 9)]
+    g = _from_edges(10, edges)
+    g.validate()
     with pytest.raises(NotDistanceRegular, match="stratum 1 "):
-        oracle.bfs_strata(oracle.VertexGraph(A, tuple("abcdef")))
+        oracle.bfs_strata(g)
 
 
 @pytest.mark.parametrize(
@@ -530,11 +615,13 @@ def test_bfs_strata_names_the_first_uneven_stratum():
     ],
 )
 def test_neighbour_counts_equal_the_integer_product(graph_factory):
-    # bfs_strata and ladder_residual count neighbours per stratum in float64.
+    # bfs_strata and ladder_residual count each vertex's neighbours one stratum
+    # back, in its own stratum and one stratum out; A @ onehot counts them all.
     g = graph_factory()
-    distances = oracle._bfs_distances(g.adjacency, g.root)
+    distances = oracle._bfs_distances(g.neighbours, g.root)
     d = int(distances.max())
-    for columns in (np.arange(-1, d + 2), np.arange(d + 1)):
-        onehot = distances[:, None] == columns
-        counts = oracle._neighbour_counts(g, onehot)
-        assert np.array_equal(counts, g.adjacency @ onehot.astype(np.int64))
+    onehot = distances[:, None] == np.arange(-1, d + 2)
+    product = g.adjacency @ onehot.astype(np.int64)  # column s + 1: neighbours at distance s
+    counts = oracle._stratum_counts(g, distances)
+    for j in range(3):
+        assert np.array_equal(counts[j], product[np.arange(g.n), distances + j])
