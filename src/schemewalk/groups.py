@@ -496,7 +496,6 @@ class GroupElements:
 
     descriptor: GroupDescriptor
     elements: tuple
-    labels: tuple[str, ...]
     class_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -545,10 +544,13 @@ class _DihedralElements(GroupElements):
     def right_products(self, gs) -> np.ndarray:
         # Element (r, s) sits at index s * m + r; see group_elements.
         m = self.descriptor.n
-        r2, s2 = np.array(gs, dtype=np.int64).reshape(-1, 2).T
-        r = np.tile(np.arange(m), 2)[:, None]
-        s = np.repeat([0, 1], m)[:, None]
-        return (s ^ s2) * m + (r + np.where(s == 0, r2, -r2)) % m
+        r2, s2 = np.array(gs, dtype=np.intp).reshape(-1, 2).T
+        table = np.empty((2 * m, len(r2)), dtype=np.intp, order="F")
+        for s, half in enumerate((table[:m], table[m:])):  # (r, s)(r2, s2) = (r +- r2, s ^ s2)
+            coset = (s ^ s2) * m  # index of (0, s ^ s2)
+            np.add(np.arange(m)[:, None], (1 - 2 * s) * r2 % m + coset, out=half)
+            np.subtract(half, m, out=half, where=half >= coset + m)  # r +- r2 mod m
+        return table
 
 
 class _SymmetricElements(GroupElements):
@@ -595,43 +597,23 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 def group_elements(descriptor: GroupDescriptor) -> GroupElements:
     """Enumerate the group with the identity first and tag every element's class."""
     if descriptor.kind == "cyclic":
-        n = descriptor.n
-        elems = tuple(range(n))
-        data = _CyclicElements(
-            descriptor, elems, tuple(f"g^{k}" for k in elems), tuple(range(n))
-        )
-    elif descriptor.kind == "dihedral":
+        elems = tuple(range(descriptor.n))
+        return _CyclicElements(descriptor, elems, elems)
+    if descriptor.kind == "dihedral":
         m = descriptor.n
+
+        def dihedral_class(r: int, s: int) -> int:
+            # 0: identity; 1: a^(m/2) if m is even, else the reflections; then the pairs
+            # a^r, a^-r; an even m splits its reflections into two classes after them
+            if s:
+                return 1 if m % 2 else m // 2 + 1 + r % 2
+            return 0 if r == 0 else 1 if 2 * r == m else 1 + min(r, m - r)
+
         elems = tuple((r, s) for s in (0, 1) for r in range(m))
-        labels = tuple(f"a^{r}" if s == 0 else f"a^{r}b" for (r, s) in elems)
-        classes = []
-        for r, s in elems:
-            if m % 2 == 1:
-                if s == 1:
-                    classes.append(1)
-                elif r == 0:
-                    classes.append(0)
-                else:
-                    classes.append(1 + min(r, m - r))
-            else:
-                ell = m // 2
-                if s == 1:
-                    classes.append(ell + 1 if r % 2 == 0 else ell + 2)
-                elif r == 0:
-                    classes.append(0)
-                elif r == ell:
-                    classes.append(1)
-                else:
-                    classes.append(1 + min(r, m - r))
-        data = _DihedralElements(descriptor, elems, labels, tuple(classes))
-    else:
-        n = descriptor.n
-        parts = partitions(n)
-        elems = tuple(sorted(permutations(range(n))))
-        classes = tuple(parts.index(_cycle_type(p)) for p in elems)
-        labels = tuple("".join(str(i) for i in p) for p in elems)
-        data = _SymmetricElements(descriptor, elems, labels, classes)
-    return data
+        return _DihedralElements(descriptor, elems, tuple(dihedral_class(*e) for e in elems))
+    parts = partitions(descriptor.n)
+    elems = tuple(sorted(permutations(range(descriptor.n))))
+    return _SymmetricElements(descriptor, elems, tuple(parts.index(_cycle_type(p)) for p in elems))
 
 
 # ---------------------------------------------------------------------------

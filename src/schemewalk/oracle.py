@@ -1,10 +1,12 @@
 """Ground-truth engine: explicit graphs, exact evolution, structure checks.
 
 Everything here works at the vertex level from each vertex's k neighbours,
-independently of the algebraic machinery, so it can arbitrate disagreements:
+with no intersection array or character, so it can arbitrate disagreements:
 graphs are built from first principles by index arithmetic, e^{-iAt} e_root
 comes from Lanczos on the root's Krylov space (d+1 dimensions on a
-distance-regular graph) with A applied as sums over neighbour lists, and
+distance-regular graph) with A applied as sums over neighbour lists, its
+tridiagonal matrix decomposed by the engines' Jacobi solver and its Ritz
+pairs checked against neighbour sums, and
 stratification is breadth-first search (or conjugacy classes for Cayley
 graphs, whose distance partition may be coarser than the scheme partition).
 No step forms the n x n adjacency matrix.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb, factorial
 
 import numpy as np
@@ -36,6 +38,7 @@ from .schemes import (
     ProductScheme,
     SchemeSpec,
 )
+from .spectral import JacobiCoefficients, jacobi_from_intersection
 
 MAX_VERTICES = 2000
 Strata = tuple[tuple[int, ...], ...]
@@ -50,7 +53,6 @@ class VertexGraph:
     """
 
     neighbours: np.ndarray
-    labels: tuple[str, ...]
     root: int = 0
     class_partition: Strata | None = None
 
@@ -72,32 +74,17 @@ class VertexGraph:
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check.
-
-        Lanczos from the root indicator with full reorthogonalisation (one
-        classical Gram-Schmidt pass): row j of Q is q_j and row j of AQ is
-        A q_j, summed over neighbour lists.  It stops once the remaining norm
-        beta is at most n eps k, with k = ||A||_inf the degree.  The m Ritz
-        pairs of Q A Q^T are returned as evals and the n x m matrix Q^T V.
-        """
-        n, neighbours = self.n, self.neighbours.T
-        floor = n * np.finfo(float).eps * len(neighbours)
-        Q, AQ = np.empty((n + 1, n)), np.empty((n, n))
-        Q[0] = np.arange(n) == self.root
-        for m in range(1, n + 1):
-            Aq = _neighbour_sum(neighbours, Q[m - 1], AQ[m - 1])
-            w = np.subtract(Aq, (Q[:m] @ Aq) @ Q[:m], out=Q[m])
-            beta = float(w @ w) ** 0.5
-            if beta <= floor:
-                break
-            w /= beta
-        H = Q[:m] @ AQ[:m].T
-        evals, V = np.linalg.eigh((H + H.T) / 2)
-        return evals, Q[:m].T @ V
+        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check:
+        the engines' Jacobi solver on the Lanczos coefficients, Ritz vectors Q^T U over Q."""
+        Q, jc = _lanczos(self)
+        evals, U = jc.eigh
+        for start in range(0, self.n, 256):  # block by block, so no second m x n array
+            Q[:, start : start + 256] = U.T @ Q[:, start : start + 256]
+        return evals, Q.T
 
     def validate(self) -> None:
-        N, n = self.neighbours, len(self.labels)
-        if N.ndim != 2 or N.shape[0] != n or (N.size and (N.min() < 0 or N.max() >= n)):
+        N, n = self.neighbours, self.n
+        if N.ndim != 2 or (N.size and (N.min() < 0 or N.max() >= n)):
             raise BadParams("neighbours must be an n x k array of vertex indices")
         rows, ordered = np.arange(n)[:, None], np.sort(N, axis=1)
         if np.any(N == rows):
@@ -112,19 +99,45 @@ class VertexGraph:
 
 
 def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = A x over the k x n neighbour columns, gathering a few thousand entries at a
-    time: small gathers reuse freed memory, where one k x n gather faults in fresh pages."""
+    """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), gathering a few
+    thousand entries at a time: small gathers reuse freed memory, where big ones fault pages in."""
     rows = max(1, 4096 // x.size)
-    np.add.reduce(x.take(neighbours[:rows]), axis=0, out=out)
+    np.add.reduce(x.take(neighbours[:rows], axis=-1), axis=-2, out=out)
     for start in range(rows, len(neighbours), rows):
-        out += np.add.reduce(x.take(neighbours[start : start + rows]), axis=0)
+        out += np.add.reduce(x.take(neighbours[start : start + rows], axis=-1), axis=-2)
     return out
+
+
+def _lanczos(g: VertexGraph) -> tuple[np.ndarray, JacobiCoefficients]:
+    """The m x n basis Q of the root's Krylov space (row j is q_j) and A on its span, by Lanczos
+    with full reorthogonalisation (one classical Gram-Schmidt pass) from the root indicator.
+
+    alpha_j = q_j.Aq_j is the last Gram-Schmidt coefficient and omega_j = beta_j^2 the squared
+    norm of the rest; it stops once beta <= n eps k, k = ||A||_inf the degree.  On a bipartite
+    graph each q_j vanishes on one colour class, so every alpha is exactly 0.0."""
+    n, neighbours = g.n, g.neighbours.T
+    floor = n * np.finfo(float).eps * len(neighbours)
+    Q, Aq, alpha, omega = np.empty((n + 1, n)), np.empty(n), [], []
+    Q[0] = np.arange(n) == g.root
+    for m in range(1, n + 1):
+        coeffs = Q[:m] @ _neighbour_sum(neighbours, Q[m - 1], Aq)
+        np.subtract(Aq, coeffs @ Q[:m], out=Q[m])
+        alpha.append(float(coeffs[-1]))
+        omega.append(float(Q[m] @ Q[m]))
+        if omega[-1] ** 0.5 <= floor:
+            break
+        Q[m] /= omega[-1] ** 0.5
+    Q.resize((m, n), refcheck=False)  # frees the rows past m in place; no view of Q is alive
+    return Q, JacobiCoefficients(tuple(omega[: m - 1]), tuple(alpha))
 
 
 @dataclass(frozen=True, eq=False)
 class DistancePartition:
+    """Strata by distance from the root; ``counts`` is ``_stratum_counts`` there, when known."""
+
     strata: Strata
     distances: np.ndarray
+    counts: np.ndarray | None = None
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -153,14 +166,14 @@ def _check_size(n: int) -> None:
 def complete_graph(n: int) -> VertexGraph:
     _check_size(n)
     j = np.arange(n - 1)[:, None]  # neighbour j of v is j, or j + 1 from j = v on
-    return VertexGraph((j + (np.arange(n) <= j)).T, tuple(map(str, range(n))))
+    return VertexGraph((j + (np.arange(n) <= j)).T)
 
 
 def cycle_graph(n: int) -> VertexGraph:
     if n < 3:
         raise BadParams("cycle needs n >= 3")
     _check_size(n)
-    return VertexGraph(((np.arange(n) + np.array([[1], [-1]])) % n).T, tuple(map(str, range(n))))
+    return VertexGraph(((np.arange(n) + np.array([[1], [-1]])) % n).T)
 
 
 def _subsets(v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +210,7 @@ def kneser_graph(v: int, k: int) -> VertexGraph:
     subsets, outside = _subsets(v, k)
     # the k-subsets of each complement, ascending; there are none if k = 0 or 2k > v
     picks = _subsets(v - k, k)[0] if 0 < 2 * k <= v else np.empty((0, k), dtype=np.intp)
-    labels = tuple("".join(map(str, s)) for s in subsets.tolist())
-    return VertexGraph(_subset_rank(v, outside[:, picks]), labels)
+    return VertexGraph(_subset_rank(v, outside[:, picks]))
 
 
 def petersen_graph() -> VertexGraph:
@@ -211,8 +223,7 @@ def johnson_graph(v: int, d: int) -> VertexGraph:
         raise BadParams("need 1 <= d <= v")
     _check_size(comb(v, d))
     subsets, outside = _subsets(v, d)
-    labels = tuple("".join(map(str, s)) for s in subsets.tolist())
-    return VertexGraph(_johnson_neighbours(v, subsets, outside), labels)
+    return VertexGraph(_johnson_neighbours(v, subsets, outside))
 
 
 def hamming_graph(d: int, n: int) -> VertexGraph:
@@ -220,13 +231,12 @@ def hamming_graph(d: int, n: int) -> VertexGraph:
     if d < 1 or n < 2:
         raise BadParams("need d >= 1 and n >= 2")
     _check_size(n**d)
-    labels = tuple("".join(map(str, w)) for w in product(range(n), repeat=d))
     # word w has index sum_i w_i n^(d-1-i); change letter i by each shift in 1..n-1
     words = np.arange(n**d)
     place = n ** np.arange(d - 1, -1, -1)[:, None, None]
     letters = words // place % n
     changed = (letters + np.arange(1, n)[:, None]) % n
-    return VertexGraph((words + (changed - letters) * place).reshape(-1, n**d).T, labels)
+    return VertexGraph((words + (changed - letters) * place).reshape(-1, n**d).T)
 
 
 def cayley_graph(
@@ -251,7 +261,7 @@ def cayley_graph(
     partition: list[list[int]] = [[] for _ in range(max(data.class_of) + 1)]
     for i, c in enumerate(data.class_of):
         partition[c].append(i)
-    return VertexGraph(neighbours, data.labels, 0, tuple(map(tuple, partition)))
+    return VertexGraph(neighbours, 0, tuple(map(tuple, partition)))
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
@@ -292,7 +302,7 @@ def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     order = np.argsort(distances, kind="stable")
     sizes = np.bincount(distances)
     first = order[np.cumsum(sizes) - sizes]  # the first vertex of each stratum
-    backward, _, outward = _stratum_counts(g, distances)
+    backward, _, outward = counts = _stratum_counts(g, distances)
     peer = first[distances]
     uneven = (outward != outward[peer]) | (backward != backward[peer])
     if uneven.any():
@@ -300,7 +310,8 @@ def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
         raise NotDistanceRegular(f"stratum {k} has non-constant intersection numbers")
     c, b = tuple(outward[first[:-1]].tolist()), tuple(backward[first[1:]].tolist())
     strata = tuple(tuple(part.tolist()) for part in np.split(order, np.cumsum(sizes)[:-1]))
-    return DistancePartition(strata, distances), IntersectionArray(d=len(sizes) - 1, c=c, b=b)
+    ia = IntersectionArray(d=len(sizes) - 1, c=c, b=b)
+    return DistancePartition(strata, distances, counts), ia
 
 
 def exact_walk(g: VertexGraph, times) -> np.ndarray:
@@ -329,9 +340,9 @@ def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
     A W is summed over the neighbour lists here, not read from the Lanczos run."""
     evals, vecs = g.eigh
     ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(evals.size))))
-    AW = np.array([_neighbour_sum(g.neighbours.T, w, np.empty(g.n)) for w in vecs.T])
-    resid = float(np.max(np.abs(AW.T - vecs * evals)))
-    return ortho, resid
+    AW = _neighbour_sum(g.neighbours.T, vecs.T, np.empty_like(vecs.T))  # one row per vector
+    AW -= vecs.T * evals[:, None]
+    return ortho, float(np.max(np.abs(AW)))
 
 
 def _by_stratum(g: VertexGraph, strata: Strata, times, vertex_amps) -> tuple[np.ndarray, ...]:
@@ -379,13 +390,12 @@ def ladder_residual(g: VertexGraph, partition: DistancePartition, ia: Intersecti
     Entry j of row v of both is at stratum distances[v] + j - 1, where A @ Phi
     is an exact neighbour count times that stratum's scale.
     """
-    from .spectral import jacobi_from_intersection
-
     jc = jacobi_from_intersection(ia)
     distances = partition.distances
     scale = 1.0 / np.sqrt(partition.sizes)
     padded = np.concatenate(([0.0], scale, [0.0]))  # padded[s + 1]: scale of stratum s
     off = np.sqrt(jc.omega)
     band = np.stack(([0.0, *off], jc.alpha, [*off, 0.0]))  # band[j, s] = J[s, s + j - 1]
-    ladder = _stratum_counts(g, distances) * padded[distances + np.arange(3)[:, None]]
+    counts = _stratum_counts(g, distances) if partition.counts is None else partition.counts
+    ladder = counts * padded[distances + np.arange(3)[:, None]]
     return float(np.max(np.abs(ladder - scale[distances] * band[:, distances])))

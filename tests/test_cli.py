@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
@@ -683,25 +684,42 @@ def test_verify_passes_on_the_largest_oracle_graphs(capsys, graph):
     assert all(row.endswith("PASS") for row in rows)
 
 
-# The oracle decomposes Q A Q^T on the root's Krylov space (size m, d+1 on a
-# distance-regular graph), never the n x n adjacency matrix; an array adds
-# one decomposition of its Jacobi matrix (size d+1) before it.
-ORACLE_DECOMPOSITION_SIZES = {"catalog:johnson:7,3": [4, 4], "group:dihedral:6": [3]}
+# The oracle decomposes the tridiagonal matrix of its Lanczos run on the root's
+# Krylov space (size m, d+1 on a distance-regular graph) through the engines'
+# Jacobi solver, never the n x n adjacency matrix; an array adds one
+# decomposition of its own Jacobi matrix (size d+1) before it.  C_12 is
+# bipartite: both of its decompositions take the half-size SVD.
+ORACLE_DECOMPOSITION_SIZES = {"catalog:johnson:7,3": [4, 4], "group:dihedral:6": [3],
+                              "catalog:cycle:12": [7, 7]}
 
 
 @pytest.mark.parametrize("graph", ORACLE_DECOMPOSITION_SIZES)
 def test_verify_decomposes_the_oracle_graph_once(capsys, monkeypatch, graph):
+    from schemewalk.spectral import JacobiCoefficients
+
     seen = []
-    eigh = np.linalg.eigh
+    solve = JacobiCoefficients.eigh.func
 
-    def counting_eigh(a, *args, **kwargs):
-        seen.append(np.shape(a)[0])
-        return eigh(a, *args, **kwargs)
+    def counting_solve(jc):
+        seen.append(len(jc.alpha))
+        return solve(jc)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    counting = cached_property(counting_solve)
+    counting.__set_name__(JacobiCoefficients, "eigh")
+    monkeypatch.setattr(JacobiCoefficients, "eigh", counting)
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
     assert code == 0 and "FAIL" not in out
     assert seen == ORACLE_DECOMPOSITION_SIZES[graph]
+
+
+def test_verify_exits_with_the_oracles_degenerate_atoms(capsys, monkeypatch):
+    # The cyclic engine never builds a Jacobi matrix, so only the oracle's can raise.
+    from schemewalk import spectral
+
+    monkeypatch.setattr(spectral, "ATOM_SEPARATION", 10.0)
+    code, out, err = run_cli(capsys, "verify", "--graph", "group:cyclic:12")
+    assert code == 1 and "PASS" not in out
+    assert err.startswith("degenerate_atoms: ")
 
 
 @pytest.mark.parametrize("graph, sizes", [("catalog:cycle:201", [101, 101]),
