@@ -717,6 +717,7 @@ def test_verify_exits_with_the_oracles_degenerate_atoms(capsys, monkeypatch):
     from schemewalk import spectral
 
     monkeypatch.setattr(spectral, "ATOM_SEPARATION", 10.0)
+    assert run_cli(capsys, "walk", "--graph", "group:cyclic:12", "--steps", "2")[0] == 0
     code, out, err = run_cli(capsys, "verify", "--graph", "group:cyclic:12")
     assert code == 1 and "PASS" not in out
     assert err.startswith("degenerate_atoms: ")
