@@ -45,7 +45,6 @@ from .spectral import (
     continuous_line_distribution,
     evaluate_polynomials,
     golub_welsch,
-    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
     srg_distribution,

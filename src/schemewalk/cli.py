@@ -332,10 +332,7 @@ def _verify_checks(spec: SchemeSpec, times) -> tuple[list[tuple[str, float, floa
     checks.append(("oracle_orthonormality", ortho, 1e-10))
     checks.append(("oracle_eigen_residual", resid, 1e-8))
     if ia is None:
-        strata = tuple(
-            tuple(v for c in grp for v in graph.class_partition[c])
-            for grp in scheme.class_groups
-        )
+        strata = graph.strata
     else:
         partition, bfs_ia = oracle.bfs_strata(graph)
         checks.append(("bfs_array_match", float(bfs_ia != ia), 0.5))

@@ -24,6 +24,7 @@ from .errors import (
     InvalidCycleType,
     InvalidOrder,
     NonIntegerResult,
+    NumericalInstability,
 )
 from .schemes import (
     GroupDescriptor,
@@ -159,15 +160,12 @@ class CharacterTable:
             raise BadParams("squared irrep dimensions must sum to the group order")
         kappa = np.asarray(self.class_sizes, dtype=float)
         gram = (self.values * kappa) @ self.values.conj().T
-        if np.max(np.abs(gram - order * np.eye(len(self.irrep_dims)))) > ORTHOGONALITY_TOL:
-            raise BadParams("row orthogonality violated")
+        check = NumericalInstability.check
+        check("row orthogonality", gram - order * np.eye(len(self.irrep_dims)), ORTHOGONALITY_TOL)
         col = self.values.conj().T @ self.values
-        expected = np.diag(order / kappa)
-        if np.max(np.abs(col - expected)) > ORTHOGONALITY_TOL:
-            raise BadParams("column orthogonality violated")
-        ident = np.asarray(self.irrep_dims, dtype=complex)
-        if np.max(np.abs(self.values[:, 0] - ident)) > ORTHOGONALITY_TOL:
-            raise BadParams("identity-class column must equal the irrep dimensions")
+        check("column orthogonality", col - np.diag(order / kappa), ORTHOGONALITY_TOL)
+        ident = self.values[:, 0] - np.asarray(self.irrep_dims)
+        check("identity-class column against the irrep dimensions", ident, ORTHOGONALITY_TOL)
 
 
 def _root_of_unity(num: int, den: int) -> complex:

@@ -7,8 +7,9 @@ comes from Lanczos on the root's Krylov space (d+1 dimensions on a
 distance-regular graph) with A applied as sums over neighbour lists, its
 tridiagonal matrix decomposed by the engines' Jacobi solver and its Ritz
 pairs checked against neighbour sums, and
-stratification is breadth-first search (or conjugacy classes for Cayley
-graphs, whose distance partition may be coarser than the scheme partition).
+a stratification is one stratum index per vertex: its breadth-first distance
+from the root, or on Cayley graphs the walk-scheme group of its conjugacy class
+(their distance partition may be coarser than the scheme partition).
 No step forms the n x n adjacency matrix.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
@@ -41,7 +42,6 @@ from .schemes import (
 from .spectral import JacobiCoefficients, jacobi_from_intersection
 
 MAX_VERTICES = 2000
-Strata = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +49,13 @@ class VertexGraph:
     """Simple regular connected graph with a distinguished root vertex.
 
     Row v of the read-only n x k array ``neighbours`` lists the neighbours of
-    v; it is stored column by column, so each gather reads whole columns.
+    v; it is stored column by column, so each gather reads whole columns.  On Cayley
+    graphs ``strata`` holds each vertex's stratum index; other builders leave it None.
     """
 
     neighbours: np.ndarray
     root: int = 0
-    class_partition: Strata | None = None
+    strata: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         neighbours = np.asfortranarray(self.neighbours, dtype=np.intp)
@@ -133,15 +134,11 @@ def _lanczos(g: VertexGraph) -> tuple[np.ndarray, JacobiCoefficients]:
 
 @dataclass(frozen=True, eq=False)
 class DistancePartition:
-    """Strata by distance from the root; ``counts`` is ``_stratum_counts`` there, when known."""
+    """Each vertex's stratum index, its distance from the root; ``counts`` is
+    ``_stratum_counts`` there, when known."""
 
-    strata: Strata
-    distances: np.ndarray
+    strata: np.ndarray
     counts: np.ndarray | None = None
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strata)
 
 
 def _bfs_distances(neighbours: np.ndarray, root: int) -> np.ndarray:
@@ -245,8 +242,9 @@ def cayley_graph(
     """Conjugacy-class Cayley graph: alpha ~ beta iff alpha^{-1} beta generates.
 
     The generating set is the union of the given raw conjugacy classes,
-    closed under inversion by adding inverse classes when needed.  The class
-    partition of the vertices rides along for stratum-level comparisons.
+    closed under inversion by adding inverse classes when needed.  Each vertex's
+    stratum, the index of the ``class_groups`` group that holds its class, rides
+    along for stratum-level comparisons.
     """
     kind, order = descriptor.kind, descriptor.n
     n = factorial(order) if kind == "symmetric" else 2 * order if kind == "dihedral" else order
@@ -258,10 +256,9 @@ def cayley_graph(
         raise NonSymmetricGeneratingSet("identity cannot generate a loopless graph")
     closed = gen_set | {data.index(data.inv(data.elements[i])) for i in gen_set}
     neighbours = data.right_products([data.elements[i] for i in sorted(closed)])
-    partition: list[list[int]] = [[] for _ in range(max(data.class_of) + 1)]
-    for i, c in enumerate(data.class_of):
-        partition[c].append(i)
-    return VertexGraph(neighbours, 0, tuple(map(tuple, partition)))
+    group_of = {c: i for i, group in enumerate(class_groups(descriptor)) for c in group}
+    strata = np.array([group_of[c] for c in range(len(group_of))]).take(data.class_of)
+    return VertexGraph(neighbours, 0, strata)
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
@@ -309,9 +306,8 @@ def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
         k = int(distances[uneven].min())
         raise NotDistanceRegular(f"stratum {k} has non-constant intersection numbers")
     c, b = tuple(outward[first[:-1]].tolist()), tuple(backward[first[1:]].tolist())
-    strata = tuple(tuple(part.tolist()) for part in np.split(order, np.cumsum(sizes)[:-1]))
     ia = IntersectionArray(d=len(sizes) - 1, c=c, b=b)
-    return DistancePartition(strata, distances, counts), ia
+    return DistancePartition(distances, counts), ia
 
 
 def exact_walk(g: VertexGraph, times) -> np.ndarray:
@@ -345,25 +341,26 @@ def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
     return ortho, float(np.max(np.abs(AW)))
 
 
-def _by_stratum(g: VertexGraph, strata: Strata, times, vertex_amps) -> tuple[np.ndarray, ...]:
+def _by_stratum(g: VertexGraph, strata: np.ndarray, times, vertex_amps) -> tuple[np.ndarray, ...]:
     """(amplitudes gathered stratum after stratum, where each stratum starts, stratum sizes)."""
     vertex_amps = exact_walk(g, times) if vertex_amps is None else vertex_amps
-    sizes = np.array([len(stratum) for stratum in strata])
-    order = np.fromiter(chain.from_iterable(strata), dtype=np.intp, count=int(sizes.sum()))
+    sizes = np.bincount(strata)
+    order = np.argsort(strata, kind="stable")
     return vertex_amps.take(order, axis=1), np.cumsum(sizes) - sizes, sizes
 
 
 def stratum_amplitudes(
-    g: VertexGraph, strata: Strata, times, vertex_amps: np.ndarray | None = None
+    g: VertexGraph, strata: np.ndarray, times, vertex_amps: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size);
-    ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it."""
+    """Exact amplitudes projected on unit stratum vectors: sum over a stratum / sqrt(size),
+    ``strata`` holding each vertex's stratum index; ``vertex_amps`` is
+    ``exact_walk(g, times)`` when the caller already has it."""
     block, starts, sizes = _by_stratum(g, strata, times, vertex_amps)
     return np.add.reduceat(block, starts, axis=1) / np.sqrt(sizes)
 
 
 def check_stratum_uniformity(
-    g: VertexGraph, strata: Strata, times, vertex_amps: np.ndarray | None = None
+    g: VertexGraph, strata: np.ndarray, times, vertex_amps: np.ndarray | None = None
 ) -> float:
     """Largest within-stratum amplitude spread over all times and strata;
     ``vertex_amps`` is ``exact_walk(g, times)`` when the caller already has it."""
@@ -371,13 +368,13 @@ def check_stratum_uniformity(
     return float(np.max(np.abs(block - block.take(np.repeat(starts, sizes), axis=1))))
 
 
-def quantum_decomposition(g: VertexGraph, distances: np.ndarray) -> tuple[np.ndarray, ...]:
+def quantum_decomposition(g: VertexGraph, strata: np.ndarray) -> tuple[np.ndarray, ...]:
     """Split A into raising, lowering and stratum-diagonal parts (A+, A-, A0).
 
     Entry (beta, gamma) of A+ survives when beta lies one stratum further from
     the root than gamma, so A+ raises the stratum index by one.
     """
-    A, diff = g.adjacency, distances[:, None] - distances[None, :]
+    A, diff = g.adjacency, strata[:, None] - strata[None, :]
     return A * (diff == 1), A * (diff == -1), A * (diff == 0)
 
 
@@ -391,8 +388,8 @@ def ladder_residual(g: VertexGraph, partition: DistancePartition, ia: Intersecti
     is an exact neighbour count times that stratum's scale.
     """
     jc = jacobi_from_intersection(ia)
-    distances = partition.distances
-    scale = 1.0 / np.sqrt(partition.sizes)
+    distances = partition.strata
+    scale = 1.0 / np.sqrt(np.bincount(distances))
     padded = np.concatenate(([0.0], scale, [0.0]))  # padded[s + 1]: scale of stratum s
     off = np.sqrt(jc.omega)
     band = np.stack(([0.0, *off], jc.alpha, [*off, 0.0]))  # band[j, s] = J[s, s + j - 1]

@@ -229,7 +229,7 @@ def eigenstructure_from_array(ia: IntersectionArray, jc=None) -> SchemeEigenstru
 
     ia.ensure_valid()
     valencies = derive_stratum_sizes(ia)
-    _, U = spectral.jacobi_eigh(spectral.jacobi_from_intersection(ia) if jc is None else jc)
+    _, U = (spectral.jacobi_from_intersection(ia) if jc is None else jc).eigh
     U = U[:, ::-1]
     root_a = np.sqrt(np.asarray(valencies.a, dtype=float))[:, None]
     P = (root_a * U / U[0]).T

@@ -12,7 +12,6 @@ amplitudes, the eigenvalue matrix and the long-time averages.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -31,18 +30,6 @@ from .schemes import IntersectionArray, check_strata
 ATOM_SEPARATION = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-TAIL_TOL_ENV = "SCHEME_WALK_TAIL_TOL"
-
-
-def default_tail_tolerance() -> float:
-    """Truncation tolerance for infinite distributions, overridable by environment."""
-    raw = os.environ.get(TAIL_TOL_ENV)
-    if not raw:
-        return DEFAULT_TAIL_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise BadParameter(f"{TAIL_TOL_ENV}={raw!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -153,14 +140,11 @@ class DiscreteInfiniteDistribution:
     atom_at: Callable[[int], tuple[float, float]]
 
     def truncated(self) -> tuple[np.ndarray, np.ndarray]:
-        tol = default_tail_tolerance()
-        if not 0.0 < tol < 1.0:
-            raise BadParameter(f"truncation tolerance must lie in (0, 1), got {tol}")
         atoms: list[float] = []
         weights: list[float] = []
         total = 0.0
         k = 0
-        while total < 1.0 - tol:
+        while total < 1.0 - DEFAULT_TAIL_TOL:
             x, w = self.atom_at(k)
             atoms.append(x)
             weights.append(w)
@@ -187,17 +171,9 @@ def jacobi_from_intersection(ia: IntersectionArray) -> JacobiCoefficients:
     return JacobiCoefficients(tuple(omega.tolist()), tuple(alpha.tolist()))
 
 
-def jacobi_eigh(jc: JacobiCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition J = U diag(atoms) U^T of the Jacobi matrix: ``jc.eigh``.
-
-    Each coefficient object decomposes its matrix once; the arrays are read-only.
-    """
-    return jc.eigh
-
-
 def golub_welsch(jc: JacobiCoefficients) -> DiscreteDistribution:
     """Atoms and weights U[0, l]^2 of the measure orthogonalizing the recurrence."""
-    atoms, U = jacobi_eigh(jc)
+    atoms, U = jc.eigh
     return DiscreteDistribution(atoms, U[0] ** 2)
 
 

@@ -43,7 +43,6 @@ from .spectral import (
     JacobiCoefficients,
     continuous_line_distribution,
     evaluate_polynomials,
-    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
     srg_intersection_array,
@@ -237,7 +236,7 @@ def jacobi_spectrum(
     ``jc`` is the array's own recurrence when the caller already has it, so
     its decomposition is reused.
     """
-    atoms, U = jacobi_eigh(jacobi_from_intersection(ia) if jc is None else jc)
+    atoms, U = (jacobi_from_intersection(ia) if jc is None else jc).eigh
     return SchemeSpectrum(atoms, (U[0] * U).T, derive_stratum_sizes(ia))
 
 

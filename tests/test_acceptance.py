@@ -198,11 +198,7 @@ def test_criterion_3_group_engine():
             worst_closed, float(np.max(np.abs(series.amplitudes[:, -1] - closed)))
         )
         g = oracle.cayley_graph(GroupDescriptor("symmetric", n))
-        strata = tuple(
-            tuple(v for c in grp for v in g.class_partition[c])
-            for grp in scheme.class_groups
-        )
-        exact = oracle.stratum_amplitudes(g, strata, GRID)
+        exact = oracle.stratum_amplitudes(g, g.strata, GRID)
         worst_oracle = max(
             worst_oracle, float(np.max(np.abs(exact - series.amplitudes)))
         )
@@ -229,11 +225,7 @@ def test_criterion_3_group_engine():
             worst_dihedral, float(np.max(np.abs(averages.stratum - closed_avg)))
         )
         g = oracle.cayley_graph(GroupDescriptor("dihedral", m))
-        strata = tuple(
-            tuple(v for c in grp for v in g.class_partition[c])
-            for grp in scheme.class_groups
-        )
-        exact = oracle.stratum_amplitudes(g, strata, GRID)
+        exact = oracle.stratum_amplitudes(g, g.strata, GRID)
         worst_oracle = max(
             worst_oracle, float(np.max(np.abs(exact - series.amplitudes)))
         )
@@ -402,13 +394,8 @@ def test_criterion_6_unitarity_and_uniformity():
             if descriptor.kind == "dihedral" and descriptor.n % 2 == 0
             else (1,),
         )
-        scheme = walk_scheme(descriptor)
-        strata = tuple(
-            tuple(v for c in grp for v in g.class_partition[c])
-            for grp in scheme.class_groups
-        )
         worst_spread = max(
-            worst_spread, oracle.check_stratum_uniformity(g, strata, GRID)
+            worst_spread, oracle.check_stratum_uniformity(g, g.strata, GRID)
         )
     assert worst_spread < 1e-9
     _report(
@@ -428,7 +415,7 @@ def test_criterion_7_quantum_decomposition():
     worst = 0.0
     for g in cases:
         partition, ia = oracle.bfs_strata(g)
-        a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.distances)
+        a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.strata)
         assert np.array_equal(a_plus + a_minus + a_zero, g.adjacency)
         assert np.array_equal(a_minus.T, a_plus)
         worst = max(worst, oracle.ladder_residual(g, partition, ia))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations
 from math import comb, factorial
 
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemewalk.errors import (
+    BadParams,
     ComplexClassesWithoutSymmetrization,
     InvalidCycleType,
     InvalidOrder,
     NonIntegerResult,
+    NumericalInstability,
     UnsupportedOrder,
 )
 from schemewalk.groups import (
@@ -128,6 +131,17 @@ def test_symmetric_rejects_large_order():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_symmetric_tables_validate(n):
     character_table_symmetric(n).validate()
+
+
+def test_perturbed_table_is_a_numerical_defect_not_bad_params():
+    table = character_table_symmetric(4)
+    values = table.values.copy()
+    values[3, 2] += 1e-6  # |chi| = 1 on the 3 double transpositions: the Gram diagonal moves 6e-6
+    message = r"row orthogonality: defect 6e-06 > bound 1e-09"
+    with pytest.raises(NumericalInstability, match=message):
+        replace(table, values=values).validate()
+    with pytest.raises(BadParams, match="squared irrep dimensions"):
+        replace(table, irrep_dims=(1, 1, 2, 3, 2)).validate()
 
 
 def _young_dimension(lam: tuple[int, ...]) -> int:

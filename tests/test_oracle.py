@@ -34,7 +34,7 @@ def test_petersen_builder():
     assert np.all(g.adjacency.sum(axis=1) == 3)
     partition, ia = oracle.bfs_strata(g)
     assert ia == IntersectionArray(d=2, c=(3, 2), b=(1, 1))
-    assert partition.sizes == (1, 3, 6)
+    assert np.bincount(partition.strata).tolist() == [1, 3, 6]
 
 
 def test_johnson_builder():
@@ -251,31 +251,32 @@ def test_stratum_uniformity(builder):
 def test_quantum_decomposition_identities():
     g = oracle.petersen_graph()
     partition, ia = oracle.bfs_strata(g)
-    a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.distances)
+    a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.strata)
     assert np.array_equal(a_plus + a_minus + a_zero, g.adjacency)
     assert np.array_equal(a_minus.T, a_plus)
     assert np.array_equal(a_zero.T, a_zero)
     # stratum-diagonal support only
     for beta in range(g.n):
         for gamma in np.nonzero(a_zero[beta])[0]:
-            assert partition.distances[beta] == partition.distances[gamma]
+            assert partition.strata[beta] == partition.strata[gamma]
     # raising action on stratum 1: sqrt(omega_2) = sqrt(2)
     phi1 = np.zeros(g.n)
-    phi1[list(partition.strata[1])] = 1.0 / math.sqrt(3)
+    phi1[partition.strata == 1] = 1.0 / math.sqrt(3)
     phi2 = np.zeros(g.n)
-    phi2[list(partition.strata[2])] = 1.0 / math.sqrt(6)
+    phi2[partition.strata == 2] = 1.0 / math.sqrt(6)
     assert np.max(np.abs(a_plus @ phi1 - math.sqrt(2) * phi2)) < 1e-12
 
 
 def test_quantum_decomposition_c7_diagonal():
     g = oracle.cycle_graph(7)
     partition, ia = oracle.bfs_strata(g)
-    _, _, a_zero = oracle.quantum_decomposition(g, partition.distances)
+    _, _, a_zero = oracle.quantum_decomposition(g, partition.strata)
     jc = jacobi_from_intersection(ia)
     assert jc.alpha == (0.0, 0.0, 0.0, 1.0)
-    for k, stratum in enumerate(partition.strata):
+    for k in range(ia.d + 1):
+        stratum = partition.strata == k
         phi = np.zeros(g.n)
-        phi[list(stratum)] = 1.0 / math.sqrt(len(stratum))
+        phi[stratum] = 1.0 / math.sqrt(stratum.sum())
         assert np.max(np.abs(a_zero @ phi - jc.alpha[k] * phi)) < 1e-12
 
 
@@ -323,14 +324,36 @@ def test_cayley_class_strata_match_character_engine(kind, n):
     descriptor = GroupDescriptor(kind, n)
     scheme = walk_scheme(descriptor)
     g = oracle.build_graph(FromGroup(descriptor))
-    strata = tuple(
-        tuple(v for c in grp for v in g.class_partition[c])
-        for grp in scheme.class_groups
-    )
-    exact = oracle.stratum_amplitudes(g, strata, TIMES)
+    exact = oracle.stratum_amplitudes(g, g.strata, TIMES)
     series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
-    assert oracle.check_stratum_uniformity(g, strata, TIMES) < 1e-9
+    assert oracle.check_stratum_uniformity(g, g.strata, TIMES) < 1e-9
+
+
+def _projections_by_loop(g, times):
+    """Stratum amplitudes and the largest within-stratum spread, one stratum at a time."""
+    amps = oracle.exact_walk(g, times)
+    exact, spread = [], 0.0
+    for k in range(int(g.strata.max()) + 1):
+        members = np.flatnonzero(g.strata == k)
+        exact.append(amps[:, members].sum(axis=1) / math.sqrt(len(members)))
+        spread = max(spread, float(np.max(np.abs(amps[:, members] - amps[:, members[:1]]))))
+    return np.stack(exact, axis=1), spread
+
+
+@pytest.mark.parametrize(
+    "descriptor,generating,sizes",
+    [
+        (GroupDescriptor("dihedral", 6), 1, [1, 6, 1, 2, 2]),  # D_12: both reflection classes
+        (GroupDescriptor("symmetric", 4), 2, [1, 6, 3, 8, 6]),
+    ],
+)
+def test_label_projections_match_a_stratum_loop(descriptor, generating, sizes):
+    g = oracle.build_graph(FromGroup(descriptor, generating))
+    assert np.bincount(g.strata).tolist() == sizes
+    exact, spread = _projections_by_loop(g, TIMES)
+    assert np.max(np.abs(oracle.stratum_amplitudes(g, g.strata, TIMES) - exact)) < 1e-14
+    assert oracle.check_stratum_uniformity(g, g.strata, TIMES) == pytest.approx(spread, abs=1e-15)
 
 
 def test_build_graph_dispatch():
@@ -348,10 +371,7 @@ def test_cayley_graph_generated_by_a_walk_scheme_stratum(m, generating):
     scheme = walk_scheme(descriptor, generating)
     g = oracle.build_graph(spec)
     assert g.adjacency.sum(axis=1)[0] == scheme.eigenstructure.valencies.a[generating]
-    strata = tuple(
-        tuple(v for c in grp for v in g.class_partition[c]) for grp in scheme.class_groups
-    )
-    exact = oracle.stratum_amplitudes(g, strata, TIMES)
+    exact = oracle.stratum_amplitudes(g, g.strata, TIMES)
     series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
 
@@ -424,10 +444,13 @@ def _pair_loop(n, adjacent):
     return A
 
 
-def _assert_same_graph(g, A, partition=None):
+def _assert_same_graph(g, A, strata=None):
     assert g.adjacency.dtype == np.int64
     assert np.array_equal(g.adjacency, A)
-    assert g.class_partition == partition
+    if strata is None:
+        assert g.strata is None
+    else:
+        assert np.array_equal(g.strata, strata)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -478,14 +501,12 @@ def test_cayley_builder_matches_pair_loop(kind, n):
     descriptor = GroupDescriptor(kind, n)
     data = group_elements(descriptor)
     size = len(data.elements)
-    partition = tuple(
-        tuple(i for i, c in enumerate(data.class_of) if c == k)
-        for k in range(max(data.class_of) + 1)
-    )
     groups = class_groups(descriptor)
+    # each vertex's stratum: the index of the class group that holds its class
+    strata = [next(k for k, grp in enumerate(groups) if c in grp) for c in data.class_of]
     for generating in range(1, len(groups)):
         connection = {
-            data.elements[i] for c in groups[generating] for i in partition[c]
+            x for x, c in zip(data.elements, data.class_of) if c in groups[generating]
         }
         connection |= {data.inv(x) for x in connection}
         A = _pair_loop(
@@ -494,7 +515,7 @@ def test_cayley_builder_matches_pair_loop(kind, n):
             in connection,
         )
         g = oracle.cayley_graph(descriptor, groups[generating])
-        _assert_same_graph(g, A, partition)
+        _assert_same_graph(g, A, strata)
 
 
 # Edge cases within the cap: one-point subsets of 100 points (K_100), the
@@ -549,7 +570,7 @@ def test_complete_graph_on_one_vertex():
     assert g.neighbours.shape == (1, 0)
     assert g.adjacency.tolist() == [[0]]
     partition, ia = oracle.bfs_strata(g)
-    assert partition.strata == ((0,),) and ia.d == 0
+    assert partition.strata.tolist() == [0] and ia.d == 0
     assert np.allclose(oracle.exact_walk(g, TIMES), 1.0)
 
 
@@ -576,10 +597,11 @@ def test_cycle_builder_needs_three_vertices():
 def _ladder_loop(g, partition, ia):
     """Stratum-by-stratum ladder check written from A+, A- and A0."""
     jc = jacobi_from_intersection(ia)
-    a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.distances)
+    a_plus, a_minus, a_zero = oracle.quantum_decomposition(g, partition.strata)
     phis = np.zeros((ia.d + 1, g.n))
-    for k, stratum in enumerate(partition.strata):
-        phis[k, list(stratum)] = 1.0 / np.sqrt(len(stratum))
+    for k in range(ia.d + 1):
+        stratum = partition.strata == k
+        phis[k, stratum] = 1.0 / np.sqrt(stratum.sum())
     worst = 0.0
     for k in range(ia.d + 1):
         up = np.sqrt(jc.omega[k]) * phis[k + 1] if k < ia.d else 0.0
@@ -600,12 +622,14 @@ def test_ladder_residual_matches_decomposition_loop():
         partition, ia = oracle.bfs_strata(g)
         assert oracle.ladder_residual(g, partition, ia) < 1e-13
         assert _ladder_loop(g, partition, ia) < 1e-13
+        # a hand-built partition recounts the neighbours that bfs_strata kept
+        labels_only = oracle.DistancePartition(partition.strata.copy())
+        residual = oracle.ladder_residual(g, labels_only, ia)
+        assert residual == oracle.ladder_residual(g, partition, ia)
     # A relabelled C_8 partition puts the edge 5-6 two strata apart, which the
     # decomposition drops; the residual is then of order one and must agree.
     g = oracle.cycle_graph(8)
-    distances = np.array([0, 1, 2, 3, 4, 3, 1, 2])
-    strata = tuple(tuple(np.flatnonzero(distances == k).tolist()) for k in range(5))
-    partition = oracle.DistancePartition(strata, distances)
+    partition = oracle.DistancePartition(np.array([0, 1, 2, 3, 4, 3, 1, 2]))
     ia = IntersectionArray(d=4, c=(2, 1, 1, 1), b=(1, 1, 1, 2))
     expected = _ladder_loop(g, partition, ia)
     assert expected > 0.1

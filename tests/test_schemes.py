@@ -117,7 +117,7 @@ def test_bfs_sizes_match_derived_sizes_exactly():
     ]:
         partition, bfs_ia = oracle.bfs_strata(graph)
         assert bfs_ia == ia
-        assert partition.sizes == derive_stratum_sizes(ia).a
+        assert tuple(np.bincount(partition.strata).tolist()) == derive_stratum_sizes(ia).a
 
 
 def test_degenerate_atoms_rejected():

@@ -17,7 +17,6 @@ from schemewalk.spectral import (
     continuous_line_distribution,
     evaluate_polynomials,
     golub_welsch,
-    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
     srg_distribution,
@@ -104,7 +103,7 @@ def test_golub_welsch_matches_dense_eigensolver(alpha, data):
 @pytest.mark.parametrize("ia", [PETERSEN, C7, M22])
 def test_jacobi_eigh_diagonalizes_with_positive_first_row(ia):
     jc = jacobi_from_intersection(ia)
-    atoms, U = jacobi_eigh(jc)
+    atoms, U = jc.eigh
     off = np.sqrt(jc.omega)
     dense = np.diag(jc.alpha) + np.diag(off, 1) + np.diag(off, -1)
     assert np.all(np.diff(atoms) > 0)
@@ -133,11 +132,11 @@ def test_each_recurrence_decomposes_once_into_read_only_arrays(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     first, second = jacobi_from_intersection(M22), jacobi_from_intersection(M22)
     assert first == second and first is not second
-    atoms, U = jacobi_eigh(first)
-    assert jacobi_eigh(first) is first.eigh
+    atoms, U = first.eigh
+    assert first.eigh is first.eigh
     golub_welsch(first)
     golub_welsch(second)
-    jacobi_eigh(second)
+    assert second.eigh is not first.eigh
     assert calls == [(5, 5), (5, 5)]
     assert not atoms.flags.writeable and not U.flags.writeable
     with pytest.raises(ValueError):
@@ -298,8 +297,7 @@ def test_line_distribution_moments():
     )
 
 
-def test_meixner_weights_geometric(monkeypatch):
-    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-12")
+def test_meixner_weights_geometric():
     dist = meixner_distribution(0.5)
     atoms, weights = dist.truncated()
     assert weights[1] / weights[0] == pytest.approx(1.0 / 3.0)
@@ -308,38 +306,10 @@ def test_meixner_weights_geometric(monkeypatch):
     assert 1.0 - weights.sum() < 1e-12
 
 
-def test_meixner_respects_tail_tolerance(monkeypatch):
-    dist = meixner_distribution(0.5)
-    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-3")
-    atoms, _ = dist.truncated()
-    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-14")
-    tight_atoms, _ = dist.truncated()
-    assert len(atoms) < len(tight_atoms)
-
-
 @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2])
 def test_meixner_rejects_bad_parameter(p):
     with pytest.raises(BadParameter):
         meixner_distribution(p)
-
-
-def test_tail_tolerance_env_override(monkeypatch):
-    from schemewalk.spectral import default_tail_tolerance
-
-    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", "1e-4")
-    assert default_tail_tolerance() == 1e-4
-    atoms, weights = meixner_distribution(0.5).truncated()
-    assert weights.sum() > 1 - 1e-3
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-1", "1", "nan"])
-def test_tail_tolerance_env_rejects_bad_values(monkeypatch, raw):
-    # A tolerance outside (0, 1) must fail at once, not spin toward the atom cap.
-    from schemewalk.walk import johnson_limit_amplitudes
-
-    monkeypatch.setenv("SCHEME_WALK_TAIL_TOL", raw)
-    with pytest.raises(BadParameter):
-        johnson_limit_amplitudes(0.5, 0, np.linspace(0.0, 1.0, 3))
 
 
 def test_golub_welsch_large_chebyshev_case():
@@ -454,7 +424,7 @@ def test_bipartite_decomposition_matches_the_dense_eigensolver(name, params):
 
     jc = jacobi_from_intersection(catalog(name, params).array)
     assert not any(jc.alpha)
-    atoms, U = jacobi_eigh(jc)
+    atoms, U = jc.eigh
     dense_atoms, dense_U = _dense_eigh(jc)
     norm = float(np.max(np.abs(dense_atoms)))
     assert np.array_equal(atoms, -atoms[::-1])
@@ -475,7 +445,7 @@ def test_bipartite_cycle_tables_match_the_closed_form(n):
 
     jc = jacobi_from_intersection(cycle_intersection_array(n))
     closed = _cycle_table(n)
-    atoms, U = jacobi_eigh(jc)
+    atoms, U = jc.eigh
     dense_atoms, dense_U = _dense_eigh(jc)
     # measured: 1.4e-14 (half size) and 1.3e-15 (dense) on C_100, 1.6e-13 and 6.5e-14 on C_4000
     for route_atoms, route_U in ((atoms, U), (dense_atoms, dense_U)):
@@ -489,14 +459,14 @@ def test_bipartite_hamming_weights_match_the_binomials(d):
 
     jc = jacobi_from_intersection(hamming_intersection_array(d, 2))
     expected = hamming_distribution(d, 2)
-    atoms, U = jacobi_eigh(jc)
+    atoms, U = jc.eigh
     assert np.max(np.abs(U[0] ** 2 - expected.weights)) < 4 * EPS
     assert np.max(np.abs(atoms - expected.atoms)) < 32 * EPS * d
 
 
 def test_bipartite_odd_size_has_an_exact_zero_atom():
     h42 = IntersectionArray(d=4, c=(4, 3, 2, 1), b=(1, 2, 3, 4))
-    atoms, U = jacobi_eigh(jacobi_from_intersection(h42))
+    atoms, U = jacobi_from_intersection(h42).eigh
     assert atoms[2] == 0.0 and not np.signbit(atoms[2])
     assert np.all(U[1::2, 2] == 0.0)
 

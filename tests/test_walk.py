@@ -37,7 +37,6 @@ from schemewalk.spectral import (
     DiscreteDistribution,
     continuous_line_distribution,
     golub_welsch,
-    jacobi_eigh,
     jacobi_from_intersection,
     meixner_distribution,
 )
@@ -527,7 +526,7 @@ def test_resolved_averages_match_both_average_formulas(spec):
     if isinstance(spec, FromGroup) and spec.group.kind != "cyclic":
         return
     # sum_l U[0, l]^2 U[k, l]^2 over the Jacobi eigenvectors of the array
-    _, U = jacobi_eigh(jacobi_from_intersection(intersection_array(spec)))
+    _, U = jacobi_from_intersection(intersection_array(spec)).eigh
     assert np.max(np.abs(averages.stratum - ((U[0] * U) ** 2).sum(axis=1))) < 1e-15
 
 
