@@ -25,7 +25,6 @@ from .catalog import catalog_names
 from .errors import SchemaError, SchemeWalkError, TooLarge
 from .groups import character_table, walk_scheme
 from .schemes import (
-    MATRIX_TOL,
     FromCatalog,
     FromGroup,
     FromIntersectionArray,
@@ -37,6 +36,9 @@ from .schemes import (
     eigenstructure_from_array,
 )
 from .spectral import jacobi_from_intersection
+from .tolerances import (BFS_ARRAY_MATCH_TOL, ENGINE_AGREEMENT_TOL, LADDER_ACTIONS_TOL,
+                         MATRIX_TOL, ORACLE_AGREEMENT_TOL, ORACLE_EIGEN_RESIDUAL_TOL,
+                         ORACLE_ORTHONORMALITY_TOL, STRATUM_UNIFORMITY_TOL, UNITARITY_TOL)
 
 _SCHEMAS = {
     "intersection_array": {"kind", "d", "c_forward", "b_backward"},
@@ -319,35 +321,33 @@ def _verify_checks(spec: SchemeSpec, times) -> tuple[list[tuple[str, float, floa
         es = eigenstructure_from_array(ia, jc)
         series = walk.jacobi_spectrum(ia, jc).amplitudes(times)
 
-    checks = [("unitarity", series.unitarity_defect(), walk.UNITARITY_TOL)]
+    checks = [("unitarity", series.unitarity_defect(), UNITARITY_TOL)]
     if ia is not None:
         eig_series = walk.eigen_spectrum(es).amplitudes(times)
         agreement = float(np.max(np.abs(eig_series.amplitudes - series.amplitudes)))
-        checks.append(("engine_agreement", agreement, 1e-10))
+        checks.append(("engine_agreement", agreement, ENGINE_AGREEMENT_TOL))
     pq = float(np.max(np.abs(es.P @ es.Q - es.n * np.eye(es.d + 1))))
     checks.append(("eigenmatrix_duality", pq, MATRIX_TOL * es.n))
     if graph is None:
         return checks, skipped
     ortho, resid = oracle.eigensolver_residuals(graph)
-    checks.append(("oracle_orthonormality", ortho, 1e-10))
-    checks.append(("oracle_eigen_residual", resid, 1e-8))
+    checks.append(("oracle_orthonormality", ortho, ORACLE_ORTHONORMALITY_TOL))
+    checks.append(("oracle_eigen_residual", resid, ORACLE_EIGEN_RESIDUAL_TOL))
     if ia is None:
         strata = graph.strata
     else:
         partition, bfs_ia = oracle.bfs_strata(graph)
-        checks.append(("bfs_array_match", float(bfs_ia != ia), 0.5))
+        checks.append(("bfs_array_match", float(bfs_ia != ia), BFS_ARRAY_MATCH_TOL))
         strata = partition.strata
     vertex_amps = oracle.exact_walk(graph, times)
     exact = oracle.stratum_amplitudes(graph, strata, times, vertex_amps)
-    checks.append(
-        ("oracle_agreement", float(np.max(np.abs(exact - series.amplitudes))), 1e-8)
-    )
+    agreement = float(np.max(np.abs(exact - series.amplitudes)))
+    checks.append(("oracle_agreement", agreement, ORACLE_AGREEMENT_TOL))
     uniformity = oracle.check_stratum_uniformity(graph, strata, times, vertex_amps)
-    checks.append(("stratum_uniformity", uniformity, 1e-9))
+    checks.append(("stratum_uniformity", uniformity, STRATUM_UNIFORMITY_TOL))
     if ia is not None:
-        checks.append(
-            ("ladder_actions", oracle.ladder_residual(graph, partition, bfs_ia), 1e-10)
-        )
+        ladder = oracle.ladder_residual(graph, partition, bfs_ia)
+        checks.append(("ladder_actions", ladder, LADDER_ACTIONS_TOL))
     return checks, skipped
 
 
@@ -388,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--t0", type=float, default=0.0)
     p_walk.add_argument("--t1", type=float, default=20.0)
     p_walk.add_argument("--steps", type=int, default=64)
-    p_walk.add_argument(
-        "--engine", choices=("eigen", "character", "spectral", "auto"), default="auto"
-    )
+    p_walk.add_argument("--engine", choices=walk.ENGINES, default="auto")
     p_walk.add_argument("--normalized", action="store_true", help="divide A by its degree")
     p_walk.add_argument(
         "--vertex-level", action="store_true", help="per-vertex instead of per-stratum"

@@ -32,10 +32,7 @@ from .schemes import (
     ValencyVector,
     check_strata,
 )
-
-ORTHOGONALITY_TOL = 1e-9
-REALNESS_TOL = 1e-12
-FUSION_KEY_DECIMALS = 9
+from .tolerances import FUSION_KEY_DECIMALS, INTEGRALITY_TOL, ORTHOGONALITY_TOL, REALNESS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +466,14 @@ def intersection_numbers_group(
         total = np.sum(
             table.values[:, i] * table.values[:, j] * np.conj(table.values[:, k]) / dims
         )
-        value = (kappa[i] * kappa[j] / table.order) * total
-        if abs(value.imag) > 1e-6 or abs(value.real - round(value.real)) > 1e-6:
-            raise NonIntegerResult(f"p_{i}{j}^{k} = {value} is not a nonnegative integer")
-        return int(round(value.real))
-
-    es = fused_eigenstructure(table, class_groups)
-    product = es.P[:, i] * es.P[:, j]
-    coeffs = np.linalg.solve(es.P, product)
-    value = coeffs[k]
-    if abs(value - round(value)) > 1e-6:
-        raise NonIntegerResult(f"fused p_{i}{j}^{k} = {value} is not an integer")
-    return int(round(value))
+        value, name = (kappa[i] * kappa[j] / table.order) * total, f"p_{i}{j}^{k}"
+    else:
+        es = fused_eigenstructure(table, class_groups)
+        value = np.linalg.solve(es.P, es.P[:, i] * es.P[:, j])[k]
+        name = f"fused p_{i}{j}^{k}"
+    if abs(value.imag) > INTEGRALITY_TOL or abs(value.real - round(value.real)) > INTEGRALITY_TOL:
+        raise NonIntegerResult(f"{name} = {value} is not an integer")
+    return int(round(value.real))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +635,14 @@ def class_groups(descriptor: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
     return tuple((k,) for k in range(len(partitions(descriptor.n))))
 
 
+def generating_stratum(groups: tuple[tuple[int, ...], ...], generating_class: int | None) -> int:
+    """The stratum a walk on these class groups steps along: 1 unless a class is named."""
+    generating = 1 if generating_class is None else generating_class
+    if not 1 <= generating < len(groups):
+        raise BadParams(f"generating class {generating} out of range")
+    return generating
+
+
 def walk_scheme(
     descriptor: GroupDescriptor, generating_class: int | None = None
 ) -> GroupWalkScheme:
@@ -654,9 +655,7 @@ def walk_scheme(
     if kind != "symmetric":
         check_strata(_walk_strata(kind, n), f"Z{n}" if kind == "cyclic" else f"D{2 * n}")
     groups = class_groups(descriptor)
-    generating = 1 if generating_class is None else generating_class
-    if not 1 <= generating < len(groups):
-        raise BadParams(f"generating class {generating} out of range")
+    generating = generating_stratum(groups, generating_class)
     if kind == "cyclic":
         es = _cyclic_eigenstructure(n, generating)
     elif kind == "dihedral":

@@ -29,7 +29,7 @@ from .errors import (
     NotDistanceRegular,
     TooLarge,
 )
-from .groups import GroupElements, class_groups, group_elements
+from .groups import GroupElements, class_groups, generating_stratum, group_elements
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -265,10 +265,7 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
     """Vertex-level realization of a scheme specification, where one exists."""
     if isinstance(spec, FromGroup):
         groups = class_groups(spec.group)
-        generating = 1 if spec.generating_class is None else spec.generating_class
-        if not 1 <= generating < len(groups):
-            raise BadParams(f"generating class {generating} out of range")
-        return cayley_graph(spec.group, groups[generating])
+        return cayley_graph(spec.group, groups[generating_stratum(groups, spec.generating_class)])
     if isinstance(spec, FromSRG):
         if (spec.n, spec.kappa, spec.lam, spec.eta) == (10, 3, 0, 1):
             return petersen_graph()

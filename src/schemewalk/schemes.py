@@ -20,13 +20,12 @@ from .errors import (
     InvalidOrder,
     NonIntegerValency,
     NumericalInstability,
+    SchemeWalkError,
     TooLarge,
     UnsupportedOrder,
 )
+from .tolerances import INTEGRALITY_TOL, MATRIX_TOL, MULTIPLICITY_ROUNDING
 
-MATRIX_TOL = 1e-9
-MULTIPLICITY_TOL = 1e-6
-MULTIPLICITY_ROUNDING = 12 * np.finfo(float).eps
 MAX_STRATA = 2048
 
 
@@ -139,7 +138,7 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
     formal inputs.  B_i = U[0, i]^2 and the eigenvector U[:, i] of the Jacobi
     matrix J is perturbed by about eps ||J|| / gap_i, gap_i being the distance
     from atom i to its nearest atom, so m_i is off by about
-    eps sqrt(n m_i) ||J|| / gap_i: the bound is the larger of MULTIPLICITY_TOL
+    eps sqrt(n m_i) ||J|| / gap_i: the bound is the larger of INTEGRALITY_TOL
     and MULTIPLICITY_ROUNDING * sqrt(n m_i) * ||J|| / gap_i.
     """
     problems = _structural_problems(ia)
@@ -153,11 +152,11 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
             gaps = np.diff(dist.atoms)
             gaps = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
             rounding = MULTIPLICITY_ROUNDING * np.sqrt(valencies.n * mults)
-            bounds = np.maximum(MULTIPLICITY_TOL, rounding * np.max(np.abs(dist.atoms)) / gaps)
+            bounds = np.maximum(INTEGRALITY_TOL, rounding * np.max(np.abs(dist.atoms)) / gaps)
             for i, (m, bound) in enumerate(zip(mults, bounds)):
                 if abs(m - round(m)) > bound or round(m) < 1:
                     problems.append(f"multiplicity m_{i} = {m:.6f} is not a positive integer")
-        except Exception as exc:  # degenerate spectra and the like
+        except SchemeWalkError as exc:  # too large, degenerate atoms, no convergence
             problems.append(f"spectral feasibility check failed: {exc}")
     return ValidationReport(not problems, tuple(problems))
 

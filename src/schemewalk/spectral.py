@@ -26,10 +26,7 @@ from .errors import (
     PoleProximity,
 )
 from .schemes import IntersectionArray, check_strata
-
-ATOM_SEPARATION = 1e-9
-DEFAULT_TAIL_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-12
+from .tolerances import ATOM_SEPARATION, DEFAULT_TAIL_TOL, POLE_TOL, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def stieltjes_transform(dist: SpectralDistribution, z: complex) -> complex:
         atoms, weights = dist.truncated()
     else:
         atoms, weights = dist.nodes, dist.node_weights
-    if np.min(np.abs(z - atoms)) < 1e-12:
+    if np.min(np.abs(z - atoms)) < POLE_TOL:
         raise PoleProximity(f"evaluation point {z} too close to an atom")
     return complex(np.sum(weights / (z - atoms)))
 
@@ -230,9 +227,17 @@ def srg_distribution(n: int, kappa: int, lam: int, eta: int) -> DiscreteDistribu
     for w in (b1, b2, b3):
         if not (0.0 < w < 1.0):
             raise InfeasibleParameters(f"weight {w} outside (0, 1)")
+    check_srg_order(n, kappa, lam, eta)
     atoms = np.array([x3, x2, x1])
     weights = np.array([b3, b2, b1])
     return DiscreteDistribution(atoms, weights)
+
+
+def check_srg_order(n: int, kappa: int, lam: int, eta: int) -> None:
+    """Raise InfeasibleParameters unless n = 1 + kappa + kappa (kappa - lam - 1) / eta."""
+    if (n - 1 - kappa) * eta != kappa * (kappa - lam - 1):  # in integers, exact at any size
+        order = 1 + kappa + kappa * (kappa - lam - 1) / eta
+        raise InfeasibleParameters(f"srg parameters {n},{kappa},{lam},{eta} need n = {order:.12g}")
 
 
 def srg_intersection_array(kappa: int, lam: int, eta: int) -> IntersectionArray:

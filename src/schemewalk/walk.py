@@ -38,18 +38,17 @@ from .schemes import (
     derive_stratum_sizes,
 )
 from .spectral import (
-    ATOM_SEPARATION,
     DiscreteDistribution,
     JacobiCoefficients,
+    check_srg_order,
     continuous_line_distribution,
     evaluate_polynomials,
     jacobi_from_intersection,
     meixner_distribution,
     srg_intersection_array,
 )
+from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
 
-UNITARITY_TOL = 1e-9
-MERGE_TOL = 1e-9
 ENGINES = ("eigen", "character", "spectral", "auto")
 
 
@@ -89,7 +88,7 @@ class AmplitudeSeries:
         if self.normalization == "stratum" and len(self.times):
             check = NumericalInstability.check
             check("amplitude rows are not unit vectors", self.unitarity_defect(), UNITARITY_TOL)
-            at_zero = np.abs(self.times) < 1e-15
+            at_zero = np.abs(self.times) < ZERO_TIME_TOL
             if np.any(at_zero):
                 row = self.amplitudes[np.argmax(at_zero)]
                 target = np.zeros_like(row)
@@ -215,7 +214,7 @@ class SchemeSpectrum:
         Coincident atoms are merged first; the cross terms they would
         otherwise contribute do not average out.
         """
-        stratum = (_grouped(self.atoms, self.table, MERGE_TOL)[1] ** 2).sum(axis=0)
+        stratum = (_grouped(self.atoms, self.table, ATOM_SEPARATION)[1] ** 2).sum(axis=0)
         a = np.asarray(self.strata.a, dtype=float)
         return AverageProbabilities(stratum=stratum, vertex=stratum / a)
 
@@ -254,7 +253,7 @@ def average_from_distribution(
     """
     if not isinstance(dist, DiscreteDistribution):
         raise InconsistentInputs("the finite spectral route needs a discrete distribution")
-    if np.min(np.diff(dist.atoms)) <= MERGE_TOL:
+    if np.min(np.diff(dist.atoms)) <= ATOM_SEPARATION:
         raise DegenerateSpectrumUnmerged(
             "coincident atoms contradict the polynomial structure of the scheme"
         )
@@ -343,7 +342,10 @@ def intersection_array(spec: SchemeSpec) -> IntersectionArray:
     if isinstance(spec, FromIntersectionArray):
         return spec.array
     if isinstance(spec, FromSRG):
-        return srg_intersection_array(spec.kappa, spec.lam, spec.eta)
+        ia = srg_intersection_array(spec.kappa, spec.lam, spec.eta)
+        ia.ensure_valid()
+        check_srg_order(spec.n, spec.kappa, spec.lam, spec.eta)
+        return ia
     if isinstance(spec, ProductScheme):
         return hamming_intersection_array(spec.copies, spec.n)
     if isinstance(spec, FromCatalog):

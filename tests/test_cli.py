@@ -401,6 +401,18 @@ def test_both_spellings_of_a_bad_spec_fail_alike(capsys, command, token, documen
         assert err.startswith(f"{code}: ") and err.count("\n") == 1, (text, err)
 
 
+@pytest.mark.parametrize("command", ["walk", "spectrum", "average", "verify"])
+@pytest.mark.parametrize("params, error", [
+    ((11, 3, 0, 1), "infeasible_parameters: srg parameters 11,3,0,1 need n = 10"),
+    ((10, 3, 2, 1), "invalid_intersection_array: nonpositive forward intersection number"),
+], ids=["n_contradicted", "c_1_zero"])
+def test_an_inconsistent_srg_fails_in_both_spellings(capsys, command, params, error):
+    n, kappa, lam, eta = params
+    document = {"kind": "srg", "n": n, "kappa": kappa, "lambda": lam, "eta": eta}
+    for text in ("srg:" + ",".join(map(str, params)), json.dumps(document)):
+        assert run_cli(capsys, command, "--graph", text) == (1, "", error + "\n")
+
+
 def test_engine_flags_agree(capsys):
     outputs = []
     for engine in ("auto", "eigen", "spectral"):

@@ -63,6 +63,17 @@ def test_validation_rejects_infeasible_multiplicities():
     assert any("multiplicity" in p for p in report.problems)
 
 
+def test_validation_lets_a_programming_error_through(monkeypatch):
+    from schemewalk import spectral
+
+    def broken(jc):
+        raise RuntimeError("not a feasibility problem")
+
+    monkeypatch.setattr(spectral, "golub_welsch", broken)
+    with pytest.raises(RuntimeError):
+        validate_intersection_array(PETERSEN)
+
+
 def test_eigenstructure_petersen():
     es = eigenstructure_from_array(PETERSEN)
     assert np.allclose(es.P[:, 1], [3.0, 1.0, -2.0])

@@ -281,6 +281,8 @@ def test_srg_matches_quadrature(params):
 def test_srg_rejects_infeasible():
     with pytest.raises(InfeasibleParameters):
         srg_distribution(10, 3, 2, 1)  # c_1 = 0: second stratum unreachable
+    with pytest.raises(InfeasibleParameters, match="need n = 10"):
+        srg_distribution(11, 3, 0, 1)  # kappa, lambda and eta fix n = 10
 
 
 def test_line_distribution_moments():
