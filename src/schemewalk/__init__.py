@@ -48,7 +48,6 @@ from .spectral import (
     jacobi_from_intersection,
     meixner_distribution,
     srg_distribution,
-    stieltjes_transform,
 )
 from .walk import (
     AmplitudeSeries,

@@ -36,7 +36,7 @@ from .schemes import (
     eigenstructure_from_array,
 )
 from .spectral import jacobi_from_intersection
-from .tolerances import (BFS_ARRAY_MATCH_TOL, ENGINE_AGREEMENT_TOL, LADDER_ACTIONS_TOL,
+from .tolerances import (BFS_ARRAY_MATCH_TOL, CLOSED_FORM_TOL, LADDER_ACTIONS_TOL,
                          MATRIX_TOL, ORACLE_AGREEMENT_TOL, ORACLE_EIGEN_RESIDUAL_TOL,
                          ORACLE_ORTHONORMALITY_TOL, STRATUM_UNIFORMITY_TOL, UNITARITY_TOL)
 
@@ -314,20 +314,25 @@ def _verify_checks(spec: SchemeSpec, times) -> tuple[list[tuple[str, float, floa
     if isinstance(spec, FromGroup):
         scheme = walk_scheme(spec.group, spec.generating_class)
         es, ia = scheme.eigenstructure, None
-        series = walk.eigen_spectrum(es, scheme.generating).amplitudes(times)
+        spectrum = walk.eigen_spectrum(es, scheme.generating)
     else:
         ia = walk.intersection_array(spec)
         jc = jacobi_from_intersection(ia)  # one decomposition for both routes
         es = eigenstructure_from_array(ia, jc)
-        series = walk.jacobi_spectrum(ia, jc).amplitudes(times)
+        spectrum = walk.jacobi_spectrum(ia, jc)
+    series = spectrum.amplitudes(times)
 
     checks = [("unitarity", series.unitarity_defect(), UNITARITY_TOL)]
-    if ia is not None:
-        eig_series = walk.eigen_spectrum(es).amplitudes(times)
-        agreement = float(np.max(np.abs(eig_series.amplitudes - series.amplitudes)))
-        checks.append(("engine_agreement", agreement, ENGINE_AGREEMENT_TOL))
-    pq = float(np.max(np.abs(es.P @ es.Q - es.n * np.eye(es.d + 1))))
-    checks.append(("eigenmatrix_duality", pq, MATRIX_TOL * es.n))
+    closed = walk.closed_form(spec)
+    if closed is not None:
+        atoms, weights = spectrum.distribution()
+        defect = np.inf  # unless both have the same number of distinct atoms
+        if atoms.shape == closed.atoms.shape:
+            deviation = np.subtract((atoms, weights), (closed.atoms, closed.weights))
+            defect = float(np.max(np.abs(deviation)))
+        checks.append(("closed_form", defect, CLOSED_FORM_TOL))
+    del spectrum  # its (d+1)^2 table need not stay alive through the oracle rows
+    checks.append(("eigenmatrix_duality", es.duality_defect, MATRIX_TOL * es.n))
     if graph is None:
         return checks, skipped
     ortho, resid = oracle.eigensolver_residuals(graph)

@@ -63,10 +63,6 @@ class BadParameter(SchemeWalkError):
     code = "bad_parameter"
 
 
-class PoleProximity(SchemeWalkError):
-    code = "pole_proximity"
-
-
 class InconsistentInputs(SchemeWalkError):
     code = "inconsistent_inputs"
 

@@ -10,6 +10,7 @@ follow from the array alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -79,10 +80,6 @@ class ValencyVector:
         if sum(self.a) != self.n:
             raise InvalidIntersectionArray("stratum sizes must sum to n")
 
-    @property
-    def d(self) -> int:
-        return len(self.a) - 1
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -121,6 +118,11 @@ def _structural_problems(ia: IntersectionArray) -> list[str]:
         problems.append("nonpositive backward intersection number")
     if not problems and ia.b[0] != 1:
         problems.append(f"a_1 = {ia.c[0]}/{ia.b[0]} != c_0: degree mismatch")
+    off = [c + b for c, b in zip(ia.c[1:] + (0,), ia.b)]  # k - off[i-1] stay at distance i
+    if not problems and max(off) > ia.degree:
+        i = off.index(max(off)) + 1
+        problems.append(f"a vertex at distance {i} has {off[i - 1]} neighbours off its stratum, "
+                        f"over the degree {ia.degree}")
     if not problems:
         try:
             derive_stratum_sizes(ia)
@@ -176,18 +178,13 @@ class SchemeEigenstructure:
     valencies: ValencyVector
 
     @property
-    def d(self) -> int:
-        return self.valencies.d
-
-    @property
     def n(self) -> int:
         return self.valencies.n
 
-    def rounded_multiplicities(self) -> tuple[int, ...]:
-        rounded = [int(round(x)) for x in self.m]
-        if sum(rounded) != self.n:
-            raise InvalidIntersectionArray("rounded multiplicities do not sum to n")
-        return tuple(rounded)
+    @cached_property
+    def duality_defect(self) -> float:
+        """max |PQ - nI|, measured once: ``validate`` bounds it and ``verify`` prints it."""
+        return float(np.max(np.abs(_minus_diagonal(self.P @ self.Q, self.n))))
 
     def validate(self) -> None:
         # Entries are bounded by n (|P_ij| <= a_j, |Q_ij| <= m_j) and rounding
@@ -198,7 +195,7 @@ class SchemeEigenstructure:
         scaled = MATRIX_TOL * n
         a = np.asarray(self.valencies.a, dtype=float)
         check = NumericalInstability.check
-        check("PQ != nI", _minus_diagonal(self.P @ self.Q, n), scaled)
+        check("PQ != nI", self.duality_defect, scaled)
         check("QP != nI", _minus_diagonal(self.Q @ self.P, n), scaled)
         first_columns = np.concatenate((self.P[:, 0], self.Q[:, 0]))
         check("first columns of P and Q must be all ones", first_columns - 1.0, MATRIX_TOL)

@@ -23,10 +23,9 @@ from .errors import (
     DegenerateAtoms,
     EigensolverNoConvergence,
     InfeasibleParameters,
-    PoleProximity,
 )
 from .schemes import IntersectionArray, check_strata
-from .tolerances import ATOM_SEPARATION, DEFAULT_TAIL_TOL, POLE_TOL, WEIGHT_SUM_TOL
+from .tolerances import ATOM_SEPARATION, DEFAULT_TAIL_TOL, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,6 @@ class DiscreteDistribution:
         if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_SUM_TOL:
             raise BadParameter("weights must sum to 1")
 
-    def moment(self, k: int) -> float:
-        return float(np.sum(self.weights * self.atoms**k))
-
 
 @dataclass(frozen=True)
 class ContinuousDistribution:
@@ -122,12 +118,6 @@ class ContinuousDistribution:
     support: tuple[float, float]
     nodes: np.ndarray
     node_weights: np.ndarray
-
-    def moment(self, k: int) -> float:
-        return float(np.sum(self.node_weights * self.nodes**k))
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.node_weights))
 
 
 @dataclass(frozen=True)
@@ -188,19 +178,6 @@ def evaluate_polynomials(jc: JacobiCoefficients, x, up_to_k: int) -> np.ndarray:
     for k in range(1, up_to_k):
         values.append((x - jc.alpha[k]) * values[k] - jc.omega[k - 1] * values[k - 1])
     return np.stack(values, axis=-1)
-
-
-def stieltjes_transform(dist: SpectralDistribution, z: complex) -> complex:
-    """Diagnostic Cauchy transform of the measure at a point off its support."""
-    if isinstance(dist, DiscreteDistribution):
-        atoms, weights = dist.atoms, dist.weights
-    elif isinstance(dist, DiscreteInfiniteDistribution):
-        atoms, weights = dist.truncated()
-    else:
-        atoms, weights = dist.nodes, dist.node_weights
-    if np.min(np.abs(z - atoms)) < POLE_TOL:
-        raise PoleProximity(f"evaluation point {z} too close to an atom")
-    return complex(np.sum(weights / (z - atoms)))
 
 
 def srg_distribution(n: int, kappa: int, lam: int, eta: int) -> DiscreteDistribution:

@@ -17,8 +17,6 @@ MULTIPLICITY_ROUNDING = 12 * np.finfo(float).eps
 WEIGHT_SUM_TOL = 1e-12
 # Tail mass a truncated countable measure drops: below the 12 digits every table prints.
 DEFAULT_TAIL_TOL = 1e-12
-# Absolute |z - atom| that makes z a pole: 1/(z - x) would magnify the atom's ~1e-13 error.
-POLE_TOL = 1e-12
 # Times n for PQ - nI and the other eigenmatrix identities, whose entries reach n; alone for 1s.
 MATRIX_TOL = 1e-9
 # Absolute defect of the character orthogonality relations, whose entries reach the group order.
@@ -33,8 +31,8 @@ UNITARITY_TOL = 1e-9
 ZERO_TIME_TOL = 1e-15
 
 # verify rows, one each (the duality row reads MATRIX_TOL * n).
-# Max |eigen - spectral amplitude|: one Jacobi decomposition read twice, P divides by U[0].
-ENGINE_AGREEMENT_TOL = 1e-10
+# Max |atom or weight - the paper's closed form|, absolute: worst measured 1.5e-13 (C_3404).
+CLOSED_FORM_TOL = 1e-10
 # Max |W^T W - I| of the oracle's Ritz vectors: full reorthogonalisation keeps it near 1e-13.
 ORACLE_ORTHONORMALITY_TOL = 1e-10
 # Max |A W - W Theta|: scales with the degree k and holds the Lanczos stop n eps k.

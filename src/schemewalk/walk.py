@@ -11,11 +11,13 @@ units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import catalog, cycle_intersection_array, hamming_intersection_array
+from .catalog import (catalog, cycle_distribution, cycle_intersection_array,
+                      hamming_distribution, hamming_intersection_array)
 from .errors import (
     BadParameter,
     BadParams,
@@ -24,7 +26,8 @@ from .errors import (
     InconsistentInputs,
     NumericalInstability,
 )
-from .groups import GroupWalkScheme, walk_scheme
+from .groups import (GroupWalkScheme, hook_length_dimension, partitions,
+                     transposition_eigenvalue, walk_scheme)
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -37,16 +40,10 @@ from .schemes import (
     ValencyVector,
     derive_stratum_sizes,
 )
-from .spectral import (
-    DiscreteDistribution,
-    JacobiCoefficients,
-    check_srg_order,
-    continuous_line_distribution,
-    evaluate_polynomials,
-    jacobi_from_intersection,
-    meixner_distribution,
-    srg_intersection_array,
-)
+from .spectral import (DiscreteDistribution, JacobiCoefficients, SpectralDistribution,
+                       check_srg_order, continuous_line_distribution, evaluate_polynomials,
+                       jacobi_from_intersection, meixner_distribution, srg_distribution,
+                       srg_intersection_array)
 from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
 
 ENGINES = ("eigen", "character", "spectral", "auto")
@@ -218,6 +215,10 @@ class SchemeSpectrum:
         a = np.asarray(self.strata.a, dtype=float)
         return AverageProbabilities(stratum=stratum, vertex=stratum / a)
 
+    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending distinct atoms, coincident ones merged, and their weights (column 0)."""
+        return _grouped(self.atoms, self.table[:, 0], ATOM_SEPARATION)
+
 
 def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> SchemeSpectrum:
     """Eigenvalue-matrix route: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
@@ -356,6 +357,30 @@ def intersection_array(spec: SchemeSpec) -> IntersectionArray:
     if spec.group.kind == "cyclic" and spec.generating_class in (None, 1):
         return cycle_intersection_array(spec.group.n)
     raise EngineSpecMismatch("only cyclic groups with class 1 have an intersection array")
+
+
+def closed_form(spec: SchemeSpec) -> SpectralDistribution | None:
+    """The paper's closed-form spectral distribution of the specification, or None.
+
+    Johnson graphs, generalized polygons, JSON arrays, dihedral groups and other
+    group classes have none.  S_n puts d_lambda^2 / n! at each irrep's transposition eigenvalue.
+    """
+    if isinstance(spec, FromCatalog):
+        return catalog(spec.name, spec.params).expected
+    if isinstance(spec, FromSRG):
+        return srg_distribution(spec.n, spec.kappa, spec.lam, spec.eta)
+    if isinstance(spec, ProductScheme):
+        return hamming_distribution(spec.copies, spec.n)
+    if isinstance(spec, FromGroup) and spec.generating_class in (None, 1):
+        if spec.group.kind == "cyclic":
+            return cycle_distribution(spec.group.n)
+        if spec.group.kind == "symmetric":
+            shapes = partitions(spec.group.n)
+            atoms = np.array([transposition_eigenvalue(lam) for lam in shapes], dtype=float)
+            weights = np.array([hook_length_dimension(lam) ** 2 for lam in shapes], dtype=float)
+            weights /= math.factorial(spec.group.n)
+            return DiscreteDistribution(*_grouped(atoms, weights, ATOM_SEPARATION))
+    return None
 
 
 def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:

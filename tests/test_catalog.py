@@ -113,7 +113,7 @@ def test_cycle_arrays_match_oracle_bfs():
 def test_line_entry_is_continuous():
     entry = catalog("line", ())
     assert entry.array is None
-    assert entry.expected.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(entry.expected.node_weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_is_built_on_first_read():

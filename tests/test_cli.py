@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from schemewalk import cli as cli_module
 from schemewalk import walk as walk_module
+from schemewalk.catalog import complete_distribution, hamming_distribution
 from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
 from schemewalk.groups import partitions
@@ -27,6 +29,7 @@ from schemewalk.schemes import (
     ValencyVector,
     eigenstructure_from_array,
 )
+from schemewalk.spectral import DiscreteDistribution
 from schemewalk.walk import AmplitudeSeries, eigen_spectrum, intersection_array, jacobi_spectrum
 
 
@@ -627,9 +630,8 @@ def test_verify_says_when_it_skips_the_oracle(capsys, graph, reason):
     assert code == 0
     assert err == f"oracle skipped: {reason}\n"
     rows = out.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == [
-        "unitarity", "engine_agreement", "eigenmatrix_duality"
-    ]
+    closed_form = ["closed_form"] if graph == "catalog:wells" else []  # Johnson has none
+    assert [row.split()[0] for row in rows] == ["unitarity", *closed_form, "eigenmatrix_duality"]
     assert all(row.endswith("PASS") for row in rows)
 
 
@@ -652,6 +654,90 @@ def test_verify_duality_threshold_scales_with_n(capsys, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "8")
     assert code == 0
     assert "eigenmatrix_duality" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("graph, has_closed_form", [
+    ("catalog:petersen", True),
+    ("catalog:wells", True),
+    ("catalog:incidence_pg:7", True),
+    ("catalog:complete:6", True),
+    ("catalog:cycle:12", True),
+    ("catalog:hamming:4,3", True),
+    ('{"kind": "product", "n": 3, "copies": 4}', True),
+    ("srg:16,6,2,2", True),
+    ("group:cyclic:12", True),
+    ("group:symmetric:6", True),  # 11 irreps, 9 distinct transposition eigenvalues
+    ("catalog:johnson:7,3", False),
+    ("catalog:gen_dodecagon:2", False),
+    ('{"kind": "intersection_array", "d": 2, "c_forward": [3, 2], "b_backward": [1, 1]}', False),
+    ("group:dihedral:10", False),
+    ("group:cyclic:12:2", False),
+    ("group:symmetric:5:2", False),
+])
+def test_verify_checks_the_closed_form_where_there_is_one(capsys, graph, has_closed_form):
+    code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "8")
+    assert code == 0 and "FAIL" not in out
+    names = [row.split()[0] for row in out.splitlines()[1:]]
+    leading = ["unitarity", *["closed_form"] * has_closed_form, "eigenmatrix_duality"]
+    assert names[: len(leading)] == leading
+    assert names.count("closed_form") == has_closed_form
+
+
+def test_verify_fails_a_perturbed_closed_form(capsys, monkeypatch):
+    def perturbed(d, n):
+        exact = hamming_distribution(d, n)
+        weights = exact.weights + np.array([1e-6, -1e-6] + [0.0] * (d - 1))
+        return DiscreteDistribution(exact.atoms, weights)
+
+    monkeypatch.setattr(walk_module, "hamming_distribution", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--graph", '{"kind": "product", "n": 2, "copies": 4}')
+    assert code == 1
+    rows = {row.split()[0]: row.split()[1:] for row in out.splitlines()[1:]}
+    assert float(rows["closed_form"][0]) == pytest.approx(1e-6, rel=1e-6)
+    assert rows["closed_form"][2] == "FAIL"
+    assert [name for name, row in rows.items() if row[2] == "FAIL"] == ["closed_form"]
+
+
+def test_verify_fails_a_closed_form_with_other_atoms(capsys, monkeypatch):
+    monkeypatch.setattr(walk_module, "cycle_distribution", complete_distribution)
+    code, out, _ = run_cli(capsys, "verify", "--graph", "group:cyclic:7", "--steps", "8")
+    assert code == 1
+    assert out.splitlines()[2].split() == ["closed_form", "inf", "1e-10", "FAIL"]
+
+
+def test_verify_forms_pq_once(capsys, monkeypatch):
+    # The duality row reads the PQ - nI defect that validate measured.
+    products = []
+
+    class CountingP(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    def counting(ia, jc=None):
+        es = eigenstructure_from_array(ia, jc)
+        es = dataclasses.replace(es, P=es.P.view(CountingP))
+        es.validate()
+        return es
+
+    monkeypatch.setattr(cli_module, "eigenstructure_from_array", counting)
+    code, out, _ = run_cli(capsys, "verify", "--graph", "catalog:petersen", "--steps", "8")
+    assert code == 0 and "eigenmatrix_duality" in out
+    assert products == [(3, 3)]
+
+
+@pytest.mark.parametrize("command", ["walk", "spectrum", "average", "verify"])
+@pytest.mark.parametrize("text", [
+    "srg:13,3,-1,1",
+    '{"kind": "srg", "n": 13, "kappa": 3, "lambda": -1, "eta": 1}',
+    '{"kind": "intersection_array", "d": 2, "c_forward": [3, 3], "b_backward": [1, 1]}',
+])
+def test_a_negative_intersection_number_is_invalid(capsys, command, text):
+    # a_1 = k - c_1 - b_1 = -1: a vertex at distance 1 has 3 + 1 neighbours off its stratum.
+    code, out, err = run_cli(capsys, command, "--graph", text)
+    assert (code, out) == (1, "")
+    assert err == ("invalid_intersection_array: a vertex at distance 1 has 4 neighbours "
+                   "off its stratum, over the degree 3\n")
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -692,7 +778,9 @@ def test_verify_passes_on_the_largest_oracle_graphs(capsys, graph):
     code, out, _ = run_cli(capsys, "verify", "--graph", graph, "--steps", "16")
     assert code == 0
     rows = out.splitlines()[1:]
-    assert len(rows) == (6 if graph.startswith("group:") else 9)
+    # Arrays add BFS and the ladder, and all but Johnson and dihedral groups a closed form.
+    assert len(rows) == {"catalog:hamming": 9, "catalog:johnson": 8, "group:dihedral": 6,
+                         "group:cyclic": 7, "group:symmetric": 7}[graph.rsplit(":", 1)[0]]
     assert all(row.endswith("PASS") for row in rows)
 
 

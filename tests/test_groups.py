@@ -332,7 +332,7 @@ def test_group_eigenstructure_s3_transposition_column():
 def test_walk_scheme_duality(descriptor):
     scheme = walk_scheme(descriptor.group, descriptor.generating_class)
     es = scheme.eigenstructure
-    size = es.d + 1
+    size = len(es.m)
     assert np.max(np.abs(es.P @ es.Q - es.n * np.eye(size))) < 1e-9
     assert es.valencies.a[0] == 1
     assert es.m[0] == 1.0

@@ -56,6 +56,17 @@ def test_validation_rejects_degree_mismatch():
     assert any("degree mismatch" in p for p in report.problems)
 
 
+@pytest.mark.parametrize("c, b, distance", [((3, 3), (1, 1), 1), ((2, 1, 1), (1, 1, 3), 3)])
+def test_validation_rejects_a_negative_intersection_number(c, b, distance):
+    # k - c_i - b_i, the neighbours a vertex at distance i keeps at distance i, is negative.
+    ia = IntersectionArray(d=len(c), c=c, b=b)
+    report = validate_intersection_array(ia)
+    assert not report.ok
+    assert report.problems[0].startswith(f"a vertex at distance {distance} has ")
+    with pytest.raises(InvalidIntersectionArray, match="over the degree"):
+        ia.ensure_valid()
+
+
 def test_validation_rejects_infeasible_multiplicities():
     # a_2 = 3 is integral here, but the eigenvalue multiplicities are not.
     report = validate_intersection_array(IntersectionArray(d=2, c=(3, 2), b=(1, 2)))
@@ -78,7 +89,7 @@ def test_eigenstructure_petersen():
     es = eigenstructure_from_array(PETERSEN)
     assert np.allclose(es.P[:, 1], [3.0, 1.0, -2.0])
     assert np.allclose(es.m, [1.0, 5.0, 4.0])
-    assert es.rounded_multiplicities() == (1, 5, 4)
+    assert np.round(es.m).tolist() == [1, 5, 4]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
@@ -105,7 +116,7 @@ def test_eigenstructure_complete_vs_dense_eigendecomposition(n):
 def test_eigenstructure_identities(ia):
     es = eigenstructure_from_array(ia)
     n = es.n
-    ident = n * np.eye(es.d + 1)
+    ident = n * np.eye(len(es.m))
     assert np.max(np.abs(es.P @ es.Q - ident)) < 1e-9
     assert np.max(np.abs(es.Q @ es.P - ident)) < 1e-9
     a = np.asarray(es.valencies.a, dtype=float)
@@ -113,7 +124,7 @@ def test_eigenstructure_identities(ia):
     assert np.allclose(es.P[0], a)
     assert np.allclose(es.Q[0], es.m)
     assert abs(es.m.sum() - n) < 1e-9
-    assert sum(es.rounded_multiplicities()) == n
+    assert np.round(es.m).sum() == n
     assert np.max(np.abs(es.m - np.round(es.m))) < 1e-6
 
 

@@ -17,14 +17,13 @@ PINNED = {
     "MULTIPLICITY_ROUNDING": 12 * np.finfo(float).eps,
     "WEIGHT_SUM_TOL": 1e-12,
     "DEFAULT_TAIL_TOL": 1e-12,
-    "POLE_TOL": 1e-12,
     "MATRIX_TOL": 1e-9,
     "ORTHOGONALITY_TOL": 1e-9,
     "REALNESS_TOL": 1e-12,
     "FUSION_KEY_DECIMALS": 9,
     "UNITARITY_TOL": 1e-9,
     "ZERO_TIME_TOL": 1e-15,
-    "ENGINE_AGREEMENT_TOL": 1e-10,
+    "CLOSED_FORM_TOL": 1e-10,
     "ORACLE_ORTHONORMALITY_TOL": 1e-10,
     "ORACLE_EIGEN_RESIDUAL_TOL": 1e-8,
     "BFS_ARRAY_MATCH_TOL": 0.5,
@@ -75,7 +74,7 @@ def test_removed_duplicate_names_are_gone():
 
 VERIFY_ROWS = {
     "unitarity": "UNITARITY_TOL",
-    "engine_agreement": "ENGINE_AGREEMENT_TOL",
+    "closed_form": "CLOSED_FORM_TOL",
     "oracle_orthonormality": "ORACLE_ORTHONORMALITY_TOL",
     "oracle_eigen_residual": "ORACLE_EIGEN_RESIDUAL_TOL",
     "bfs_array_match": "BFS_ARRAY_MATCH_TOL",
@@ -87,7 +86,7 @@ VERIFY_ROWS = {
 
 @pytest.mark.parametrize("graph, n, rows", [
     ("catalog:petersen", 10, 9),
-    ("group:cyclic:12", 12, 6),
+    ("group:cyclic:12", 12, 7),
 ])
 def test_verify_prints_each_rows_table_entry(capsys, graph, n, rows):
     assert cli.main(["verify", "--graph", graph, "--steps", "8"]) == 0

@@ -497,7 +497,7 @@ def test_jacobi_spectrum_weights_are_golub_welsch():
 def _eigen_average_reference(es, column):
     """(1/n^2) sum over distinct eigenvalues of (summed Q columns)^2, per vertex."""
     evals = es.P[:, column]
-    vertex = np.zeros(es.d + 1)
+    vertex = np.zeros(len(es.m))
     for value in np.unique(np.round(evals, 9)):
         vertex += es.Q[:, np.abs(evals - value) <= 1e-9].sum(axis=1) ** 2
     return vertex / es.n**2
