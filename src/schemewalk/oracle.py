@@ -4,13 +4,14 @@ Everything here works at the vertex level from each vertex's k neighbours,
 with no intersection array or character, so it can arbitrate disagreements:
 graphs are built from first principles by index arithmetic, e^{-iAt} e_root
 comes from Lanczos on the root's Krylov space (d+1 dimensions on a
-distance-regular graph) with A applied as sums over neighbour lists, its
+distance-regular graph) with A applied as sums over neighbour lists and a
+Gram-Schmidt pass only where a step cancels, its
 tridiagonal matrix decomposed by the engines' Jacobi solver and its Ritz
 pairs checked against neighbour sums, and
 a stratification is one stratum index per vertex: its breadth-first distance
 from the root, or on Cayley graphs the walk-scheme group of its conjugacy class
 (their distance partition may be coarser than the scheme partition).
-No step forms the n x n adjacency matrix.
+Only the A+/A-/A0 split forms the n x n adjacency matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadParams,
+    DegenerateAtoms,
     EngineSpecMismatch,
     NonSymmetricGeneratingSet,
     NotDistanceRegular,
@@ -40,8 +42,10 @@ from .schemes import (
     SchemeSpec,
 )
 from .spectral import JacobiCoefficients, jacobi_from_intersection
+from .tolerances import ORACLE_ORTHONORMALITY_TOL
 
 MAX_VERTICES = 2000
+NEIGHBOUR_CHUNK = 65536  # entries per neighbour-sum gather (512 KiB), timed on D_700 and K_400
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,20 +72,26 @@ class VertexGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """The n x n 0/1 int64 matrix, rebuilt on every read; no oracle step reads it."""
+        """The n x n 0/1 int64 matrix, rebuilt on every read; of the oracle's steps only
+        ``quantum_decomposition`` reads it."""
         A = np.zeros((self.n, self.n), dtype=np.int64)
         A[np.arange(self.n)[:, None], self.neighbours] = 1
         return A
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check:
-        the engines' Jacobi solver on the Lanczos coefficients, Ritz vectors Q^T U over Q."""
-        Q, jc = _lanczos(self)
-        evals, U = jc.eigh
-        for start in range(0, self.n, 256):  # block by block, so no second m x n array
-            Q[:, start : start + 256] = U.T @ Q[:, start : start + 256]
-        return evals, Q.T
+        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check;
+        sets ``gram_defect``, max|W^T W - I| of the vecs W.  A cheap run that lost orthogonality
+        (defect over the row bound, or coincident ghost Ritz values) is rebuilt with a
+        Gram-Schmidt pass at every step."""
+        try:
+            evals, vecs, defect = _ritz(self, every_step=False)
+        except DegenerateAtoms:
+            defect = np.inf
+        if defect > ORACLE_ORTHONORMALITY_TOL:
+            evals, vecs, defect = _ritz(self, every_step=True)
+        object.__setattr__(self, "gram_defect", defect)
+        return evals, vecs
 
     def validate(self) -> None:
         N, n = self.neighbours, self.n
@@ -100,36 +110,57 @@ class VertexGraph:
 
 
 def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), gathering a few
-    thousand entries at a time: small gathers reuse freed memory, where big ones fault pages in."""
-    rows = max(1, 4096 // x.size)
+    """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), gathering
+    NEIGHBOUR_CHUNK entries at a time: bounded gathers reuse freed memory and stay in cache, where
+    one gather of all k m n entries faults fresh pages in."""
+    rows = max(1, NEIGHBOUR_CHUNK // x.size)
     np.add.reduce(x.take(neighbours[:rows], axis=-1), axis=-2, out=out)
     for start in range(rows, len(neighbours), rows):
         out += np.add.reduce(x.take(neighbours[start : start + rows], axis=-1), axis=-2)
     return out
 
 
-def _lanczos(g: VertexGraph) -> tuple[np.ndarray, JacobiCoefficients]:
+def _lanczos(g: VertexGraph, every_step: bool = False) -> tuple[np.ndarray, JacobiCoefficients]:
     """The m x n basis Q of the root's Krylov space (row j is q_j) and A on its span, by Lanczos
-    with full reorthogonalisation (one classical Gram-Schmidt pass) from the root indicator.
-
-    alpha_j = q_j.Aq_j is the last Gram-Schmidt coefficient and omega_j = beta_j^2 the squared
-    norm of the rest; it stops once beta <= n eps k, k = ||A||_inf the degree.  On a bipartite
-    graph each q_j vanishes on one colour class, so every alpha is exactly 0.0."""
+    from the root indicator: r = A q_j - beta_j q_{j-1}, alpha_j = q_j.r, r -= alpha_j q_j, and
+    omega_j = beta_j^2 the squared norm of r.  On a scheme graph the q_j are stratum vectors,
+    orthogonal by structure, so r gets one classical Gram-Schmidt pass against Q only where the
+    step cancels, losing half its squared norm (Daniel, Gragg, Kaufman and Stewart, Math. Comp.
+    30, 1976), or at ``every_step``.  It stops once beta <= n eps k, k = ||A||_inf the degree.
+    On a bipartite graph each q_j vanishes on one colour class, so every alpha is exactly 0.0."""
     n, neighbours = g.n, g.neighbours.T
     floor = n * np.finfo(float).eps * len(neighbours)
-    Q, Aq, alpha, omega = np.empty((n + 1, n)), np.empty(n), [], []
+    Q, alpha, omega = np.empty((n + 1, n)), [], []
     Q[0] = np.arange(n) == g.root
     for m in range(1, n + 1):
-        coeffs = Q[:m] @ _neighbour_sum(neighbours, Q[m - 1], Aq)
-        np.subtract(Aq, coeffs @ Q[:m], out=Q[m])
-        alpha.append(float(coeffs[-1]))
-        omega.append(float(Q[m] @ Q[m]))
+        r = _neighbour_sum(neighbours, Q[m - 1], Q[m])
+        if m > 1:
+            r -= omega[-1] ** 0.5 * Q[m - 2]
+        before = float(r @ r)
+        alpha.append(float(Q[m - 1] @ r))
+        r -= alpha[-1] * Q[m - 1]
+        omega.append(float(r @ r))
+        if every_step or omega[-1] < 0.5 * before:  # the DGKS test
+            r -= (Q[:m] @ r) @ Q[:m]
+            omega[-1] = float(r @ r)
         if omega[-1] ** 0.5 <= floor:
             break
-        Q[m] /= omega[-1] ** 0.5
+        r /= omega[-1] ** 0.5
     Q.resize((m, n), refcheck=False)  # frees the rows past m in place; no view of Q is alive
     return Q, JacobiCoefficients(tuple(omega[: m - 1]), tuple(alpha))
+
+
+def _ritz(g: VertexGraph, every_step: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """(evals, vecs, max|W^T W - I|): the engines' Jacobi solver on the Lanczos coefficients and
+    the Ritz vectors W = Q^T U, written over Q; the Gram matrix is formed once U is released."""
+    Q, jc = _lanczos(g, every_step)
+    evals, U = jc.eigh
+    for start in range(0, g.n, 256):  # block by block, so no second m x n array
+        Q[:, start : start + 256] = U.T @ Q[:, start : start + 256]
+    del jc, U
+    gram = Q @ Q.T
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return evals, Q.T, float(max(gram.max(), -gram.min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,14 +359,13 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
 
 
 def eigensolver_residuals(g: VertexGraph) -> tuple[float, float]:
-    """(orthonormality defect, max|A W - W Theta|) of the Ritz pairs in ``g.eigh``; the
+    """(``g.gram_defect``, max|A W - W Theta|) of the Ritz pairs in ``g.eigh``; the
     residual holds the norm at which Lanczos stopped, so a basis cut short fails it.
     A W is summed over the neighbour lists here, not read from the Lanczos run."""
     evals, vecs = g.eigh
-    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(evals.size))))
     AW = _neighbour_sum(g.neighbours.T, vecs.T, np.empty_like(vecs.T))  # one row per vector
     AW -= vecs.T * evals[:, None]
-    return ortho, float(np.max(np.abs(AW)))
+    return g.gram_defect, float(np.max(np.abs(AW)))
 
 
 def _by_stratum(g: VertexGraph, strata: np.ndarray, times, vertex_amps) -> tuple[np.ndarray, ...]:

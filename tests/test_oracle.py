@@ -8,6 +8,7 @@ import pytest
 from schemewalk import groups, oracle
 from schemewalk.errors import (
     BadParams,
+    DegenerateAtoms,
     EngineSpecMismatch,
     NonSymmetricGeneratingSet,
     NotDistanceRegular,
@@ -22,6 +23,7 @@ from schemewalk.schemes import (
     ProductScheme,
 )
 from schemewalk.spectral import jacobi_from_intersection
+from schemewalk.tolerances import ORACLE_EIGEN_RESIDUAL_TOL, ORACLE_ORTHONORMALITY_TOL
 from schemewalk.walk import eigen_spectrum, jacobi_spectrum
 
 TIMES = np.linspace(0.0, 20.0, 64)
@@ -205,6 +207,59 @@ def test_krylov_eigh_needs_no_second_n_by_n_buffer():
         tracemalloc.stop()
     assert vecs.shape == (1200, 601)
     assert peak < 1.25 * (g.n + 1) * g.n * 8
+
+
+LONG_CYCLES = {"C1999": lambda: oracle.cycle_graph(1999), "Z2000": _group_graph("cyclic", 2000)}
+
+
+@pytest.mark.parametrize("name", [*KRYLOV_GRAPHS, *LONG_CYCLES])
+def test_the_cheap_lanczos_run_alone_meets_the_orthonormality_bound(name):
+    # A Gram-Schmidt pass only where a step cancels keeps these bases orthonormal: no rebuild.
+    g = {**KRYLOV_GRAPHS, **LONG_CYCLES}[name]()
+    evals, _, defect = oracle._ritz(g, every_step=False)
+    assert defect < ORACLE_ORTHONORMALITY_TOL
+    if name in LONG_CYCLES:
+        assert evals.size == g.n // 2 + 1
+
+
+def _random_4_regular(n, seed):
+    """The union of two random permutations of range(n) and their inverses, drawn again until
+    it has no loop and no repeated edge: a graph with no scheme structure."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p, q = rng.permutation(n), rng.permutation(n)
+        neighbours = np.stack((p, np.argsort(p), q, np.argsort(q)), axis=1)
+        ordered = np.sort(neighbours, axis=1)
+        loops = np.any(neighbours == np.arange(n)[:, None])
+        if not loops and np.all(ordered[:, 1:] > ordered[:, :-1]):
+            return oracle.VertexGraph(neighbours)
+
+
+def test_a_basis_that_lost_orthogonality_is_rebuilt():
+    # Random graphs fill all of R^n, and the cheap run loses orthogonality on them: on n = 50
+    # its Gram defect is of order 1, on n = 200 ghost Ritz values make coincident atoms.
+    small, large = _random_4_regular(50, 1), _random_4_regular(200, 1)
+    assert oracle._ritz(small, every_step=False)[2] > ORACLE_ORTHONORMALITY_TOL
+    with pytest.raises(DegenerateAtoms):
+        oracle._ritz(large, every_step=False)
+    for g in (small, large):
+        g.validate()
+        ortho, resid = oracle.eigensolver_residuals(g)
+        assert ortho < ORACLE_ORTHONORMALITY_TOL and resid < ORACLE_EIGEN_RESIDUAL_TOL
+        assert g.eigh[0].size == g.n
+        assert np.max(np.abs(oracle.exact_walk(g, TIMES) - _dense_walk(g, TIMES))) < 1e-12
+
+
+def test_neighbour_sum_matches_the_adjacency_product():
+    # D_700 has degree 350, so a vector and an m-row block both take several chunks of
+    # neighbour columns; integer entries make every order of summation exact.
+    g = _group_graph("dihedral", 350)()
+    A, rng = g.adjacency.astype(float), np.random.default_rng(0)
+    for shape in (g.n, (g.eigh[0].size, g.n)):
+        x = rng.integers(-9, 10, shape).astype(float)
+        assert g.neighbours.shape[1] > oracle.NEIGHBOUR_CHUNK // x.size
+        out = oracle._neighbour_sum(g.neighbours.T, x, np.empty_like(x))
+        np.testing.assert_array_equal(out, (A @ x.T).T)
 
 
 def _lanczos_basis(g, steps):
