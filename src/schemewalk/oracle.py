@@ -4,8 +4,7 @@ Everything here works at the vertex level from each vertex's k neighbours,
 with no intersection array or character, so it can arbitrate disagreements:
 graphs are built from first principles by index arithmetic, e^{-iAt} e_root
 comes from Lanczos on the root's Krylov space (d+1 dimensions on a
-distance-regular graph) with A applied as sums over neighbour lists and a
-Gram-Schmidt pass only where a step cancels, its
+distance-regular graph) with A applied as sums over neighbour lists, its
 tridiagonal matrix decomposed by the engines' Jacobi solver and its Ritz
 pairs checked against neighbour sums, and
 a stratification is one stratum index per vertex: its breadth-first distance
@@ -72,26 +71,38 @@ class VertexGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """The n x n 0/1 int64 matrix, rebuilt on every read; of the oracle's steps only
-        ``quantum_decomposition`` reads it."""
+        """The n x n 0/1 int64 matrix, rebuilt on every read; only the A+/A-/A0 split reads it."""
         A = np.zeros((self.n, self.n), dtype=np.int64)
         A[np.arange(self.n)[:, None], self.neighbours] = 1
         return A
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check;
-        sets ``gram_defect``, max|W^T W - I| of the vecs W.  A cheap run that lost orthogonality
-        (defect over the row bound, or coincident ghost Ritz values) is rebuilt with a
-        Gram-Schmidt pass at every step."""
-        try:
-            evals, vecs, defect = _ritz(self, every_step=False)
-        except DegenerateAtoms:
-            defect = np.inf
-        if defect > ORACLE_ORTHONORMALITY_TOL:
-            evals, vecs, defect = _ritz(self, every_step=True)
+        """Eigenpairs (evals, vecs) of A on the root's Krylov space, shared by every oracle check:
+        the engines' Jacobi solver on the Lanczos coefficients, Ritz vectors W = Q^T U over Q.
+        Sets ``gram_defect`` = max|W^T W - I|; a cheap run over the row bound, or with coincident
+        ghost Ritz values, is released and rebuilt with a Gram-Schmidt pass at every step."""
+        for every_step in (False, True):
+            Q = jc = gram = None  # the cheap run is released before the rebuild reserves its Q
+            Q, jc = _lanczos(self, every_step)
+            try:
+                evals, U = jc.eigh
+            except DegenerateAtoms:
+                if every_step:
+                    raise
+                continue
+            for start in range(0, self.n, 256):  # block by block, so no second m x n array
+                Q[:, start : start + 256] = U.T @ Q[:, start : start + 256]
+            del jc, U  # the Gram defect is formed once U is released, block by block as well:
+            defect = 0.0  # an m x m temporary was trimmed and faulted in again on some heaps
+            for start in range(0, len(Q), 256):
+                gram = Q[start : start + 256] @ Q.T
+                gram[np.arange(len(gram)), start + np.arange(len(gram))] -= 1.0
+                defect = max(defect, float(gram.max()), float(-gram.min()))
+            if every_step or defect <= ORACLE_ORTHONORMALITY_TOL:
+                break
         object.__setattr__(self, "gram_defect", defect)
-        return evals, vecs
+        return evals, Q.T
 
     def validate(self) -> None:
         N, n = self.neighbours, self.n
@@ -110,9 +121,8 @@ class VertexGraph:
 
 
 def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), gathering
-    NEIGHBOUR_CHUNK entries at a time: bounded gathers reuse freed memory and stay in cache, where
-    one gather of all k m n entries faults fresh pages in."""
+    """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), NEIGHBOUR_CHUNK
+    gathered entries at a time: bounded gathers reuse freed memory, big ones fault pages in."""
     rows = max(1, NEIGHBOUR_CHUNK // x.size)
     np.add.reduce(x.take(neighbours[:rows], axis=-1), axis=-2, out=out)
     for start in range(rows, len(neighbours), rows):
@@ -120,14 +130,13 @@ def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _lanczos(g: VertexGraph, every_step: bool = False) -> tuple[np.ndarray, JacobiCoefficients]:
+def _lanczos(g: VertexGraph, every_step: bool) -> tuple[np.ndarray, JacobiCoefficients]:
     """The m x n basis Q of the root's Krylov space (row j is q_j) and A on its span, by Lanczos
-    from the root indicator: r = A q_j - beta_j q_{j-1}, alpha_j = q_j.r, r -= alpha_j q_j, and
-    omega_j = beta_j^2 the squared norm of r.  On a scheme graph the q_j are stratum vectors,
-    orthogonal by structure, so r gets one classical Gram-Schmidt pass against Q only where the
-    step cancels, losing half its squared norm (Daniel, Gragg, Kaufman and Stewart, Math. Comp.
-    30, 1976), or at ``every_step``.  It stops once beta <= n eps k, k = ||A||_inf the degree.
-    On a bipartite graph each q_j vanishes on one colour class, so every alpha is exactly 0.0."""
+    from the root indicator: r = A q_j - beta_j q_{j-1}, alpha_j = q_j.r, r -= alpha_j q_j and
+    omega_j = beta_j^2 = ||r||^2.  On scheme graphs the q_j are stratum vectors, orthogonal by
+    structure, so r gets a classical Gram-Schmidt pass against Q only at ``every_step`` or where
+    the step cancels half its squared norm (the DGKS test, Daniel et al., Math. Comp. 30, 1976).
+    It stops once beta <= n eps k, k = ||A||_inf; on a bipartite graph every alpha is 0.0."""
     n, neighbours = g.n, g.neighbours.T
     floor = n * np.finfo(float).eps * len(neighbours)
     Q, alpha, omega = np.empty((n + 1, n)), [], []
@@ -136,11 +145,10 @@ def _lanczos(g: VertexGraph, every_step: bool = False) -> tuple[np.ndarray, Jaco
         r = _neighbour_sum(neighbours, Q[m - 1], Q[m])
         if m > 1:
             r -= omega[-1] ** 0.5 * Q[m - 2]
-        before = float(r @ r)
         alpha.append(float(Q[m - 1] @ r))
         r -= alpha[-1] * Q[m - 1]
         omega.append(float(r @ r))
-        if every_step or omega[-1] < 0.5 * before:  # the DGKS test
+        if every_step or omega[-1] < alpha[-1] ** 2:  # DGKS: ||r||^2 < 1/2 ||r + alpha_j q_j||^2
             r -= (Q[:m] @ r) @ Q[:m]
             omega[-1] = float(r @ r)
         if omega[-1] ** 0.5 <= floor:
@@ -148,19 +156,6 @@ def _lanczos(g: VertexGraph, every_step: bool = False) -> tuple[np.ndarray, Jaco
         r /= omega[-1] ** 0.5
     Q.resize((m, n), refcheck=False)  # frees the rows past m in place; no view of Q is alive
     return Q, JacobiCoefficients(tuple(omega[: m - 1]), tuple(alpha))
-
-
-def _ritz(g: VertexGraph, every_step: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """(evals, vecs, max|W^T W - I|): the engines' Jacobi solver on the Lanczos coefficients and
-    the Ritz vectors W = Q^T U, written over Q; the Gram matrix is formed once U is released."""
-    Q, jc = _lanczos(g, every_step)
-    evals, U = jc.eigh
-    for start in range(0, g.n, 256):  # block by block, so no second m x n array
-        Q[:, start : start + 256] = U.T @ Q[:, start : start + 256]
-    del jc, U
-    gram = Q @ Q.T
-    gram.flat[:: len(gram) + 1] -= 1.0
-    return evals, Q.T, float(max(gram.max(), -gram.min()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -187,7 +187,7 @@ def test_lanczos_coefficients_are_the_jacobi_matrix_of_the_bfs_array(name):
     # On the root's Krylov space A is the Jacobi matrix of the spectral distribution.
     g = oracle.hamming_graph(4, 2) if name == "H4_2" else KRYLOV_GRAPHS[name]()
     _, ia = oracle.bfs_strata(g)
-    expected, (_, lanczos) = jacobi_from_intersection(ia), oracle._lanczos(g)
+    expected, (_, lanczos) = jacobi_from_intersection(ia), oracle._lanczos(g, every_step=False)
     k = g.neighbours.shape[1]
     np.testing.assert_allclose(lanczos.alpha, expected.alpha, rtol=1e-12, atol=1e-12 * k)
     np.testing.assert_allclose(lanczos.omega, expected.omega, rtol=1e-12, atol=0.0)
@@ -215,11 +215,16 @@ LONG_CYCLES = {"C1999": lambda: oracle.cycle_graph(1999), "Z2000": _group_graph(
 @pytest.mark.parametrize("name", [*KRYLOV_GRAPHS, *LONG_CYCLES])
 def test_the_cheap_lanczos_run_alone_meets_the_orthonormality_bound(name):
     # A Gram-Schmidt pass only where a step cancels keeps these bases orthonormal: no rebuild.
+    # The Ritz vectors Q^T U have the Gram defect of Q, as U is orthogonal.
     g = {**KRYLOV_GRAPHS, **LONG_CYCLES}[name]()
-    evals, _, defect = oracle._ritz(g, every_step=False)
-    assert defect < ORACLE_ORTHONORMALITY_TOL
+    Q, _ = oracle._lanczos(g, every_step=False)
+    assert _gram_defect(Q) < ORACLE_ORTHONORMALITY_TOL
     if name in LONG_CYCLES:
-        assert evals.size == g.n // 2 + 1
+        assert len(Q) == g.n // 2 + 1
+
+
+def _gram_defect(rows):
+    return np.max(np.abs(rows @ rows.T - np.eye(len(rows))))
 
 
 def _random_4_regular(n, seed):
@@ -239,15 +244,31 @@ def test_a_basis_that_lost_orthogonality_is_rebuilt():
     # Random graphs fill all of R^n, and the cheap run loses orthogonality on them: on n = 50
     # its Gram defect is of order 1, on n = 200 ghost Ritz values make coincident atoms.
     small, large = _random_4_regular(50, 1), _random_4_regular(200, 1)
-    assert oracle._ritz(small, every_step=False)[2] > ORACLE_ORTHONORMALITY_TOL
+    Q, jc = oracle._lanczos(small, every_step=False)
+    assert _gram_defect((Q.T @ jc.eigh[1]).T) > ORACLE_ORTHONORMALITY_TOL
     with pytest.raises(DegenerateAtoms):
-        oracle._ritz(large, every_step=False)
+        oracle._lanczos(large, every_step=False)[1].eigh
     for g in (small, large):
         g.validate()
         ortho, resid = oracle.eigensolver_residuals(g)
         assert ortho < ORACLE_ORTHONORMALITY_TOL and resid < ORACLE_EIGEN_RESIDUAL_TOL
         assert g.eigh[0].size == g.n
         assert np.max(np.abs(oracle.exact_walk(g, TIMES) - _dense_walk(g, TIMES))) < 1e-12
+
+
+def test_a_rebuild_releases_the_cheap_run_first(monkeypatch):
+    # With a bound no run meets, C_1200 is rebuilt: the cheap run's m x n Ritz vectors must be
+    # gone before the rebuild reserves its (n + 1) x n basis, so the bound above still holds.
+    monkeypatch.setattr(oracle, "ORACLE_ORTHONORMALITY_TOL", -1.0)
+    g = oracle.cycle_graph(1200)
+    tracemalloc.start()
+    try:
+        evals, vecs = g.eigh
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (1200, 601) and g.gram_defect < ORACLE_ORTHONORMALITY_TOL
+    assert peak < 1.25 * (g.n + 1) * g.n * 8
 
 
 def test_neighbour_sum_matches_the_adjacency_product():
@@ -282,11 +303,13 @@ def test_a_basis_cut_short_fails_the_residual_row(name):
     beta = np.linalg.norm(w)
     H = Q @ g.adjacency @ Q.T
     theta, V = np.linalg.eigh((H + H.T) / 2)
-    g.__dict__["eigh"] = (theta, Q.T @ V)
-    ortho, resid = oracle.eigensolver_residuals(g)
-    # A W - W Theta is the rank-one beta q_{m-1} V[-1]: its largest entry is
-    # beta max|q_{m-1}| max|V[-1]|, and a unit row of m-1 entries has one >= 1/sqrt(m-1).
-    assert ortho < 1e-13
+    W = Q.T @ V
+    g.__dict__["eigh"] = (theta, W)
+    _, resid = oracle.eigensolver_residuals(g)
+    # W is orthonormal, so only the residual row catches the missing vector: A W - W Theta is the
+    # rank-one beta q_{m-1} V[-1], whose largest entry is beta max|q_{m-1}| max|V[-1]|, and a unit
+    # row of m-1 entries has one >= 1/sqrt(m-1).
+    assert _gram_defect(W.T) < 1e-13
     assert resid >= beta * np.max(np.abs(w / beta)) / np.sqrt(m - 1) * (1 - 1e-12)
     assert resid > 1e-8  # the verify threshold
 
