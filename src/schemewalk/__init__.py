@@ -38,9 +38,7 @@ from .schemes import (
     validate_intersection_array,
 )
 from .spectral import (
-    ContinuousDistribution,
     DiscreteDistribution,
-    DiscreteInfiniteDistribution,
     JacobiCoefficients,
     continuous_line_distribution,
     evaluate_polynomials,

@@ -18,11 +18,7 @@ import numpy as np
 
 from .errors import BadParams, UnknownCatalogName
 from .schemes import IntersectionArray, check_strata
-from .spectral import (
-    DiscreteDistribution,
-    SpectralDistribution,
-    continuous_line_distribution,
-)
+from .spectral import DiscreteDistribution, continuous_line_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +28,10 @@ class CatalogEntry:
     name: str
     params: tuple[int, ...]
     array: IntersectionArray | None
-    closed_form: Callable[[], SpectralDistribution | None]
+    closed_form: Callable[[], DiscreteDistribution | None]
 
     @cached_property
-    def expected(self) -> SpectralDistribution | None:
+    def expected(self) -> DiscreteDistribution | None:
         return self.closed_form()
 
 
@@ -253,6 +249,8 @@ def catalog(name: str, params: tuple[int, ...] = ()) -> CatalogEntry:
     if name not in _FAMILIES:
         raise UnknownCatalogName(f"unknown catalog name {name!r}")
     expected_params, array_of, expected_of = _FAMILIES[name]
+    if any(int(p) != p for p in params):
+        raise BadParams(f"{name} parameters must be integers, got {params!r}")
     params = tuple(int(p) for p in params)
     if len(params) != len(expected_params):
         raise BadParams(

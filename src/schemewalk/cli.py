@@ -266,7 +266,7 @@ def _cmd_spectrum(args) -> int:
     spec = _parse_spec(args.graph)
     entry = catalog_lookup(spec.name, spec.params) if isinstance(spec, FromCatalog) else None
     if entry is not None and entry.array is None:
-        atoms, weights = entry.expected.nodes, entry.expected.node_weights
+        atoms, weights = entry.expected.atoms, entry.expected.weights
     else:
         spectrum = walk.resolve(spec, "spectral")
         atoms, weights = spectrum.atoms, spectrum.table[:, 0]

@@ -59,10 +59,6 @@ class BadParams(SchemeWalkError):
     code = "bad_params"
 
 
-class BadParameter(SchemeWalkError):
-    code = "bad_parameter"
-
-
 class InconsistentInputs(SchemeWalkError):
     code = "inconsistent_inputs"
 

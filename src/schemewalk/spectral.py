@@ -14,16 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DegenerateAtoms,
-    EigensolverNoConvergence,
-    InfeasibleParameters,
-)
+from .errors import BadParams, DegenerateAtoms, EigensolverNoConvergence, InfeasibleParameters
 from .schemes import IntersectionArray, check_strata
 from .tolerances import ATOM_SEPARATION, DEFAULT_TAIL_TOL, WEIGHT_SUM_TOL
 
@@ -37,9 +31,9 @@ class JacobiCoefficients:
 
     def __post_init__(self) -> None:
         if len(self.alpha) != len(self.omega) + 1:
-            raise BadParameter("alpha must have one more entry than omega")
+            raise BadParams("alpha must have one more entry than omega")
         if any(w <= 0 for w in self.omega):
-            raise BadParameter("recurrence weights must be positive")
+            raise BadParams("recurrence weights must be positive")
 
     @property
     def d(self) -> int:
@@ -94,7 +88,10 @@ def _bipartite_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite atomic measure; atoms ascending, weights positive and summing to 1."""
+    """Finite atomic measure; atoms ascending, weights positive and summing to 1.
+
+    The one measure type: the infinite path's arcsine measure enters as its quadrature.
+    """
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -103,48 +100,11 @@ class DiscreteDistribution:
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.atoms.shape != self.weights.shape:
-            raise BadParameter("atoms and weights must have matching shapes")
+            raise BadParams("atoms and weights must have matching shapes")
         if np.any(np.diff(self.atoms) <= 0):
-            raise BadParameter("atoms must be strictly ascending")
+            raise BadParams("atoms must be strictly ascending")
         if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_SUM_TOL:
-            raise BadParameter("weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class ContinuousDistribution:
-    """Absolutely continuous measure with a quadrature rule adapted to it."""
-
-    density: Callable[[float], float]
-    support: tuple[float, float]
-    nodes: np.ndarray
-    node_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiscreteInfiniteDistribution:
-    """Countable atomic measure truncated once the tail mass drops below tolerance."""
-
-    atom_at: Callable[[int], tuple[float, float]]
-
-    def truncated(self) -> tuple[np.ndarray, np.ndarray]:
-        atoms: list[float] = []
-        weights: list[float] = []
-        total = 0.0
-        k = 0
-        while total < 1.0 - DEFAULT_TAIL_TOL:
-            x, w = self.atom_at(k)
-            atoms.append(x)
-            weights.append(w)
-            total += w
-            k += 1
-            if k > 10_000_000:
-                raise BadParameter("truncation did not converge")
-        return np.asarray(atoms), np.asarray(weights)
-
-
-SpectralDistribution = (
-    DiscreteDistribution | ContinuousDistribution | DiscreteInfiniteDistribution
-)
+            raise BadParams("weights must sum to 1")
 
 
 def jacobi_from_intersection(ia: IntersectionArray) -> JacobiCoefficients:
@@ -170,7 +130,7 @@ def evaluate_polynomials(jc: JacobiCoefficients, x, up_to_k: int) -> np.ndarray:
     ``x`` may be a scalar or an array; the result has shape ``x.shape + (k+1,)``.
     """
     if up_to_k < 0 or up_to_k > jc.d:
-        raise BadParameter(f"polynomial index {up_to_k} out of range 0..{jc.d}")
+        raise BadParams(f"polynomial index {up_to_k} out of range 0..{jc.d}")
     x = np.asarray(x, dtype=float)
     values = [np.ones_like(x)]
     if up_to_k >= 1:
@@ -222,39 +182,40 @@ def srg_intersection_array(kappa: int, lam: int, eta: int) -> IntersectionArray:
     return IntersectionArray(d=2, c=(kappa, kappa - lam - 1), b=(1, eta))
 
 
-def continuous_line_distribution(nodes: int = 256) -> ContinuousDistribution:
-    """Arcsine-type measure on [-2, 2] attached to the two-sided infinite path.
+def continuous_line_distribution(nodes: int = 256) -> DiscreteDistribution:
+    """N-node quadrature of the arcsine measure on [-2, 2] of the two-sided infinite path.
 
-    Quadrature nodes are x = 2 cos(theta) at midpoints of a uniform theta grid,
-    which integrates the weight function exactly, so every node carries mass 1/N.
+    Nodes are x = 2 cos(theta) at midpoints of a uniform theta grid, which
+    integrates the arcsine weight exactly, so every node carries mass 1/N.
     The nodes mirror bit for bit, x == -x[::-1], with 0.0 in the middle of an odd N.
     """
     if nodes < 1:
-        raise BadParameter("need at least one quadrature node")
+        raise BadParams("need at least one quadrature node")
     upper = 2.0 * np.cos((np.arange(nodes // 2) + 0.5) * math.pi / nodes)
     xs = np.concatenate((-upper, np.zeros(nodes % 2), upper[::-1]))
-
-    def density(x: float) -> float:
-        return 1.0 / (math.pi * math.sqrt(4.0 - x * x))
-
-    return ContinuousDistribution(
-        density=density,
-        support=(-2.0, 2.0),
-        nodes=xs,
-        node_weights=np.full(nodes, 1.0 / nodes),
-    )
+    return DiscreteDistribution(xs, np.full(nodes, 1.0 / nodes))
 
 
-def meixner_distribution(p: float) -> DiscreteInfiniteDistribution:
-    """Geometric atomic measure of the sparse-limit growing-family walk (0 < p < 1)."""
+def meixner_distribution(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the geometric measure of the sparse-limit growing-family walk.
+
+    The countable measure (0 < p < 1) is cut once the tail mass drops below
+    DEFAULT_TAIL_TOL, so the weights may sum to less than 1 by more than
+    WEIGHT_SUM_TOL: they stay two arrays, not a ``DiscreteDistribution``.
+    """
     if not (0.0 < p < 1.0):
-        raise BadParameter(f"p must lie strictly between 0 and 1, got {p}")
+        raise BadParams(f"p must lie strictly between 0 and 1, got {p}")
     scale = math.sqrt(p * (2.0 - p))
     ratio = p / (2.0 - p)
     head = 2.0 * (1.0 - p) / (2.0 - p)
-
-    def atom_at(k: int) -> tuple[float, float]:
-        x = (-p + 2.0 * (1.0 - p) * k) / scale
-        return x, head * ratio**k
-
-    return DiscreteInfiniteDistribution(atom_at=atom_at)
+    atoms: list[float] = []
+    weights: list[float] = []
+    total = 0.0
+    while total < 1.0 - DEFAULT_TAIL_TOL:
+        k = len(atoms)
+        if k == 10_000_000:
+            raise BadParams("truncation did not converge")
+        atoms.append((-p + 2.0 * (1.0 - p) * k) / scale)
+        weights.append(head * ratio**k)
+        total += weights[-1]
+    return np.asarray(atoms), np.asarray(weights)

@@ -19,7 +19,6 @@ import numpy as np
 from .catalog import (catalog, cycle_distribution, cycle_intersection_array,
                       hamming_distribution, hamming_intersection_array)
 from .errors import (
-    BadParameter,
     BadParams,
     DegenerateSpectrumUnmerged,
     EngineSpecMismatch,
@@ -40,8 +39,8 @@ from .schemes import (
     ValencyVector,
     derive_stratum_sizes,
 )
-from .spectral import (DiscreteDistribution, JacobiCoefficients, SpectralDistribution,
-                       check_srg_order, continuous_line_distribution, evaluate_polynomials,
+from .spectral import (DiscreteDistribution, JacobiCoefficients, check_srg_order,
+                       continuous_line_distribution, evaluate_polynomials,
                        jacobi_from_intersection, meixner_distribution, srg_distribution,
                        srg_intersection_array)
 from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
@@ -296,15 +295,15 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     if k < 0:
-        raise BadParameter("stratum index must be nonnegative")
+        raise BadParams("stratum index must be nonnegative")
     if p == 1.0:
         it = 1j * times
         return it**k / (1.0 + it) ** (k + 1)
     if not (0.0 < p < 1.0):
-        raise BadParameter(f"p must lie in (0, 1], got {p}")
+        raise BadParams(f"p must lie in (0, 1], got {p}")
     if k != 0:
-        raise BadParameter("only the origin amplitude is available for p < 1")
-    atoms, weights = meixner_distribution(p).truncated()
+        raise BadParams("only the origin amplitude is available for p < 1")
+    atoms, weights = meixner_distribution(p)
     return _phase_sum(times, atoms, weights)
 
 
@@ -322,13 +321,13 @@ def line_walk(times, k_max: int, nodes: int = 512) -> AmplitudeSeries:
     missing mass is the probability beyond stratum k_max.
     """
     if k_max < 1:
-        raise BadParameter("k_max must be at least 1")
+        raise BadParams("k_max must be at least 1")
     dist = continuous_line_distribution(nodes)
-    polys = evaluate_polynomials(line_jacobi(k_max), dist.nodes, k_max)
+    polys = evaluate_polynomials(line_jacobi(k_max), dist.atoms, k_max)
     times = np.asarray(times, dtype=float)
     a = np.array([1.0] + [2.0] * k_max)
-    table = dist.node_weights[:, None] * polys / np.sqrt(a)
-    amplitudes = _phase_sum(times, dist.nodes, table)
+    table = dist.weights[:, None] * polys / np.sqrt(a)
+    amplitudes = _phase_sum(times, dist.atoms, table)
     strata = ValencyVector(tuple(int(x) for x in a), int(a.sum()))
     return AmplitudeSeries(times, strata, amplitudes, "stratum")
 
@@ -359,7 +358,7 @@ def intersection_array(spec: SchemeSpec) -> IntersectionArray:
     raise EngineSpecMismatch("only cyclic groups with class 1 have an intersection array")
 
 
-def closed_form(spec: SchemeSpec) -> SpectralDistribution | None:
+def closed_form(spec: SchemeSpec) -> DiscreteDistribution | None:
     """The paper's closed-form spectral distribution of the specification, or None.
 
     Johnson graphs, generalized polygons, JSON arrays, dihedral groups and other

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schemewalk import oracle
+from schemewalk import oracle, walk
 from schemewalk.catalog import (
     catalog,
     catalog_names,
@@ -13,7 +13,15 @@ from schemewalk.catalog import (
     johnson_intersection_array,
 )
 from schemewalk.errors import BadParams, UnknownCatalogName
-from schemewalk.spectral import golub_welsch, jacobi_from_intersection
+from schemewalk.schemes import (
+    FromCatalog,
+    FromGroup,
+    FromIntersectionArray,
+    FromSRG,
+    GroupDescriptor,
+    ProductScheme,
+)
+from schemewalk.spectral import DiscreteDistribution, golub_welsch, jacobi_from_intersection
 
 # One admissible parameter point per tabulated family.
 TABULATED = [
@@ -34,6 +42,10 @@ TABULATED = [
     ("cycle", (8,)),
     ("hamming", (2, 3)),
 ]
+
+# One valid parameter point per catalog name; line has no finite array.
+VALID = {**dict(TABULATED), "johnson": (6, 2), "gen_octagon": (2, 1), "gen_dodecagon": (2,),
+         "line": ()}
 
 
 @pytest.mark.parametrize("name,params", TABULATED)
@@ -113,7 +125,40 @@ def test_cycle_arrays_match_oracle_bfs():
 def test_line_entry_is_continuous():
     entry = catalog("line", ())
     assert entry.array is None
-    assert np.sum(entry.expected.node_weights) == pytest.approx(1.0, abs=1e-12)
+    assert isinstance(entry.expected, DiscreteDistribution)
+    assert len(entry.expected.atoms) == 256
+    assert np.sum(entry.expected.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_closed_form_is_a_discrete_distribution_or_none():
+    assert sorted(VALID) == list(catalog_names())
+    for name, params in VALID.items():
+        expected = catalog(name, params).expected
+        assert (expected is None) == (name in ("johnson", "gen_octagon", "gen_dodecagon"))
+        assert expected is None or isinstance(expected, DiscreteDistribution)
+        routed = walk.closed_form(FromCatalog(name, params))
+        assert routed is None if expected is None else np.array_equal(routed.atoms, expected.atoms)
+    specs = {
+        FromSRG(10, 3, 0, 1): True,
+        ProductScheme(3, 2): True,
+        FromGroup(GroupDescriptor("cyclic", 7)): True,
+        FromGroup(GroupDescriptor("symmetric", 4)): True,
+        FromGroup(GroupDescriptor("cyclic", 7), 2): False,
+        FromGroup(GroupDescriptor("dihedral", 5)): False,
+        FromIntersectionArray(cycle_intersection_array(7)): False,
+    }
+    for spec, has_closed_form in specs.items():
+        dist = walk.closed_form(spec)
+        assert isinstance(dist, DiscreteDistribution) if has_closed_form else dist is None
+
+
+def test_catalog_rejects_non_integer_parameters():
+    for name, params in (("cycle", (4.5,)), ("hamming", (3.7, 2.2)), ("johnson", (6, 2.5))):
+        with pytest.raises(BadParams, match="must be integers"):
+            catalog(name, params)
+    with pytest.raises(BadParams):
+        walk.resolve(FromCatalog("cycle", (7.9,)))
+    assert catalog("cycle", (7.0,)).array == catalog("cycle", (np.int64(7),)).array
 
 
 def test_closed_form_is_built_on_first_read():

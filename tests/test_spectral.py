@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemewalk.errors import (
-    BadParameter,
+    BadParams,
     EigensolverNoConvergence,
     InfeasibleParameters,
 )
@@ -288,22 +288,15 @@ def test_srg_rejects_infeasible():
 
 def test_line_distribution_moments():
     dist = continuous_line_distribution(256)
-    moments = [np.sum(dist.node_weights * dist.nodes**k) for k in range(5)]
+    moments = [np.sum(dist.weights * dist.atoms**k) for k in range(5)]
     assert moments[0] == pytest.approx(1.0, abs=1e-12)
     assert moments[1] == pytest.approx(0.0, abs=1e-12)
     assert moments[2] == pytest.approx(2.0, abs=1e-10)
     assert moments[4] == pytest.approx(6.0, abs=1e-10)
-    # density itself integrates to 1 under the rule that absorbs its weight
-    values = np.array([dist.density(x) for x in dist.nodes])
-    dx_dtheta = np.sqrt(4.0 - dist.nodes**2)  # |dx| = 2 sin(theta) dtheta
-    assert np.sum(values * dx_dtheta * math.pi / len(dist.nodes)) == pytest.approx(
-        1.0, abs=1e-10
-    )
 
 
 def test_meixner_weights_geometric():
-    dist = meixner_distribution(0.5)
-    atoms, weights = dist.truncated()
+    atoms, weights = meixner_distribution(0.5)
     assert weights[1] / weights[0] == pytest.approx(1.0 / 3.0)
     assert atoms[0] == pytest.approx(-0.5 / math.sqrt(0.75))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -312,7 +305,7 @@ def test_meixner_weights_geometric():
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2])
 def test_meixner_rejects_bad_parameter(p):
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParams):
         meixner_distribution(p)
 
 
@@ -485,8 +478,11 @@ def test_bipartite_svd_failure_is_a_solver_error(monkeypatch):
 
 
 def test_line_nodes_are_mirrored_bit_for_bit():
-    for nodes in (1, 2, 3, 8, 9, 512, 513):
-        xs = continuous_line_distribution(nodes).nodes
+    # Each construction also runs the DiscreteDistribution checks: ascending, weights sum to 1.
+    for nodes in range(1, 5000):
+        xs = continuous_line_distribution(nodes).atoms
         assert np.array_equal(xs, -xs[::-1]) and np.all(np.diff(xs) > 0)
         theta = (np.arange(nodes) + 0.5) * math.pi / nodes
         assert np.max(np.abs(xs - 2.0 * np.cos(theta)[::-1])) < 16 * EPS
+    with pytest.raises(BadParams):
+        continuous_line_distribution(0)

@@ -14,7 +14,6 @@ from schemewalk.catalog import (
     hamming_distribution,
 )
 from schemewalk.errors import (
-    BadParameter,
     BadParams,
     DegenerateSpectrumUnmerged,
     EngineSpecMismatch,
@@ -302,11 +301,11 @@ def test_johnson_limit_meixner_origin():
 
 
 def test_johnson_limit_rejects_bad_input():
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParams):
         johnson_limit_amplitudes(0.5, 1, TIMES)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParams):
         johnson_limit_amplitudes(1.2, 0, TIMES)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParams):
         johnson_limit_amplitudes(1.0, -1, TIMES)
 
 
@@ -385,7 +384,7 @@ def test_phase_kernel_matches_the_complex_exponential(times, atoms, table):
 
 
 def test_phase_kernel_takes_the_one_dimensional_meixner_weights():
-    atoms, weights = meixner_distribution(0.5).truncated()
+    atoms, weights = meixner_distribution(0.5)
     expected = _kernel_reference(TIMES, atoms, weights)
     assert np.max(np.abs(johnson_limit_amplitudes(0.5, 0, TIMES) - expected)) < 1e-13
 
@@ -598,14 +597,14 @@ def test_bipartite_arrays_put_odd_strata_on_the_imaginary_axis():
 def test_folded_kernel_takes_a_one_dimensional_table(monkeypatch):
     counts = _recorded_folds(monkeypatch)
     dist = continuous_line_distribution(33)
-    atoms = np.concatenate((dist.nodes, dist.nodes[:5]))  # five repeated atoms
-    weights = np.concatenate((dist.node_weights, dist.node_weights[:5]))
+    atoms = np.concatenate((dist.atoms, dist.atoms[:5]))  # five repeated atoms
+    weights = np.concatenate((dist.weights, dist.weights[:5]))
     amps = walk_module._phase_sum(TIMES, atoms, weights)
     assert amps.shape == TIMES.shape and counts == []  # the merged rows are not even
     assert np.max(np.abs(amps - _kernel_reference(TIMES, atoms, weights))) < 1e-13
-    amps = walk_module._phase_sum(TIMES, dist.nodes, dist.node_weights)
+    amps = walk_module._phase_sum(TIMES, dist.atoms, dist.weights)
     assert amps.shape == TIMES.shape and counts == [33]
-    assert np.max(np.abs(amps - _kernel_reference(TIMES, dist.nodes, dist.node_weights))) < 1e-13
+    assert np.max(np.abs(amps - _kernel_reference(TIMES, dist.atoms, dist.weights))) < 1e-13
     assert np.all(amps.imag == 0) and not np.any(np.signbit(amps.imag))
 
 
