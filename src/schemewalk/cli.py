@@ -185,20 +185,29 @@ def _parse_spec(text: str, default_kind: str | None = None) -> SchemeSpec:
 
 
 _ZERO = "0.000000000000"
-_JSON_ROW = '{{"t":{:.12},"stratum":{:.0f},"re":{:.12},"im":{:.12},"prob":{:.12}}},'
+_JSON_ROW = '{{"t":{t},"stratum":{k},"re":{:.12},"im":{:.12},"prob":{:.12}}},'
 _JSON_REPR = re.compile(r":(-?[\d.]+e(?:\+|-3\d)\d+)")
 
 
-def _csv(row: str, *columns) -> str:
-    """``row`` once per entry of the columns, with every %.12f cell printing -0 as 0.
+def _walk_rows(row: str, times: np.ndarray, time_format: str, strata: int) -> str:
+    """``row`` for every (time, stratum), with the time in ``time_format`` in place of ``{t}``
+    and the stratum label in place of ``{k}``: each is written once, not once per row."""
+    head, tail = row.split("{k}")
+    pieces = (head + (tail + head).join(map(str, range(strata))) + tail).split("{t}")
+    return "".join([format(t, time_format).join(pieces) for t in times.tolist()])
+
+
+def _csv(rows: str, *columns) -> str:
+    """The template ``rows`` filled with the columns row by row, with every %.12f cell
+    printing -0 as 0.
 
     The columns are stacked as floats, which ``%d`` prints as integers.
     """
-    text = "\n" + row * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
+    text = "\n" + rows % tuple(np.column_stack(columns).ravel().tolist())
     return text.replace("\n-" + _ZERO, "\n" + _ZERO).replace(",-" + _ZERO, "," + _ZERO)[1:]
 
 
-def _json_walk(*columns) -> str:
+def _json_walk(times, strata: int, *columns) -> str:
     """Walk rows as one JSON array whose floats print as json.dumps prints the
     values rounded to 12 significant digits.
 
@@ -207,8 +216,9 @@ def _json_walk(*columns) -> str:
     with more digits than its repr, the cell is printed again by repr.
     """
     values = np.column_stack(columns)
-    text = (_JSON_ROW * len(values)).format(*values.ravel().tolist())[:-1]
-    magnitude = np.abs(values)
+    rows = _walk_rows(_JSON_ROW, times, ".12", strata)
+    text = rows.format(*values.ravel().tolist())[:-1]
+    magnitude = np.abs(np.concatenate((values.ravel(), times)))
     if not np.all((magnitude < 9e10) & ((magnitude > 1e-300) | (magnitude == 0))):
         text = _JSON_REPR.sub(lambda m: ":" + repr(float(m[1])), text)
     return "[" + text.replace("inf", "Infinity").replace("nan", "NaN") + "]\n"
@@ -248,17 +258,16 @@ def _cmd_walk(args) -> int:
     series = walk.dispatch(walk.WalkRequest(spec, times, args.engine, args.normalized))
     if args.vertex_level:
         series = series.to_vertex()
-    steps, strata = series.amplitudes.shape
+    strata = series.amplitudes.shape[1]
     amps = series.amplitudes.ravel()
     # np.hypot is abs(amp) bit for bit, and a float's ** 2 is the scalar pow;
     # x * x can differ from it in the last bit.
     prob = [m**2 for m in np.hypot(amps.real, amps.imag).tolist()]
-    columns = (np.repeat(series.times, strata), np.tile(np.arange(strata), steps),
-               amps.real, amps.imag, prob)
     if args.format == "json":
-        sys.stdout.write(_json_walk(*columns))
+        sys.stdout.write(_json_walk(series.times, strata, amps.real, amps.imag, prob))
     else:
-        sys.stdout.write(_csv("%.12f,%d,%.12f,%.12f,%.12f\n", *columns))
+        rows = _walk_rows("{t},{k},%.12f,%.12f,%.12f\n", series.times, ".12f", strata)
+        sys.stdout.write(_csv(rows, amps.real, amps.imag, prob))
     return 0
 
 
@@ -270,7 +279,7 @@ def _cmd_spectrum(args) -> int:
     else:
         spectrum = walk.resolve(spec, "spectral")
         atoms, weights = spectrum.atoms, spectrum.table[:, 0]
-    sys.stdout.write(_csv("%.12f,%.12f\n", atoms, weights))
+    sys.stdout.write(_csv("%.12f,%.12f\n" * len(atoms), atoms, weights))
     return 0
 
 
@@ -278,7 +287,7 @@ def _cmd_average(args) -> int:
     spec = _with_class_override(_parse_spec(args.graph), args)
     averages = walk.resolve(spec).averages()
     values = averages.vertex if args.vertex_level else averages.stratum
-    sys.stdout.write(_csv("%d,%.12f\n", np.arange(len(values)), values))
+    sys.stdout.write(_csv("%d,%.12f\n" * len(values), np.arange(len(values)), values))
     return 0
 
 
@@ -293,8 +302,11 @@ def _cmd_characters(args) -> int:
         raise SchemaError("/kind: characters needs a group specification")
     table = character_table(spec.group)
     values = table.values + 0.0  # -0.0 + 0.0 is 0.0, in both parts
-    row = ",".join(["%.12g%+.12gi"] * table.n_classes) + "\n"
-    sys.stdout.write(row * len(values) % tuple(values.view(np.float64).ravel().tolist()))
+    # Equal values print alike, so each distinct value is formatted once.
+    distinct, index = np.unique(values.ravel(), return_inverse=True)
+    cells = np.array(["%.12g%+.12gi" % (z.real, z.imag) for z in distinct.tolist()], object)
+    row = ",".join(["%s"] * table.n_classes) + "\n"
+    sys.stdout.write(row * len(values) % tuple(cells[index].tolist()))
     return 0
 
 

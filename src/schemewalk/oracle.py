@@ -122,11 +122,15 @@ class VertexGraph:
 
 def _neighbour_sum(neighbours: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = A x over the k x n neighbour columns, x of shape (n,) or (m, n), NEIGHBOUR_CHUNK
-    gathered entries at a time: bounded gathers reuse freed memory, big ones fault pages in."""
-    rows = max(1, NEIGHBOUR_CHUNK // x.size)
-    np.add.reduce(x.take(neighbours[:rows], axis=-1), axis=-2, out=out)
-    for start in range(rows, len(neighbours), rows):
-        out += np.add.reduce(x.take(neighbours[start : start + rows], axis=-1), axis=-2)
+    gathered entries at a time: bounded gathers reuse freed memory, big ones fault pages in.
+    A 2-D x past one chunk goes in blocks of rows, each summing one neighbour column a gather."""
+    rows = max(1, NEIGHBOUR_CHUNK // x.size)  # neighbour columns a gather takes
+    block = max(1, NEIGHBOUR_CHUNK // x.shape[-1])  # rows of a 2-D x a gather takes
+    for lo in range(0, len(x), block) if x.ndim == 2 else (None,):
+        xs, part = (x, out) if lo is None else (x[lo : lo + block], out[lo : lo + block])
+        np.add.reduce(xs.take(neighbours[:rows], axis=-1), axis=-2, out=part)
+        for start in range(rows, len(neighbours), rows):
+            part += np.add.reduce(xs.take(neighbours[start : start + rows], axis=-1), axis=-2)
     return out
 
 

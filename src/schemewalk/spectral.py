@@ -208,14 +208,9 @@ def meixner_distribution(p: float) -> tuple[np.ndarray, np.ndarray]:
     scale = math.sqrt(p * (2.0 - p))
     ratio = p / (2.0 - p)
     head = 2.0 * (1.0 - p) / (2.0 - p)
-    atoms: list[float] = []
-    weights: list[float] = []
-    total = 0.0
-    while total < 1.0 - DEFAULT_TAIL_TOL:
-        k = len(atoms)
-        if k == 10_000_000:
-            raise BadParams("truncation did not converge")
-        atoms.append((-p + 2.0 * (1.0 - p) * k) / scale)
-        weights.append(head * ratio**k)
-        total += weights[-1]
-    return np.asarray(atoms), np.asarray(weights)
+    # The first K weights sum to 1 - ratio^K: keep the fewest with ratio^K <= DEFAULT_TAIL_TOL.
+    count = math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(max(ratio, DEFAULT_TAIL_TOL)))
+    if count > 10_000_000:
+        raise BadParams("truncation did not converge")
+    weights = [head * ratio**k for k in range(count)]  # numpy's power differs in the last bit
+    return (-p + 2.0 * (1.0 - p) * np.arange(count)) / scale, np.asarray(weights)

@@ -1003,7 +1003,10 @@ def test_characters_writer_matches_the_per_cell_reference(cells, classes):
     assert out == _reference_characters(values)
 
 
-@pytest.mark.parametrize("group", ["cyclic:12", "dihedral:16", "symmetric:6"])
+# cyclic:81 and dihedral:32 are the largest tables the benchmark prints; Z_81's 6561
+# cells hold 81 distinct values, each formatted once.
+@pytest.mark.parametrize(
+    "group", ["cyclic:12", "dihedral:16", "symmetric:6", "cyclic:81", "dihedral:32"])
 def test_characters_of_real_groups_match_the_per_cell_reference(group):
     from schemewalk.groups import character_table
     from schemewalk.schemes import GroupDescriptor
@@ -1032,11 +1035,16 @@ def test_every_command_writes_stdout_once(argv):
 
 
 def test_walk_on_real_schemes_matches_the_per_cell_reference():
-    for graph in ("catalog:hamming:20,2", "group:cyclic:25", "catalog:cycle:201"):
-        request = walk_module.WalkRequest(parse_graph_spec(graph), tuple(np.linspace(0, 9, 7)))
-        series = walk_module.dispatch(request)
+    # The last two are the largest tables the benchmark prints: 64 steps of 101 strata
+    # (C_201) and of 226 (D_898).
+    for graph, t1, steps in (("catalog:hamming:20,2", 9, 7), ("group:cyclic:25", 9, 7),
+                             ("catalog:cycle:201", 9, 7), ("catalog:cycle:201", 20, 64),
+                             ("group:dihedral:449", 20, 64)):
+        times = tuple(np.linspace(0, t1, steps))
+        series = walk_module.dispatch(walk_module.WalkRequest(parse_graph_spec(graph), times))
         for fmt in ("csv", "json"):
-            argv = ["walk", "--graph", graph, "--t1", "9", "--steps", "7", "--format", fmt]
+            argv = ["walk", "--graph", graph, "--t1", str(t1), "--steps", str(steps),
+                    "--format", fmt]
             assert _stdout_of(argv) == _reference_walk(series.times, series.amplitudes, fmt)
 
 

@@ -283,6 +283,33 @@ def test_neighbour_sum_matches_the_adjacency_product():
         np.testing.assert_array_equal(out, (A @ x.T).T)
 
 
+class _GatherSizes(np.ndarray):
+    """An array whose ``take`` records the size of every gather made from it."""
+
+    sizes: list = []
+
+    def take(self, *args, **kwargs):
+        result = super().take(*args, **kwargs)
+        _GatherSizes.sizes.append(result.size)
+        return result
+
+
+@pytest.mark.parametrize("chunk", [30, 97, 389])
+def test_neighbour_sum_keeps_its_chunk_bound_on_a_block_of_vectors(monkeypatch, chunk):
+    # A 13 x 30 block on K_30 is over each chunk, so it goes in blocks of 1, 3 and 12 rows,
+    # each summing its 29 neighbours one column a gather, in the order of one whole gather.
+    g = oracle.complete_graph(30)
+    x = np.random.default_rng(1).standard_normal((13, g.n))
+    monkeypatch.setattr(oracle, "NEIGHBOUR_CHUNK", 10**9)
+    whole = oracle._neighbour_sum(g.neighbours.T, x, np.empty_like(x))
+    monkeypatch.setattr(oracle, "NEIGHBOUR_CHUNK", chunk)
+    _GatherSizes.sizes = []
+    out = oracle._neighbour_sum(g.neighbours.T, x.view(_GatherSizes), np.empty_like(x))
+    assert x.size > chunk and len(_GatherSizes.sizes) > 29 and max(_GatherSizes.sizes) <= chunk
+    np.testing.assert_array_equal(out, whole)
+    np.testing.assert_allclose(out, x @ g.adjacency.T, rtol=0, atol=1e-13)
+
+
 def _lanczos_basis(g, steps):
     """Rows q_0 .. q_{steps-1} of the root's Lanczos basis and the next residual vector."""
     A = g.adjacency.astype(float)

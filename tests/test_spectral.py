@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from schemewalk.spectral import (
     srg_distribution,
     srg_intersection_array,
 )
+from schemewalk.tolerances import DEFAULT_TAIL_TOL
 
 PETERSEN = IntersectionArray(d=2, c=(3, 2), b=(1, 1))
 C7 = IntersectionArray(d=3, c=(2, 1, 1), b=(1, 1, 1))
@@ -301,6 +303,53 @@ def test_meixner_weights_geometric():
     assert atoms[0] == pytest.approx(-0.5 / math.sqrt(0.75))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - weights.sum() < 1e-12
+
+
+def _meixner_by_running_sum(p):
+    """The truncation meixner_distribution made before its atom count was closed form:
+    add weights until they sum to 1 - DEFAULT_TAIL_TOL."""
+    scale, ratio, head = math.sqrt(p * (2 - p)), p / (2 - p), 2 * (1 - p) / (2 - p)
+    atoms, weights, total = [], [], 0.0
+    while total < 1.0 - DEFAULT_TAIL_TOL:
+        atoms.append((-p + 2.0 * (1.0 - p) * len(atoms)) / scale)
+        weights.append(head * ratio ** len(weights))
+        total += weights[-1]
+    return np.asarray(atoms), np.asarray(weights)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999])
+def test_meixner_count_is_the_first_whose_tail_is_below_the_tolerance(p):
+    atoms, weights = meixner_distribution(p)
+    ratio = p / (2 - p)
+    assert ratio ** len(atoms) <= DEFAULT_TAIL_TOL and (
+        len(atoms) == 1 or ratio ** (len(atoms) - 1) > DEFAULT_TAIL_TOL)
+    # The running sum agrees up to p = 0.99; past it its rounding drifts (2763 against
+    # 2764 atoms at p = 0.995, 13799 against 13816 at 0.999).  Shared atoms are bit-equal.
+    loop_atoms, loop_weights = _meixner_by_running_sum(p)
+    assert len(atoms) == len(loop_atoms) if p <= 0.99 else len(atoms) > len(loop_atoms)
+    shared = min(len(atoms), len(loop_atoms))
+    np.testing.assert_array_equal(atoms[:shared], loop_atoms[:shared])
+    np.testing.assert_array_equal(weights[:shared], loop_weights[:shared])
+
+
+def test_meixner_near_one_takes_a_million_atoms_without_a_loop():
+    p = 0.99999
+    atoms, weights = meixner_distribution(p)
+    ratio = p / (2 - p)
+    assert len(atoms) == math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(ratio)) > 10**6
+    assert weights[1] / weights[0] == pytest.approx(ratio, rel=1e-15)
+    assert 0 < 1 - weights.sum() < DEFAULT_TAIL_TOL + len(atoms) * np.finfo(float).eps
+
+
+def test_meixner_past_the_atom_cap_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParams, match="truncation did not converge"):
+            meixner_distribution(0.999999)  # about 1.4e7 atoms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2])

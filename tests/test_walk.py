@@ -39,6 +39,7 @@ from schemewalk.spectral import (
     jacobi_from_intersection,
     meixner_distribution,
 )
+from schemewalk.tolerances import DEFAULT_TAIL_TOL
 from schemewalk import walk as walk_module
 from schemewalk.walk import (
     AmplitudeSeries,
@@ -298,6 +299,17 @@ def test_johnson_limit_meixner_origin():
         atom = (-p + 2 * (1 - p) * k) / scale
         reference += weight * np.exp(-1j * atom * t)
     assert np.max(np.abs(origin - reference)) < 1e-10
+
+
+def test_johnson_limit_near_p_one_sums_over_a_million_atoms():
+    # The geometric measure's origin amplitude in closed form:
+    # sum_k head ratio^k e^{-i x_k t} = head e^{i p t / s} / (1 - ratio e^{-2i (1-p) t / s}).
+    p, t = 0.99999, np.array([0.0, 7.5])
+    scale, ratio, head = math.sqrt(p * (2 - p)), p / (2 - p), 2 * (1 - p) / (2 - p)
+    exact = head * np.exp(1j * p * t / scale) / (1 - ratio * np.exp(-2j * (1 - p) * t / scale))
+    atoms = meixner_distribution(p)[0].size
+    bound = DEFAULT_TAIL_TOL + atoms * np.finfo(float).eps  # the cut tail and the rounding
+    assert np.max(np.abs(johnson_limit_amplitudes(p, 0, t) - exact)) < bound
 
 
 def test_johnson_limit_rejects_bad_input():
