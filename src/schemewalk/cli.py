@@ -243,17 +243,8 @@ def _time_grid(
     return tuple(grid + 0.0)  # -0.0 + 0.0 is 0.0, so -0 prints as 0 in every format
 
 
-def _with_class_override(spec: SchemeSpec, args) -> SchemeSpec:
-    override = getattr(args, "gen_class", None)
-    if override is None:
-        return spec
-    if not isinstance(spec, FromGroup):
-        raise SchemaError("--class only applies to group specifications")
-    return FromGroup(spec.group, override)
-
-
 def _cmd_walk(args) -> int:
-    spec = _with_class_override(_parse_spec(args.graph), args)
+    spec = _parse_spec(args.graph)
     times = _time_grid(args.times, args.t0, args.t1, args.steps, 0)
     series = walk.dispatch(walk.WalkRequest(spec, times, args.engine, args.normalized))
     if args.vertex_level:
@@ -284,7 +275,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    spec = _with_class_override(_parse_spec(args.graph), args)
+    spec = _parse_spec(args.graph)
     averages = walk.resolve(spec).averages()
     values = averages.vertex if args.vertex_level else averages.stratum
     sys.stdout.write(_csv("%d,%.12f\n" * len(values), np.arange(len(values)), values))
@@ -411,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--vertex-level", action="store_true", help="per-vertex instead of per-stratum"
     )
     p_walk.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_walk.add_argument(
-        "--class", dest="gen_class", type=int, help="generating class for group schemes"
-    )
 
     p_spec = sub.add_parser("spectrum", help="spectral distribution atoms and weights")
     add_graph(p_spec)
@@ -421,9 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg = sub.add_parser("average", help="long-time average probabilities")
     add_graph(p_avg)
     p_avg.add_argument("--vertex-level", action="store_true")
-    p_avg.add_argument(
-        "--class", dest="gen_class", type=int, help="generating class for group schemes"
-    )
 
     p_chars = sub.add_parser("characters", help="character table as CSV")
     p_chars.add_argument(

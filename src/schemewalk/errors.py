@@ -88,10 +88,6 @@ class TooLarge(SchemeWalkError):
     code = "too_large"
 
 
-class NonSymmetricGeneratingSet(SchemeWalkError):
-    code = "non_symmetric_generating_set"
-
-
 class NotDistanceRegular(SchemeWalkError):
     code = "not_distance_regular"
 

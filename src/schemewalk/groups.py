@@ -141,7 +141,6 @@ class CharacterTable:
     irrep_dims: tuple[int, ...]
     irrep_labels: tuple[str, ...]
     values: np.ndarray  # (irreps, classes), complex
-    inverse_class_map: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -201,8 +200,10 @@ def _dihedral_rotations(m: int) -> np.ndarray:
     return np.array([0, *central, *range(1, (m + 1) // 2)])
 
 
-def _walk_strata(kind: str, n: int) -> int:
-    """d+1 of the walk scheme of Z_n or D_2n, known before anything is built."""
+def walk_strata(kind: str, n: int) -> int:
+    """d+1 of the walk scheme of Z_n, D_2n or S_n, known before anything is built."""
+    if kind == "symmetric":
+        return len(partitions(n))
     return n // 2 + (1 if kind == "cyclic" else 2)
 
 
@@ -210,7 +211,7 @@ def character_table_cyclic(n: int) -> CharacterTable:
     """All-one-dimensional table chi_j(g^k) = exp(2 pi i jk/n)."""
     if n < 3:
         raise InvalidOrder(f"cyclic table needs n >= 3, got {n}")
-    check_strata(_walk_strata("cyclic", n), f"Z{n}")
+    check_strata(walk_strata("cyclic", n), f"Z{n}")
     roots = np.array([_root_of_unity(k, n) for k in range(n)])
     exponents = np.outer(np.arange(n), np.arange(n))
     exponents %= n
@@ -222,7 +223,6 @@ def character_table_cyclic(n: int) -> CharacterTable:
         irrep_dims=(1,) * n,
         irrep_labels=tuple(f"chi_{j}" for j in range(n)),
         values=values,
-        inverse_class_map=tuple((n - k) % n for k in range(n)),
     )
 
 
@@ -230,7 +230,7 @@ def character_table_dihedral(m: int) -> CharacterTable:
     """Dihedral group of order 2m; the class layout depends on the parity of m."""
     if m < 3:
         raise InvalidOrder(f"dihedral table needs m >= 3, got {m}")
-    check_strata(_walk_strata("dihedral", m), f"D{2 * m}")
+    check_strata(walk_strata("dihedral", m), f"D{2 * m}")
     ell = m // 2
     rotations = _dihedral_rotations(m)
     if m % 2 == 1:
@@ -275,7 +275,6 @@ def character_table_dihedral(m: int) -> CharacterTable:
         irrep_dims=dims,
         irrep_labels=irrep_labels,
         values=values,
-        inverse_class_map=tuple(range(len(sizes))),
     )
 
 
@@ -298,7 +297,6 @@ def character_table_symmetric(n: int) -> CharacterTable:
         irrep_dims=dims,
         irrep_labels=labels,
         values=values,
-        inverse_class_map=tuple(range(nc)),
     )
 
 
@@ -313,32 +311,6 @@ def character_table(descriptor: GroupDescriptor) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Fusion: merged classes -> symmetric scheme eigenstructure
 # ---------------------------------------------------------------------------
-
-
-def cyclic_distance_groups(n: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse-pair class merging of Z_n in cycle-distance order.
-
-    The generating pair {g, g^-1} sits at index 1 for every n, matching the
-    distance strata of the cycle graph.
-    """
-    groups: list[tuple[int, ...]] = [(0,)]
-    for j in range(1, (n - 1) // 2 + 1):
-        groups.append((j, n - j))
-    if n % 2 == 0:
-        groups.append((n // 2,))
-    return tuple(groups)
-
-
-def dihedral_merged_blueprint(m: int) -> tuple[tuple[int, ...], ...]:
-    """Class fusion used by the walk on even dihedral groups: one reflection class.
-
-    Order: identity, merged reflections, the central rotation, rotation pairs.
-    """
-    if m % 2 == 1:
-        return tuple((k,) for k in range(2 + m // 2))
-    ell = m // 2
-    nc = ell + 3
-    return ((0,), (nc - 2, nc - 1), (1,)) + tuple((j,) for j in range(2, ell + 1))
 
 
 def _ordered_eigenstructure(
@@ -483,24 +455,14 @@ def intersection_numbers_group(
 
 @dataclass(frozen=True, eq=False)
 class GroupElements:
-    """Element list with multiplication, inversion and raw-class membership."""
+    """Element list with multiplication and each element's walk-scheme stratum, a
+    conjugacy class fused with its inverse: it generates an undirected Cayley graph."""
 
     descriptor: GroupDescriptor
     elements: tuple
-    class_of: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {el: i for i, el in enumerate(self.elements)}
-        )
-
-    def index(self, element) -> int:
-        return self._index[element]
+    strata: np.ndarray  # stratum index of each element, in the order of ``elements``
 
     def mul(self, x, y):
-        raise NotImplementedError
-
-    def inv(self, x):
         raise NotImplementedError
 
     def right_products(self, gs) -> np.ndarray:
@@ -511,9 +473,6 @@ class GroupElements:
 class _CyclicElements(GroupElements):
     def mul(self, x, y):
         return (x + y) % self.descriptor.n
-
-    def inv(self, x):
-        return (-x) % self.descriptor.n
 
     def right_products(self, gs) -> np.ndarray:
         n = self.descriptor.n
@@ -526,11 +485,6 @@ class _DihedralElements(GroupElements):
         r1, s1 = x
         r2, s2 = y
         return ((r1 + (r2 if s1 == 0 else -r2)) % m, s1 ^ s2)
-
-    def inv(self, x):
-        m = self.descriptor.n
-        r, s = x
-        return ((-r) % m, 0) if s == 0 else x
 
     def right_products(self, gs) -> np.ndarray:
         # Element (r, s) sits at index s * m + r; see group_elements.
@@ -547,12 +501,6 @@ class _DihedralElements(GroupElements):
 class _SymmetricElements(GroupElements):
     def mul(self, x, y):
         return tuple(x[i] for i in y)
-
-    def inv(self, x):
-        out = [0] * len(x)
-        for i, xi in enumerate(x):
-            out[xi] = i
-        return tuple(out)
 
     @cached_property
     def _perms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,29 +534,27 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def group_elements(descriptor: GroupDescriptor) -> GroupElements:
-    """Enumerate the group with the identity first and tag every element's class."""
+    """Enumerate the group with the identity first and tag every element's stratum: g^k of Z_n
+    is in min(k, n - k); in D_2m, e is in 0, the reflections in 1 and a^r in the column of
+    a^min(r, m - r) in ``_dihedral_eigenstructure``; in S_n, the cycle type's partition index."""
+    n, k = descriptor.n, np.arange(descriptor.n)
     if descriptor.kind == "cyclic":
-        elems = tuple(range(descriptor.n))
-        return _CyclicElements(descriptor, elems, elems)
+        return _CyclicElements(descriptor, tuple(range(n)), np.minimum(k, n - k))
     if descriptor.kind == "dihedral":
-        m = descriptor.n
-
-        def dihedral_class(r: int, s: int) -> int:
-            # 0: identity; 1: a^(m/2) if m is even, else the reflections; then the pairs
-            # a^r, a^-r; an even m splits its reflections into two classes after them
-            if s:
-                return 1 if m % 2 else m // 2 + 1 + r % 2
-            return 0 if r == 0 else 1 if 2 * r == m else 1 + min(r, m - r)
-
-        elems = tuple((r, s) for s in (0, 1) for r in range(m))
-        return _DihedralElements(descriptor, elems, tuple(dihedral_class(*e) for e in elems))
-    parts = partitions(descriptor.n)
-    elems = tuple(sorted(permutations(range(descriptor.n))))
-    return _SymmetricElements(descriptor, elems, tuple(parts.index(_cycle_type(p)) for p in elems))
+        rotations = _dihedral_rotations(n)
+        column = np.zeros(n // 2 + 1, dtype=int)  # column 1 holds the reflections
+        column[rotations[1:]] = np.arange(2, len(rotations) + 1)
+        strata = np.concatenate((column[np.minimum(k, n - k)], np.ones(n, dtype=int)))
+        elems = tuple((r, s) for s in (0, 1) for r in range(n))
+        return _DihedralElements(descriptor, elems, strata)
+    parts = partitions(n)
+    elems = tuple(sorted(permutations(range(n))))
+    strata = np.array([parts.index(_cycle_type(p)) for p in elems])
+    return _SymmetricElements(descriptor, elems, strata)
 
 
 # ---------------------------------------------------------------------------
-# Walk-facing view: strata, eigenstructure and generating relation
+# Walk-facing view: eigenstructure and generating relation
 # ---------------------------------------------------------------------------
 
 
@@ -616,29 +562,14 @@ def group_elements(descriptor: GroupDescriptor) -> GroupElements:
 class GroupWalkScheme:
     """Everything the walk engines need for a group scheme."""
 
-    class_groups: tuple[tuple[int, ...], ...]
     eigenstructure: SchemeEigenstructure
     generating: int  # stratum index of the generating relation
 
 
-def class_groups(descriptor: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
-    """Raw conjugacy classes fused into each stratum of the walk scheme.
-
-    Cyclic groups are symmetrized; even dihedral groups fuse the two
-    reflection classes into a single relation; symmetric and odd dihedral
-    classes are used as-is.  A generating class names an index into this.
-    """
-    if descriptor.kind == "cyclic":
-        return cyclic_distance_groups(descriptor.n)
-    if descriptor.kind == "dihedral":
-        return dihedral_merged_blueprint(descriptor.n)
-    return tuple((k,) for k in range(len(partitions(descriptor.n))))
-
-
-def generating_stratum(groups: tuple[tuple[int, ...], ...], generating_class: int | None) -> int:
-    """The stratum a walk on these class groups steps along: 1 unless a class is named."""
+def generating_stratum(strata: int, generating_class: int | None) -> int:
+    """The stratum a walk on a scheme of ``strata`` strata steps along: 1 unless one is named."""
     generating = 1 if generating_class is None else generating_class
-    if not 1 <= generating < len(groups):
+    if not 1 <= generating < strata:
         raise BadParams(f"generating class {generating} out of range")
     return generating
 
@@ -652,14 +583,15 @@ def walk_scheme(
     O(d^2) work and memory; symmetric groups fuse their character table.
     """
     kind, n = descriptor.kind, descriptor.n
+    strata = walk_strata(kind, n)
     if kind != "symmetric":
-        check_strata(_walk_strata(kind, n), f"Z{n}" if kind == "cyclic" else f"D{2 * n}")
-    groups = class_groups(descriptor)
-    generating = generating_stratum(groups, generating_class)
+        check_strata(strata, f"Z{n}" if kind == "cyclic" else f"D{2 * n}")
+    generating = generating_stratum(strata, generating_class)
     if kind == "cyclic":
         es = _cyclic_eigenstructure(n, generating)
     elif kind == "dihedral":
         es = _dihedral_eigenstructure(n, generating)
     else:
-        es = fused_eigenstructure(character_table_symmetric(n), groups, generating)
-    return GroupWalkScheme(class_groups=groups, eigenstructure=es, generating=generating)
+        classes = tuple((k,) for k in range(strata))  # every class of S_n is a stratum
+        es = fused_eigenstructure(character_table_symmetric(n), classes, generating)
+    return GroupWalkScheme(eigenstructure=es, generating=generating)

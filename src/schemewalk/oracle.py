@@ -8,8 +8,8 @@ distance-regular graph) with A applied as sums over neighbour lists, its
 tridiagonal matrix decomposed by the engines' Jacobi solver and its Ritz
 pairs checked against neighbour sums, and
 a stratification is one stratum index per vertex: its breadth-first distance
-from the root, or on Cayley graphs the walk-scheme group of its conjugacy class
-(their distance partition may be coarser than the scheme partition).
+from the root, or on Cayley graphs its walk-scheme stratum (their distance
+partition may be coarser than the scheme partition).
 Only the A+/A-/A0 split forms the n x n adjacency matrix.
 """
 
@@ -26,11 +26,10 @@ from .errors import (
     BadParams,
     DegenerateAtoms,
     EngineSpecMismatch,
-    NonSymmetricGeneratingSet,
     NotDistanceRegular,
     TooLarge,
 )
-from .groups import GroupElements, class_groups, generating_stratum, group_elements
+from .groups import generating_stratum, group_elements, walk_strata
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -266,36 +265,26 @@ def hamming_graph(d: int, n: int) -> VertexGraph:
     return VertexGraph((words + (changed - letters) * place).reshape(-1, n**d).T)
 
 
-def cayley_graph(
-    descriptor: GroupDescriptor, generating_classes: tuple[int, ...] = (1,)
-) -> VertexGraph:
-    """Conjugacy-class Cayley graph: alpha ~ beta iff alpha^{-1} beta generates.
+def cayley_graph(descriptor: GroupDescriptor, generating: int | None = None) -> VertexGraph:
+    """Conjugacy-class Cayley graph: alpha ~ beta iff alpha^{-1} beta is in the generating stratum.
 
-    The generating set is the union of the given raw conjugacy classes,
-    closed under inversion by adding inverse classes when needed.  Each vertex's
-    stratum, the index of the ``class_groups`` group that holds its class, rides
+    The generators are the elements of one walk-scheme stratum (1 unless
+    named), which is closed under inversion.  Each vertex's stratum rides
     along for stratum-level comparisons.
     """
     kind, order = descriptor.kind, descriptor.n
+    generating = generating_stratum(walk_strata(kind, order), generating)
     n = factorial(order) if kind == "symmetric" else 2 * order if kind == "dihedral" else order
     _check_size(n)  # the group order, before any element is enumerated
-    data: GroupElements = group_elements(descriptor)
-    wanted = set(generating_classes)
-    gen_set = {i for i, cls in enumerate(data.class_of) if cls in wanted}
-    if 0 in gen_set:
-        raise NonSymmetricGeneratingSet("identity cannot generate a loopless graph")
-    closed = gen_set | {data.index(data.inv(data.elements[i])) for i in gen_set}
-    neighbours = data.right_products([data.elements[i] for i in sorted(closed)])
-    group_of = {c: i for i, group in enumerate(class_groups(descriptor)) for c in group}
-    strata = np.array([group_of[c] for c in range(len(group_of))]).take(data.class_of)
-    return VertexGraph(neighbours, 0, strata)
+    data = group_elements(descriptor)
+    generators = [data.elements[i] for i in np.flatnonzero(data.strata == generating)]
+    return VertexGraph(data.right_products(generators), 0, data.strata)
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
     """Vertex-level realization of a scheme specification, where one exists."""
     if isinstance(spec, FromGroup):
-        groups = class_groups(spec.group)
-        return cayley_graph(spec.group, groups[generating_stratum(groups, spec.generating_class)])
+        return cayley_graph(spec.group, spec.generating_class)
     if isinstance(spec, FromSRG):
         if (spec.n, spec.kappa, spec.lam, spec.eta) == (10, 3, 0, 1):
             return petersen_graph()

@@ -46,6 +46,9 @@ from .spectral import (DiscreteDistribution, JacobiCoefficients, check_srg_order
 from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
 
 ENGINES = ("eigen", "character", "spectral", "auto")
+# times per kernel call in johnson_limit_amplitudes, whose atoms pass a million near p = 1;
+# a multiple of 4 gave sums bit-equal to one call on all times at p = 0.5 to 0.9999
+JOHNSON_TIME_BLOCK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +307,11 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
     if k != 0:
         raise BadParams("only the origin amplitude is available for p < 1")
     atoms, weights = meixner_distribution(p)
-    return _phase_sum(times, atoms, weights)
+    amplitudes = np.empty(len(times), dtype=complex)
+    for i in range(0, len(times), JOHNSON_TIME_BLOCK):
+        block = slice(i, i + JOHNSON_TIME_BLOCK)
+        amplitudes[block] = _phase_sum(times[block], atoms, weights)
+    return amplitudes
 
 
 def line_jacobi(k_max: int) -> JacobiCoefficients:

@@ -14,12 +14,7 @@ import pytest
 
 from schemewalk import oracle
 from schemewalk.catalog import catalog, complete_intersection_array, hamming_distribution
-from schemewalk.groups import (
-    character_table,
-    cyclic_distance_groups,
-    fused_eigenstructure,
-    walk_scheme,
-)
+from schemewalk.groups import character_table, fused_eigenstructure, walk_scheme
 from schemewalk.schemes import GroupDescriptor, ProductScheme, eigenstructure_from_array
 from schemewalk.spectral import golub_welsch, jacobi_from_intersection
 from schemewalk.walk import (
@@ -30,6 +25,8 @@ from schemewalk.walk import (
     resolve,
     time_averaged_probabilities,
 )
+
+from group_reference import label_class_groups
 
 GRID = np.linspace(0.0, 20.0, 64)
 
@@ -55,15 +52,16 @@ def eigen_series(ia, times=GRID):
     return eigen_spectrum(eigenstructure_from_array(ia)).amplitudes(times)
 
 
-def character_series_direct(table, class_groups, times):
-    """Raw character sum over (possibly merged) classes, independent of the
-    eigenstructure machinery.
+def character_series_direct(table, times):
+    """Raw character sum over the classes of each walk stratum, read off the
+    class labels, independent of the eigenstructure machinery.
 
     Element-wise: the amplitude at any vertex of class c is
     (1/n) sum_i d_i e^{-i theta_i t} chi_i-bar(c), so a merged stratum K gets
     (1/(n sqrt(|K|))) sum_i d_i e^{-i theta_i t} sum_{c in K} kappa_c chi_i-bar(c).
     """
     n = table.order
+    class_groups = label_class_groups(table)
     kappa = np.asarray(table.class_sizes, dtype=float)
     dims = np.asarray(table.irrep_dims, dtype=float)
     sizes = np.array([sum(table.class_sizes[c] for c in grp) for grp in class_groups])
@@ -280,22 +278,14 @@ def test_criterion_5_engine_triple_agreement():
     for n in (5, 7, 9):
         scheme = walk_scheme(GroupDescriptor("cyclic", n))
         eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
-        char = character_series_direct(
-            character_table(GroupDescriptor("cyclic", n)),
-            cyclic_distance_groups(n),
-            GRID,
-        )
+        char = character_series_direct(character_table(GroupDescriptor("cyclic", n)), GRID)
         spec = spectral_series(catalog("cycle", (n,)).array).amplitudes
         compare(eig, char, spec)
 
     for m in (3, 5):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
         eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
-        char = character_series_direct(
-            character_table(GroupDescriptor("dihedral", m)),
-            scheme.class_groups,
-            GRID,
-        )
+        char = character_series_direct(character_table(GroupDescriptor("dihedral", m)), GRID)
         compare(eig, char)
 
     for n in range(3, 9):
@@ -388,12 +378,7 @@ def test_criterion_6_unitarity_and_uniformity():
             worst_spread, oracle.check_stratum_uniformity(g, partition.strata, GRID)
         )
     for descriptor in CAYLEY_BATTERY:
-        g = oracle.cayley_graph(
-            descriptor,
-            (descriptor.n // 2 + 1, descriptor.n // 2 + 2)
-            if descriptor.kind == "dihedral" and descriptor.n % 2 == 0
-            else (1,),
-        )
+        g = oracle.cayley_graph(descriptor)
         worst_spread = max(
             worst_spread, oracle.check_stratum_uniformity(g, g.strata, GRID)
         )

@@ -24,10 +24,7 @@ from schemewalk.groups import (
     character_table_cyclic,
     character_table_dihedral,
     character_table_symmetric,
-    class_groups,
     class_size_symmetric,
-    cyclic_distance_groups,
-    dihedral_merged_blueprint,
     fused_eigenstructure,
     group_elements,
     hook_length_dimension,
@@ -39,6 +36,8 @@ from schemewalk.groups import (
 )
 from schemewalk.schemes import FromGroup, GroupDescriptor
 from schemewalk.walk import eigen_spectrum
+
+from group_reference import inverse, label_class_groups
 
 # Textbook S3 and S4 tables in ascending partition order (classes and irreps).
 S3_TABLE = np.array([[1, -1, 1], [2, 0, -1], [1, 1, 1]])
@@ -258,11 +257,12 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
     data = group_elements(GroupDescriptor("symmetric", n))
     table = character_table_symmetric(n)
     size = len(data.elements)
+    index = {x: i for i, x in enumerate(data.elements)}
     class_table = np.empty((size, size), dtype=np.int64)
     for i, alpha in enumerate(data.elements):
-        inv_alpha = data.inv(alpha)
-        for j, beta in enumerate(data.elements):
-            class_table[i, j] = data.class_of[data.index(data.mul(inv_alpha, beta))]
+        inv_alpha = inverse(data, alpha)
+        for j, beta in enumerate(data.elements):  # on S_n every class is a stratum
+            class_table[i, j] = data.strata[index[data.mul(inv_alpha, beta)]]
     rng = np.random.default_rng(20240817)
     weights = rng.uniform(0.5, 2.0, size=table.n_classes)
     matrix = weights[class_table]
@@ -375,7 +375,7 @@ def _reference_buckets(table, groups):
 )
 def test_fusion_matches_reference_buckets(kind, n):
     descriptor = GroupDescriptor(kind, n)
-    groups = class_groups(descriptor)
+    groups = label_class_groups(character_table(descriptor))
     expected = _reference_buckets(character_table(descriptor), groups)
     for generating in range(1, len(groups)):
         es = walk_scheme(descriptor, generating).eigenstructure
@@ -388,20 +388,24 @@ def test_fusion_matches_reference_buckets(kind, n):
 
 def test_symmetrized_ordering_real_first():
     """The walk view of Z_6 merges inverse pairs and orders them by cycle distance."""
-    assert cyclic_distance_groups(6) == ((0,), (1, 5), (2, 4), (3,))
+    assert group_elements(GroupDescriptor("cyclic", 6)).strata.tolist() == [0, 1, 2, 3, 2, 1]
 
 
 def test_class_groups_are_the_walk_scheme_strata():
     for kind, n in [("cyclic", 8), ("dihedral", 7), ("dihedral", 8), ("symmetric", 5)]:
         descriptor = GroupDescriptor(kind, n)
-        assert class_groups(descriptor) == walk_scheme(descriptor).class_groups
-    assert class_groups(GroupDescriptor("dihedral", 7)) == tuple((k,) for k in range(5))
-    assert len(class_groups(GroupDescriptor("symmetric", 5))) == 7
+        strata = group_elements(descriptor).strata
+        assert tuple(np.bincount(strata)) == walk_scheme(descriptor).eigenstructure.valencies.a
+    odd = group_elements(GroupDescriptor("dihedral", 7)).strata
+    assert odd.tolist() == [0, 2, 3, 4, 4, 3, 2] + [1] * 7  # a^j and a^-j in 1 + j
+    symmetric = group_elements(GroupDescriptor("symmetric", 5))
+    assert len(set(symmetric.strata.tolist())) == 7
 
 
 def test_dihedral_merged_blueprint_even():
-    groups = dihedral_merged_blueprint(4)
-    assert groups == ((0,), (3, 4), (1,), (2,))
+    # D_8: the reflections fuse into stratum 1, and a^2 = a^-2 is stratum 2
+    strata = group_elements(GroupDescriptor("dihedral", 4)).strata
+    assert strata.tolist() == [0, 3, 2, 3, 1, 1, 1, 1]
     scheme = walk_scheme(GroupDescriptor("dihedral", 4))
     assert scheme.eigenstructure.valencies.a == (1, 4, 1, 2)
 
@@ -416,18 +420,18 @@ def test_intersection_numbers_identity_class():
 def test_intersection_numbers_s3_brute_force():
     table = character_table_symmetric(3)
     data = group_elements(GroupDescriptor("symmetric", 3))
+    index = {x: i for i, x in enumerate(data.elements)}
+    classes = data.strata  # on S_n every class is a stratum
     assert intersection_numbers_group(table, 1, 1, 0) == 3
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                rep = next(
-                    e for e, c in zip(data.elements, data.class_of) if c == k
-                )
+                rep = next(e for e, c in zip(data.elements, classes) if c == k)
                 count = sum(
                     1
-                    for x, cx in zip(data.elements, data.class_of)
+                    for x, cx in zip(data.elements, classes)
                     if cx == i
-                    and data.class_of[data.index(data.mul(data.inv(x), rep))] == j
+                    and classes[index[data.mul(inverse(data, x), rep)]] == j
                 )
                 assert intersection_numbers_group(table, i, j, k) == count
                 assert intersection_numbers_group(
@@ -464,7 +468,6 @@ def test_intersection_numbers_reject_corrupted_table():
         irrep_dims=table.irrep_dims,
         irrep_labels=table.irrep_labels,
         values=corrupted,
-        inverse_class_map=table.inverse_class_map,
     )
     with pytest.raises(NonIntegerResult):
         intersection_numbers_group(broken, 1, 1, 1)
@@ -525,13 +528,39 @@ def test_right_products_match_mul(kind, n):
     # one call multiplies every element by many generators: column j is gs[j]
     data = group_elements(GroupDescriptor(kind, n))
     size = len(data.elements)
+    index = {x: i for i, x in enumerate(data.elements)}
     table = data.right_products(data.elements)
     assert table.shape == (size, size)
     for j, g in enumerate(data.elements):
-        expected = [data.index(data.mul(alpha, g)) for alpha in data.elements]
+        expected = [index[data.mul(alpha, g)] for alpha in data.elements]
         assert table[:, j].tolist() == expected
     assert np.array_equal(data.right_products(data.elements[1:3]), table[:, 1:3])
     assert data.right_products([]).shape == (size, 0)
+
+
+@pytest.mark.parametrize(
+    "kind,sizes",
+    [("cyclic", range(3, 121)), ("dihedral", range(3, 121)), ("symmetric", range(2, 7))],
+)
+def test_strata_hold_the_valencies_and_every_inverse(kind, sizes):
+    """Each stratum has its valency's size and holds the inverse of each of its
+    elements, so it generates an undirected Cayley graph as it stands."""
+    for n in sizes:
+        descriptor = GroupDescriptor(kind, n)
+        data = group_elements(descriptor)
+        valencies = walk_scheme(descriptor).eigenstructure.valencies.a
+        assert tuple(np.bincount(data.strata).tolist()) == valencies
+        stratum = dict(zip(data.elements, data.strata.tolist()))
+        for x, s in stratum.items():
+            assert stratum[inverse(data, x)] == s
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+def test_strata_hold_the_valencies_at_the_oracle_cap(kind):
+    descriptor = GroupDescriptor(kind, 2000 if kind == "cyclic" else 1000)  # 2000 elements
+    strata = group_elements(descriptor).strata
+    assert len(strata) == 2000
+    assert tuple(np.bincount(strata).tolist()) == walk_scheme(descriptor).eigenstructure.valencies.a
 
 
 CLOSED_FORM_SIZES = [("cyclic", n) for n in (*range(3, 81), 101, 300, 600, 601)] + [
@@ -545,7 +574,7 @@ def test_closed_form_matches_table_fusion(kind, n):
     character table gives, on every generating class."""
     descriptor = GroupDescriptor(kind, n)
     table = character_table(descriptor)
-    groups = class_groups(descriptor)
+    groups = label_class_groups(table)
     for generating in range(1, len(groups)):
         es = walk_scheme(descriptor, generating).eigenstructure
         ref = fused_eigenstructure(table, groups, generating)

@@ -10,11 +10,10 @@ from schemewalk.errors import (
     BadParams,
     DegenerateAtoms,
     EngineSpecMismatch,
-    NonSymmetricGeneratingSet,
     NotDistanceRegular,
     TooLarge,
 )
-from schemewalk.groups import class_groups, group_elements, walk_scheme
+from schemewalk.groups import group_elements, walk_scheme
 from schemewalk.schemes import (
     FromCatalog,
     FromGroup,
@@ -25,6 +24,8 @@ from schemewalk.schemes import (
 from schemewalk.spectral import jacobi_from_intersection
 from schemewalk.tolerances import ORACLE_EIGEN_RESIDUAL_TOL, ORACLE_ORTHONORMALITY_TOL
 from schemewalk.walk import eigen_spectrum, jacobi_spectrum
+
+from group_reference import inverse
 
 TIMES = np.linspace(0.0, 20.0, 64)
 
@@ -57,15 +58,21 @@ def test_cayley_builder_s3():
 
 
 def test_cayley_symmetrizes_generating_class():
-    g = oracle.cayley_graph(GroupDescriptor("cyclic", 7), (1,))
+    g = oracle.cayley_graph(GroupDescriptor("cyclic", 7), 1)
     g.validate()
     _, ia = oracle.bfs_strata(g)
     assert ia == IntersectionArray(d=3, c=(2, 1, 1), b=(1, 1, 1))
 
 
-def test_cayley_rejects_identity_class():
-    with pytest.raises(NonSymmetricGeneratingSet):
-        oracle.cayley_graph(GroupDescriptor("cyclic", 7), (0,))
+def test_cayley_rejects_identity_class(monkeypatch):
+    def enumerate_nothing(descriptor):
+        raise AssertionError("elements enumerated before the range check")
+
+    monkeypatch.setattr(oracle, "group_elements", enumerate_nothing)
+    # the range check precedes the size check: S_7 is over the vertex cap
+    for descriptor in (GroupDescriptor("cyclic", 7), GroupDescriptor("symmetric", 7)):
+        with pytest.raises(BadParams, match="generating class 0 out of range"):
+            oracle.cayley_graph(descriptor, 0)
 
 
 def test_size_caps():
@@ -606,21 +613,16 @@ def test_cayley_builder_matches_pair_loop(kind, n):
     descriptor = GroupDescriptor(kind, n)
     data = group_elements(descriptor)
     size = len(data.elements)
-    groups = class_groups(descriptor)
-    # each vertex's stratum: the index of the class group that holds its class
-    strata = [next(k for k, grp in enumerate(groups) if c in grp) for c in data.class_of]
-    for generating in range(1, len(groups)):
-        connection = {
-            x for x, c in zip(data.elements, data.class_of) if c in groups[generating]
-        }
-        connection |= {data.inv(x) for x in connection}
+    inverses = [inverse(data, x) for x in data.elements]
+    for generating in range(1, int(data.strata.max()) + 1):
+        connection = {x for x, s in zip(data.elements, data.strata) if s == generating}
+        connection |= {inverse(data, x) for x in connection}
         A = _pair_loop(
             size,
-            lambda i, j: data.mul(data.inv(data.elements[i]), data.elements[j])
-            in connection,
+            lambda i, j: data.mul(inverses[i], data.elements[j]) in connection,
         )
-        g = oracle.cayley_graph(descriptor, groups[generating])
-        _assert_same_graph(g, A, strata)
+        g = oracle.cayley_graph(descriptor, generating)
+        _assert_same_graph(g, A, data.strata)
 
 
 # Edge cases within the cap: one-point subsets of 100 points (K_100), the
@@ -682,13 +684,13 @@ def test_complete_graph_on_one_vertex():
 def test_cayley_builder_on_a_large_s6_class_matches_right_multiplication():
     descriptor = GroupDescriptor("symmetric", 6)
     data = group_elements(descriptor)
-    generating = class_groups(descriptor)[2]
-    connection = [x for x, c in zip(data.elements, data.class_of) if c in generating]
+    index = {x: i for i, x in enumerate(data.elements)}
+    connection = [x for x, s in zip(data.elements, data.strata) if s == 2]
     A = np.zeros((720, 720), dtype=np.int64)
     for i, x in enumerate(data.elements):
         for y in connection:  # x^-1 z = y, so z = x y
-            A[i, data.index(data.mul(x, y))] = 1
-    g = oracle.cayley_graph(descriptor, generating)
+            A[i, index[data.mul(x, y)]] = 1
+    g = oracle.cayley_graph(descriptor, 2)
     assert np.array_equal(g.adjacency, A)
     with pytest.raises(NotDistanceRegular, match="disconnected"):  # even class: A_6 and its coset
         oracle.bfs_strata(g)
@@ -762,8 +764,8 @@ def test_bfs_strata_names_the_first_uneven_stratum():
         oracle.petersen_graph,
         lambda: oracle.johnson_graph(8, 3),
         lambda: oracle.hamming_graph(6, 3),
-        lambda: oracle.cayley_graph(GroupDescriptor("cyclic", 12), (3,)),
-        lambda: oracle.cayley_graph(GroupDescriptor("dihedral", 8), (1, 2)),
+        lambda: oracle.cayley_graph(GroupDescriptor("cyclic", 12), 3),
+        lambda: oracle.cayley_graph(GroupDescriptor("dihedral", 8), 3),
         lambda: oracle.cayley_graph(GroupDescriptor("symmetric", 5)),
     ],
 )

@@ -312,6 +312,25 @@ def test_johnson_limit_near_p_one_sums_over_a_million_atoms():
     assert np.max(np.abs(johnson_limit_amplitudes(p, 0, t) - exact)) < bound
 
 
+def test_johnson_limit_near_p_one_takes_a_full_grid_in_bounded_memory():
+    # One kernel call on 64 times would hold 128 trig rows of K atoms (1.4 GB at K = 1,381,552);
+    # the bound leaves room for the atoms, the weights and the trig rows of a few times.
+    import tracemalloc
+
+    p, t = 0.99999, np.linspace(0.0, 20.0, 64)
+    scale, ratio, head = math.sqrt(p * (2 - p)), p / (2 - p), 2 * (1 - p) / (2 - p)
+    exact = head * np.exp(1j * p * t / scale) / (1 - ratio * np.exp(-2j * (1 - p) * t / scale))
+    atoms = meixner_distribution(p)[0].size
+    tracemalloc.start()
+    try:
+        origin = johnson_limit_amplitudes(p, 0, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * atoms
+    assert np.max(np.abs(origin - exact)) < DEFAULT_TAIL_TOL + atoms * np.finfo(float).eps
+
+
 def test_johnson_limit_rejects_bad_input():
     with pytest.raises(BadParams):
         johnson_limit_amplitudes(0.5, 1, TIMES)
