@@ -39,10 +39,6 @@ class InvalidCycleType(SchemeWalkError):
     code = "invalid_cycle_type"
 
 
-class ComplexClassesWithoutSymmetrization(SchemeWalkError):
-    code = "complex_classes_without_symmetrization"
-
-
 class NonIntegerResult(SchemeWalkError):
     code = "non_integer_result"
 

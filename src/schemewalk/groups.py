@@ -1,18 +1,19 @@
 """Conjugacy-class association schemes of cyclic, dihedral and symmetric groups.
 
-Class-sum eigenvalues give the scheme eigenvalue matrix, squared irrep
-dimensions give the multiplicities, and merging each complex class with its
-inverse class (or fusing classes along a blueprint) produces a symmetric
-scheme with real eigenmatrices.  Symmetric groups fuse their character
-table; the characters of cyclic and dihedral groups are cosines, so their
-fused schemes are built from cosines directly.
+Class-sum eigenvalues give the scheme eigenvalue matrix and squared irrep
+dimensions give the multiplicities.  Each stratum of a walk scheme is a
+conjugacy class merged with its inverse class, so the eigenmatrices are
+real.  The characters of cyclic and dihedral groups are cosines, so their
+walk schemes are built from cosines directly; every class of S_n is its own
+inverse, and its eigenvalues are the integer central characters.  The
+oracle's Cayley graphs come from index arithmetic on one element layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import (
     BadParams,
-    ComplexClassesWithoutSymmetrization,
     InvalidCycleType,
     InvalidOrder,
     NonIntegerResult,
@@ -32,7 +32,7 @@ from .schemes import (
     ValencyVector,
     check_strata,
 )
-from .tolerances import FUSION_KEY_DECIMALS, INTEGRALITY_TOL, ORTHOGONALITY_TOL, REALNESS_TOL
+from .tolerances import INTEGRALITY_TOL, ORTHOGONALITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +309,12 @@ def character_table(descriptor: GroupDescriptor) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# Fusion: merged classes -> symmetric scheme eigenstructure
+# Walk-scheme eigenstructures from closed forms
 # ---------------------------------------------------------------------------
 
 
 def _ordered_eigenstructure(
     rows: np.ndarray,
-    irreps: np.ndarray,
     m: np.ndarray,
     valencies: ValencyVector,
     generating: int,
@@ -323,13 +322,13 @@ def _ordered_eigenstructure(
     """Order distinct eigenvalue rows into P, derive Q = m P^T / a and validate.
 
     The trivial idempotent comes first; the rest follow by decreasing
-    eigenvalue on the generating relation, then by lowest irrep index.
+    eigenvalue on the generating relation, then by row (irrep) index.
     ``rows`` is reordered in place and becomes P, so no second copy outlives
     the sort.
     """
     # Only the trivial row (the valencies) sums to the group order; the others sum to 0.
     nontrivial = rows.sum(axis=1) < valencies.n / 2
-    order = np.lexsort((irreps, -rows[:, generating], nontrivial))
+    order = np.lexsort((-rows[:, generating], nontrivial))  # stable: ties keep row order
     rows[:] = rows[order]
     P = rows
     m = m[order]
@@ -338,48 +337,6 @@ def _ordered_eigenstructure(
     es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
     es.validate()
     return es
-
-
-def fused_eigenstructure(
-    table: CharacterTable,
-    class_groups: tuple[tuple[int, ...], ...],
-    generating: int = 1,
-) -> SchemeEigenstructure:
-    """Eigenstructure of the scheme whose relations are the fused class sums.
-
-    Irreps whose class-sum eigenvalues agree on every fused class merge into
-    one idempotent of multiplicity sum(d_i^2).
-    """
-    if class_groups[0] != (0,):
-        raise BadParams("class group 0 must be the identity class alone")
-    members = np.concatenate(class_groups)
-    if not np.array_equal(np.sort(members), np.arange(table.n_classes)):
-        raise BadParams("class groups must partition the class indices")
-    starts = np.cumsum([0] + [len(grp) for grp in class_groups[:-1]])
-    sizes = np.asarray(table.class_sizes)[members]
-    dims = np.asarray(table.irrep_dims, dtype=float)
-
-    ev = table.values[:, members]
-    ev *= sizes
-    ev = np.add.reduceat(ev, starts, axis=1)
-    ev /= dims[:, None]
-    if np.max(np.abs(ev.imag)) > REALNESS_TOL:
-        raise ComplexClassesWithoutSymmetrization(
-            "fused class sums have non-real eigenvalues; merge inverse classes first"
-        )
-    ev = ev.real
-
-    _, first, bucket = np.unique(
-        np.round(ev, FUSION_KEY_DECIMALS), axis=0, return_index=True, return_inverse=True
-    )
-    if len(first) != len(class_groups):
-        raise BadParams(
-            f"fusion produced {len(first)} idempotents for {len(class_groups)} relations; "
-            "the class groups do not define a scheme"
-        )
-    m = np.bincount(bucket, weights=dims**2)
-    valencies = ValencyVector(tuple(np.add.reduceat(sizes, starts).tolist()), table.order)
-    return _ordered_eigenstructure(ev[first], first, m, valencies, generating)
 
 
 def _rotation_weights(n: int, j: np.ndarray) -> np.ndarray:
@@ -404,7 +361,7 @@ def _cyclic_eigenstructure(n: int, generating: int) -> SchemeEigenstructure:
     weights = _rotation_weights(n, j)
     valencies = ValencyVector(tuple(weights.tolist()), n)
     rows = _rotation_eigenvalues(n, j, j)
-    return _ordered_eigenstructure(rows, j, weights.astype(float), valencies, generating)
+    return _ordered_eigenstructure(rows, weights.astype(float), valencies, generating)
 
 
 def _dihedral_eigenstructure(m: int, generating: int) -> SchemeEigenstructure:
@@ -421,136 +378,84 @@ def _dihedral_eigenstructure(m: int, generating: int) -> SchemeEigenstructure:
     weights = _rotation_weights(m, rotations[1:])
     mults = np.concatenate(([1.0, 1.0], 2.0 * weights))
     valencies = ValencyVector((1, m, *weights.tolist()), 2 * m)
-    return _ordered_eigenstructure(rows, np.arange(len(h)), mults, valencies, generating)
+    return _ordered_eigenstructure(rows, mults, valencies, generating)
 
 
-def intersection_numbers_group(
-    table: CharacterTable,
-    i: int,
-    j: int,
-    k: int,
-    class_groups: tuple[tuple[int, ...], ...] | None = None,
-) -> int:
-    """Structure constant p_ij^k of the (possibly fused) class-sum algebra."""
-    if class_groups is None:
-        kappa = table.class_sizes
-        dims = np.asarray(table.irrep_dims, dtype=complex)
-        total = np.sum(
-            table.values[:, i] * table.values[:, j] * np.conj(table.values[:, k]) / dims
-        )
-        value, name = (kappa[i] * kappa[j] / table.order) * total, f"p_{i}{j}^{k}"
-    else:
-        es = fused_eigenstructure(table, class_groups)
-        value = np.linalg.solve(es.P, es.P[:, i] * es.P[:, j])[k]
-        name = f"fused p_{i}{j}^{k}"
+def _symmetric_eigenstructure(n: int, generating: int) -> SchemeEigenstructure:
+    """S_n from its central characters P_lam,K = |K| chi_lam(K) / d_lam, with m_lam = d_lam^2.
+
+    Every class is a stratum; rows are the irreps and columns the classes,
+    both in partition order.  The central characters are integers, formed
+    in Python integers: a remainder would mean a wrong character value.
+    """
+    parts = partitions(n)
+    sizes = [class_size_symmetric(rho, n) for rho in parts]
+    dims = [hook_length_dimension(lam) for lam in parts]
+    central = []
+    for lam, dim in zip(parts, dims):
+        for rho, size in zip(parts, sizes):
+            omega, rest = divmod(size * mn_character(lam, rho), dim)
+            if rest:
+                raise NonIntegerResult(f"central character of {lam} on {rho} is not an integer")
+            central.append(omega)
+    rows = np.array(central, dtype=float).reshape(len(parts), len(parts))
+    mults = np.square(dims, dtype=float)
+    valencies = ValencyVector(tuple(sizes), factorial(n))
+    return _ordered_eigenstructure(rows, mults, valencies, generating)
+
+
+def intersection_numbers_group(table: CharacterTable, i: int, j: int, k: int) -> int:
+    """Structure constant p_ij^k of the class-sum algebra."""
+    kappa = table.class_sizes
+    dims = np.asarray(table.irrep_dims, dtype=complex)
+    total = np.sum(table.values[:, i] * table.values[:, j] * np.conj(table.values[:, k]) / dims)
+    value = (kappa[i] * kappa[j] / table.order) * total
     if abs(value.imag) > INTEGRALITY_TOL or abs(value.real - round(value.real)) > INTEGRALITY_TOL:
-        raise NonIntegerResult(f"{name} = {value} is not an integer")
+        raise NonIntegerResult(f"p_{i}{j}^{k} = {value} is not an integer")
     return int(round(value.real))
 
 
 # ---------------------------------------------------------------------------
-# Explicit group elements (consumed by the vertex-level oracle)
+# Cayley graphs (consumed by the vertex-level oracle)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElements:
-    """Element list with multiplication and each element's walk-scheme stratum, a
-    conjugacy class fused with its inverse: it generates an undirected Cayley graph."""
+def cayley_table(descriptor: GroupDescriptor, generating: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right products by one walk-scheme stratum, and each element's stratum, by index arithmetic.
 
-    descriptor: GroupDescriptor
-    elements: tuple
-    strata: np.ndarray  # stratum index of each element, in the order of ``elements``
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def right_products(self, gs) -> np.ndarray:
-        """Table of right products: entry (a, j) is the index of element a times gs[j]."""
-        raise NotImplementedError
-
-
-class _CyclicElements(GroupElements):
-    def mul(self, x, y):
-        return (x + y) % self.descriptor.n
-
-    def right_products(self, gs) -> np.ndarray:
-        n = self.descriptor.n
-        return (np.arange(n)[:, None] + np.array(gs, dtype=np.int64)) % n
-
-
-class _DihedralElements(GroupElements):
-    def mul(self, x, y):
-        m = self.descriptor.n
-        r1, s1 = x
-        r2, s2 = y
-        return ((r1 + (r2 if s1 == 0 else -r2)) % m, s1 ^ s2)
-
-    def right_products(self, gs) -> np.ndarray:
-        # Element (r, s) sits at index s * m + r; see group_elements.
-        m = self.descriptor.n
-        r2, s2 = np.array(gs, dtype=np.intp).reshape(-1, 2).T
+    Entry (x, j) of the neighbour array is the index of x g_j, for the
+    stratum's elements g_0, g_1, ... in index order.  The element layout:
+    g^k of Z_n sits at k, in stratum min(k, n - k); (r, s) = a^r b^s of D_2m
+    at s m + r, with e in 0, the reflections in 1 and a^r in the column of
+    a^min(r, m - r) in ``_dihedral_eigenstructure``; the permutations of S_n
+    in lexicographic order, each in the partition index of its cycle type.
+    Every stratum is closed under inversion, so the Cayley graph is undirected.
+    """
+    n, k = descriptor.n, np.arange(descriptor.n)
+    if descriptor.kind == "cyclic":
+        strata = np.minimum(k, n - k)
+        return (k[:, None] + np.flatnonzero(strata == generating)) % n, strata
+    if descriptor.kind == "dihedral":
+        m, rotations = n, _dihedral_rotations(n)
+        column = np.zeros(m // 2 + 1, dtype=int)  # column 1 holds the reflections
+        column[rotations[1:]] = np.arange(2, len(rotations) + 1)
+        strata = np.concatenate((column[np.minimum(k, m - k)], np.ones(m, dtype=int)))
+        s2, r2 = np.divmod(np.flatnonzero(strata == generating), m)
         table = np.empty((2 * m, len(r2)), dtype=np.intp, order="F")
         for s, half in enumerate((table[:m], table[m:])):  # (r, s)(r2, s2) = (r +- r2, s ^ s2)
             coset = (s ^ s2) * m  # index of (0, s ^ s2)
             np.add(np.arange(m)[:, None], (1 - 2 * s) * r2 % m + coset, out=half)
             np.subtract(half, m, out=half, where=half >= coset + m)  # r +- r2 mod m
-        return table
-
-
-class _SymmetricElements(GroupElements):
-    def mul(self, x, y):
-        return tuple(x[i] for i in y)
-
-    @cached_property
-    def _perms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(permutations as rows, base-n place values, sorted base-n keys)."""
-        perms = np.array(self.elements, dtype=np.int64)
-        n = perms.shape[1]
-        place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        return perms, place, perms @ place
-
-    def right_products(self, gs) -> np.ndarray:
-        # Elements are sorted tuples, so their base-n keys ascend.
-        perms, place, keys = self._perms
-        gs = np.array(gs, dtype=np.int64).reshape(-1, len(place))
-        return np.searchsorted(keys, perms[:, gs] @ place)
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        here = start
-        while not seen[here]:
-            seen[here] = True
-            here = perm[here]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def group_elements(descriptor: GroupDescriptor) -> GroupElements:
-    """Enumerate the group with the identity first and tag every element's stratum: g^k of Z_n
-    is in min(k, n - k); in D_2m, e is in 0, the reflections in 1 and a^r in the column of
-    a^min(r, m - r) in ``_dihedral_eigenstructure``; in S_n, the cycle type's partition index."""
-    n, k = descriptor.n, np.arange(descriptor.n)
-    if descriptor.kind == "cyclic":
-        return _CyclicElements(descriptor, tuple(range(n)), np.minimum(k, n - k))
-    if descriptor.kind == "dihedral":
-        rotations = _dihedral_rotations(n)
-        column = np.zeros(n // 2 + 1, dtype=int)  # column 1 holds the reflections
-        column[rotations[1:]] = np.arange(2, len(rotations) + 1)
-        strata = np.concatenate((column[np.minimum(k, n - k)], np.ones(n, dtype=int)))
-        elems = tuple((r, s) for s in (0, 1) for r in range(n))
-        return _DihedralElements(descriptor, elems, strata)
-    parts = partitions(n)
-    elems = tuple(sorted(permutations(range(n))))
-    strata = np.array([parts.index(_cycle_type(p)) for p in elems])
-    return _SymmetricElements(descriptor, elems, strata)
+        return table, strata
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    lengths, power = np.zeros_like(perms), perms
+    for step in range(1, n + 1):  # a point's cycle length is the first power that fixes it
+        lengths[(power == k) & (lengths == 0)] = step
+        power = np.take_along_axis(perms, power, axis=1)
+    # the points' cycle lengths in falling order sort like ``partitions``, and every type occurs
+    strata = np.unique(np.sort(lengths)[:, ::-1] @ (n + 1) ** k[::-1], return_inverse=True)[1]
+    place = n ** k[::-1]  # base-n keys of the lexicographic permutations ascend
+    return np.searchsorted(perms @ place, perms[:, perms[strata == generating]] @ place), strata
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +485,7 @@ def walk_scheme(
     """Build the scheme a walk on this group runs over; the default generating stratum is 1.
 
     Cyclic and dihedral schemes come from their cosine closed forms, in
-    O(d^2) work and memory; symmetric groups fuse their character table.
+    O(d^2) work and memory; symmetric groups from their exact central characters.
     """
     kind, n = descriptor.kind, descriptor.n
     strata = walk_strata(kind, n)
@@ -592,6 +497,5 @@ def walk_scheme(
     elif kind == "dihedral":
         es = _dihedral_eigenstructure(n, generating)
     else:
-        classes = tuple((k,) for k in range(strata))  # every class of S_n is a stratum
-        es = fused_eigenstructure(character_table_symmetric(n), classes, generating)
+        es = _symmetric_eigenstructure(n, generating)
     return GroupWalkScheme(eigenstructure=es, generating=generating)

@@ -29,7 +29,7 @@ from .errors import (
     NotDistanceRegular,
     TooLarge,
 )
-from .groups import generating_stratum, group_elements, walk_strata
+from .groups import cayley_table, generating_stratum, walk_strata
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -276,9 +276,8 @@ def cayley_graph(descriptor: GroupDescriptor, generating: int | None = None) -> 
     generating = generating_stratum(walk_strata(kind, order), generating)
     n = factorial(order) if kind == "symmetric" else 2 * order if kind == "dihedral" else order
     _check_size(n)  # the group order, before any element is enumerated
-    data = group_elements(descriptor)
-    generators = [data.elements[i] for i in np.flatnonzero(data.strata == generating)]
-    return VertexGraph(data.right_products(generators), 0, data.strata)
+    neighbours, strata = cayley_table(descriptor, generating)
+    return VertexGraph(neighbours, 0, strata)
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:

@@ -21,10 +21,6 @@ DEFAULT_TAIL_TOL = 1e-12
 MATRIX_TOL = 1e-9
 # Absolute defect of the character orthogonality relations, whose entries reach the group order.
 ORTHOGONALITY_TOL = 1e-9
-# Absolute imaginary part of a fused class-sum eigenvalue; exact symmetrised sums are real.
-REALNESS_TOL = 1e-12
-# Decimals eigenvalue rows keep before one idempotent's rows match: 1e-12 noise stays inside.
-FUSION_KEY_DECIMALS = 9
 # Absolute |row norm - 1| and t = 0 row defect: d+1 unit-size terms per amplitude, ~(d+1) eps.
 UNITARITY_TOL = 1e-9
 # A time this close to 0 is t = 0, where the row is the origin: every grid starts at exact 0.0.

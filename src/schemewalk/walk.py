@@ -41,14 +41,11 @@ from .schemes import (
 )
 from .spectral import (DiscreteDistribution, JacobiCoefficients, check_srg_order,
                        continuous_line_distribution, evaluate_polynomials,
-                       jacobi_from_intersection, meixner_distribution, srg_distribution,
+                       jacobi_from_intersection, srg_distribution,
                        srg_intersection_array)
 from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
 
 ENGINES = ("eigen", "character", "spectral", "auto")
-# times per kernel call in johnson_limit_amplitudes, whose atoms pass a million near p = 1;
-# a multiple of 4 gave sums bit-equal to one call on all times at p = 0.5 to 0.9999
-JOHNSON_TIME_BLOCK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +290,8 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
     """Amplitudes in the growing-family limit of the set-intersection graphs.
 
     At p = 1 stratum k has the closed form (it)^k/(1+it)^(k+1); for p < 1 only
-    the origin amplitude is available, by truncated summation over the
-    geometric atomic measure.
+    the origin amplitude is available: the geometric measure head ratio^j on
+    the atoms (2(1-p)j - p)/s sums to head e^{ipt/s} / (1 - ratio e^{-2i(1-p)t/s}).
     """
     times = np.asarray(times, dtype=float)
     if k < 0:
@@ -306,12 +303,9 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
         raise BadParams(f"p must lie in (0, 1], got {p}")
     if k != 0:
         raise BadParams("only the origin amplitude is available for p < 1")
-    atoms, weights = meixner_distribution(p)
-    amplitudes = np.empty(len(times), dtype=complex)
-    for i in range(0, len(times), JOHNSON_TIME_BLOCK):
-        block = slice(i, i + JOHNSON_TIME_BLOCK)
-        amplitudes[block] = _phase_sum(times[block], atoms, weights)
-    return amplitudes
+    scale, ratio, head = math.sqrt(p * (2.0 - p)), p / (2.0 - p), 2.0 * (1.0 - p) / (2.0 - p)
+    turn = np.exp(-2j * (1.0 - p) * times / scale)
+    return head * np.exp(1j * p * times / scale) / (1.0 - ratio * turn)
 
 
 def line_jacobi(k_max: int) -> JacobiCoefficients:

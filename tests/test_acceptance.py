@@ -14,7 +14,7 @@ import pytest
 
 from schemewalk import oracle
 from schemewalk.catalog import catalog, complete_intersection_array, hamming_distribution
-from schemewalk.groups import character_table, fused_eigenstructure, walk_scheme
+from schemewalk.groups import character_table, walk_scheme
 from schemewalk.schemes import GroupDescriptor, ProductScheme, eigenstructure_from_array
 from schemewalk.spectral import golub_welsch, jacobi_from_intersection
 from schemewalk.walk import (
@@ -26,7 +26,7 @@ from schemewalk.walk import (
     time_averaged_probabilities,
 )
 
-from group_reference import label_class_groups
+from group_reference import fuse, label_class_groups
 
 GRID = np.linspace(0.0, 20.0, 64)
 
@@ -293,7 +293,7 @@ def test_criterion_5_engine_triple_agreement():
         eig = eigen_series(ia).amplitudes
         spec = spectral_series(ia).amplitudes
         table = character_table(GroupDescriptor("cyclic", n))
-        fused = fused_eigenstructure(table, ((0,), tuple(range(1, n))))
+        fused = fuse(table, ((0,), tuple(range(1, n))))
         char = eigen_spectrum(fused).amplitudes(GRID).amplitudes
         compare(eig, spec, char)
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from schemewalk.errors import (
     BadParams,
-    ComplexClassesWithoutSymmetrization,
     InvalidCycleType,
     InvalidOrder,
     NonIntegerResult,
@@ -20,13 +20,12 @@ from schemewalk.errors import (
 from schemewalk.groups import (
     GroupWalkScheme,
     _root_of_unity,
+    cayley_table,
     character_table,
     character_table_cyclic,
     character_table_dihedral,
     character_table_symmetric,
     class_size_symmetric,
-    fused_eigenstructure,
-    group_elements,
     hook_length_dimension,
     intersection_numbers_group,
     mn_character,
@@ -35,9 +34,10 @@ from schemewalk.groups import (
     walk_scheme,
 )
 from schemewalk.schemes import FromGroup, GroupDescriptor
+from schemewalk.tolerances import INTEGRALITY_TOL
 from schemewalk.walk import eigen_spectrum
 
-from group_reference import inverse, label_class_groups
+from group_reference import ReferenceGroup, fuse, inverse, label_class_groups, row_order
 
 # Textbook S3 and S4 tables in ascending partition order (classes and irreps).
 S3_TABLE = np.array([[1, -1, 1], [2, 0, -1], [1, 1, 1]])
@@ -254,15 +254,14 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
     """Random class-sum combinations in the regular representation have exactly
     the eigenvalues kappa_k chi_i(k)/d_i predicted by the table, with
     multiplicity d_i^2 each."""
-    data = group_elements(GroupDescriptor("symmetric", n))
+    group = ReferenceGroup(GroupDescriptor("symmetric", n))
     table = character_table_symmetric(n)
-    size = len(data.elements)
-    index = {x: i for i, x in enumerate(data.elements)}
+    size = len(group.elements)
     class_table = np.empty((size, size), dtype=np.int64)
-    for i, alpha in enumerate(data.elements):
-        inv_alpha = inverse(data, alpha)
-        for j, beta in enumerate(data.elements):  # on S_n every class is a stratum
-            class_table[i, j] = data.strata[index[data.mul(inv_alpha, beta)]]
+    for i, alpha in enumerate(group.elements):
+        inv_alpha = inverse(group, alpha)
+        for j, beta in enumerate(group.elements):  # on S_n every class is a stratum
+            class_table[i, j] = group.stratum(group.mul(inv_alpha, beta))
     rng = np.random.default_rng(20240817)
     weights = rng.uniform(0.5, 2.0, size=table.n_classes)
     matrix = weights[class_table]
@@ -278,8 +277,8 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
 
 
 def test_group_eigenstructure_cyclic_closed_forms():
-    """fused_eigenstructure on the literal inverse-pair groups of Z_7."""
-    es = fused_eigenstructure(character_table_cyclic(7), ((0,), (1, 6), (2, 5), (3, 4)))
+    """The walk scheme of Z_7, on the literal inverse-pair classes {g^j, g^-j}."""
+    es = walk_scheme(GroupDescriptor("cyclic", 7)).eigenstructure
     n = 7
     for j in range(4):
         assert es.P[j, 1] == pytest.approx(2 * math.cos(2 * math.pi * j / n), abs=1e-12)
@@ -291,24 +290,21 @@ def test_group_eigenstructure_cyclic_closed_forms():
     assert np.max(np.abs(es.P @ es.Q - n * np.eye(4))) < 1e-9
 
 
-def test_group_eigenstructure_requires_symmetrization():
-    """fused_eigenstructure rejects the unmerged complex classes of Z_5."""
-    with pytest.raises(ComplexClassesWithoutSymmetrization):
-        fused_eigenstructure(character_table_cyclic(5), ((0,), (1,), (2,), (3,), (4,)))
-
-
 def test_group_eigenstructure_even_cyclic():
     # Even order: {n/2} is a real singleton class; with it listed at index 1,
-    # before the literal inverse pairs, the eigenstructure must still be valid.
-    es = fused_eigenstructure(character_table_cyclic(6), ((0,), (3,), (1, 5), (2, 4)))
+    # before the literal inverse pairs, the eigenstructure must still be valid
+    # and be the closed form's, with its columns in that order.
+    es = fuse(character_table_cyclic(6), ((0,), (3,), (1, 5), (2, 4)))
     assert es.valencies.a == (1, 1, 2, 2)
     assert np.max(np.abs(es.P @ es.Q - 6 * np.eye(4))) < 1e-9
     assert np.allclose(es.P[0], es.valencies.a)
+    closed = walk_scheme(GroupDescriptor("cyclic", 6)).eigenstructure.P[:, [0, 3, 1, 2]]
+    assert np.max(np.abs(closed[row_order(closed)] - es.P[row_order(es.P)])) < 1e-12
 
 
 def test_group_eigenstructure_s3_transposition_column():
-    """fused_eigenstructure on the singleton classes of S_3."""
-    es = fused_eigenstructure(character_table_symmetric(3), ((0,), (1,), (2,)))
+    """The walk scheme of S_3, on its singleton classes."""
+    es = walk_scheme(GroupDescriptor("symmetric", 3)).eigenstructure
     assert np.allclose(es.P[:, 1], [3.0, 0.0, -3.0])
     assert np.allclose(es.m, [1.0, 4.0, 1.0])
     assert np.allclose(es.Q[0], es.m)
@@ -356,6 +352,30 @@ def test_every_symmetric_class_generates_a_walk(n):
         assert np.max(np.abs(origin - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_symmetric_walk_schemes_are_the_exact_central_characters(n):
+    """On every generating class, P holds the integer central characters |K| chi_lam(K) / d_lam
+    in the walk order (trivial row first, then by falling eigenvalue and irrep index), Q holds
+    the integers d_lam chi_lam(K), m the squared dimensions, and PQ = nI holds exactly."""
+    parts = partitions(n)
+    dims = [hook_length_dimension(lam) for lam in parts]
+    sizes = [class_size_symmetric(rho, n) for rho in parts]
+    central, scaled = [], []
+    for lam, dim in zip(parts, dims):
+        row = [Fraction(size * mn_character(lam, rho), dim) for rho, size in zip(parts, sizes)]
+        assert all(value.denominator == 1 for value in row)
+        central.append([int(value) for value in row])
+        scaled.append([dim * mn_character(lam, rho) for rho in parts])
+    trivial = parts.index((n,))
+    for generating in range(1, len(parts)):
+        es = walk_scheme(GroupDescriptor("symmetric", n), generating).eigenstructure
+        order = sorted(range(len(parts)), key=lambda i: (i != trivial, -central[i][generating], i))
+        assert np.array_equal(es.P, np.array([central[i] for i in order], dtype=float))
+        assert np.array_equal(es.Q, np.array([scaled[i] for i in order], dtype=float).T)
+        assert np.array_equal(es.m, np.array([dims[i] ** 2 for i in order], dtype=float))
+        assert es.duality_defect == 0.0
+
+
 def _reference_buckets(table, groups):
     """Distinct class-sum eigenvalue rows, each with the summed d^2 of its irreps."""
     buckets = {}
@@ -388,23 +408,25 @@ def test_fusion_matches_reference_buckets(kind, n):
 
 def test_symmetrized_ordering_real_first():
     """The walk view of Z_6 merges inverse pairs and orders them by cycle distance."""
-    assert group_elements(GroupDescriptor("cyclic", 6)).strata.tolist() == [0, 1, 2, 3, 2, 1]
+    assert cayley_table(GroupDescriptor("cyclic", 6), 1)[1].tolist() == [0, 1, 2, 3, 2, 1]
 
 
 def test_class_groups_are_the_walk_scheme_strata():
     for kind, n in [("cyclic", 8), ("dihedral", 7), ("dihedral", 8), ("symmetric", 5)]:
         descriptor = GroupDescriptor(kind, n)
-        strata = group_elements(descriptor).strata
+        strata = cayley_table(descriptor, 1)[1]
         assert tuple(np.bincount(strata)) == walk_scheme(descriptor).eigenstructure.valencies.a
-    odd = group_elements(GroupDescriptor("dihedral", 7)).strata
+        group = ReferenceGroup(descriptor)
+        assert strata.tolist() == [group.stratum(x) for x in group.elements]
+    odd = cayley_table(GroupDescriptor("dihedral", 7), 1)[1]
     assert odd.tolist() == [0, 2, 3, 4, 4, 3, 2] + [1] * 7  # a^j and a^-j in 1 + j
-    symmetric = group_elements(GroupDescriptor("symmetric", 5))
-    assert len(set(symmetric.strata.tolist())) == 7
+    symmetric = cayley_table(GroupDescriptor("symmetric", 5), 1)[1]
+    assert len(set(symmetric.tolist())) == 7
 
 
 def test_dihedral_merged_blueprint_even():
     # D_8: the reflections fuse into stratum 1, and a^2 = a^-2 is stratum 2
-    strata = group_elements(GroupDescriptor("dihedral", 4)).strata
+    strata = cayley_table(GroupDescriptor("dihedral", 4), 1)[1]
     assert strata.tolist() == [0, 3, 2, 3, 1, 1, 1, 1]
     scheme = walk_scheme(GroupDescriptor("dihedral", 4))
     assert scheme.eigenstructure.valencies.a == (1, 4, 1, 2)
@@ -419,19 +441,18 @@ def test_intersection_numbers_identity_class():
 
 def test_intersection_numbers_s3_brute_force():
     table = character_table_symmetric(3)
-    data = group_elements(GroupDescriptor("symmetric", 3))
-    index = {x: i for i, x in enumerate(data.elements)}
-    classes = data.strata  # on S_n every class is a stratum
+    group = ReferenceGroup(GroupDescriptor("symmetric", 3))
+    classes = [group.stratum(x) for x in group.elements]  # on S_n every class is a stratum
     assert intersection_numbers_group(table, 1, 1, 0) == 3
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                rep = next(e for e, c in zip(data.elements, classes) if c == k)
+                rep = next(e for e, c in zip(group.elements, classes) if c == k)
                 count = sum(
                     1
-                    for x, cx in zip(data.elements, classes)
+                    for x, cx in zip(group.elements, classes)
                     if cx == i
-                    and classes[index[data.mul(inverse(data, x), rep)]] == j
+                    and group.stratum(group.mul(inverse(group, x), rep)) == j
                 )
                 assert intersection_numbers_group(table, i, j, k) == count
                 assert intersection_numbers_group(
@@ -440,12 +461,14 @@ def test_intersection_numbers_s3_brute_force():
 
 
 def test_intersection_numbers_merged_z5_convolution():
-    table = character_table_cyclic(5)
+    # The walk scheme of Z_5 merges each class with its inverse: p_ij^k solves P p = P_i P_j.
+    P = walk_scheme(GroupDescriptor("cyclic", 5)).eigenstructure.P
     merged = ((0,), (1, 4), (2, 3))
     sets = [set(grp) for grp in merged]
-    assert intersection_numbers_group(table, 1, 1, 2, merged) == 1
+    assert np.linalg.solve(P, P[:, 1] * P[:, 1])[2] == pytest.approx(1, abs=INTEGRALITY_TOL)
     for i in range(3):
         for j in range(3):
+            p = np.linalg.solve(P, P[:, i] * P[:, j])
             for k in range(3):
                 rep = min(sets[k])
                 count = sum(
@@ -454,7 +477,7 @@ def test_intersection_numbers_merged_z5_convolution():
                     for y in sets[j]
                     if (x + y) % 5 == rep
                 )
-                assert intersection_numbers_group(table, i, j, k, merged) == count
+                assert p[k] == pytest.approx(count, abs=INTEGRALITY_TOL)
 
 
 def test_intersection_numbers_reject_corrupted_table():
@@ -496,7 +519,7 @@ def test_class_sum_consistency_row_sums():
 
 def test_fused_eigenstructure_complete_graph_from_cyclic():
     table = character_table_cyclic(6)
-    es = fused_eigenstructure(table, ((0,), (1, 2, 3, 4, 5)))
+    es = fuse(table, ((0,), (1, 2, 3, 4, 5)))
     assert es.valencies.a == (1, 5)
     assert np.allclose(es.P, [[1.0, 5.0], [1.0, -1.0]])
     assert np.allclose(es.m, [1.0, 5.0])
@@ -525,17 +548,18 @@ def test_walk_scheme_generating_range():
     ],
 )
 def test_right_products_match_mul(kind, n):
-    # one call multiplies every element by many generators: column j is gs[j]
-    data = group_elements(GroupDescriptor(kind, n))
-    size = len(data.elements)
-    index = {x: i for i, x in enumerate(data.elements)}
-    table = data.right_products(data.elements)
-    assert table.shape == (size, size)
-    for j, g in enumerate(data.elements):
-        expected = [index[data.mul(alpha, g)] for alpha in data.elements]
-        assert table[:, j].tolist() == expected
-    assert np.array_equal(data.right_products(data.elements[1:3]), table[:, 1:3])
-    assert data.right_products([]).shape == (size, 0)
+    # one call multiplies every element by a whole stratum: column j is its j-th element
+    descriptor = GroupDescriptor(kind, n)
+    group = ReferenceGroup(descriptor)
+    index = {x: i for i, x in enumerate(group.elements)}
+    strata = [group.stratum(x) for x in group.elements]
+    for generating in range(1, max(strata) + 1):
+        table, table_strata = cayley_table(descriptor, generating)
+        assert table_strata.tolist() == strata
+        gs = [g for g, s in zip(group.elements, strata) if s == generating]
+        assert table.shape == (len(group.elements), len(gs))
+        for j, g in enumerate(gs):
+            assert table[:, j].tolist() == [index[group.mul(alpha, g)] for alpha in group.elements]
 
 
 @pytest.mark.parametrize(
@@ -547,18 +571,19 @@ def test_strata_hold_the_valencies_and_every_inverse(kind, sizes):
     elements, so it generates an undirected Cayley graph as it stands."""
     for n in sizes:
         descriptor = GroupDescriptor(kind, n)
-        data = group_elements(descriptor)
+        group = ReferenceGroup(descriptor)
+        strata = cayley_table(descriptor, 1)[1]
         valencies = walk_scheme(descriptor).eigenstructure.valencies.a
-        assert tuple(np.bincount(data.strata).tolist()) == valencies
-        stratum = dict(zip(data.elements, data.strata.tolist()))
+        assert tuple(np.bincount(strata).tolist()) == valencies
+        stratum = dict(zip(group.elements, strata.tolist()))
         for x, s in stratum.items():
-            assert stratum[inverse(data, x)] == s
+            assert stratum[inverse(group, x)] == s
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
 def test_strata_hold_the_valencies_at_the_oracle_cap(kind):
     descriptor = GroupDescriptor(kind, 2000 if kind == "cyclic" else 1000)  # 2000 elements
-    strata = group_elements(descriptor).strata
+    strata = cayley_table(descriptor, 1)[1]
     assert len(strata) == 2000
     assert tuple(np.bincount(strata).tolist()) == walk_scheme(descriptor).eigenstructure.valencies.a
 
@@ -575,13 +600,15 @@ def test_closed_form_matches_table_fusion(kind, n):
     descriptor = GroupDescriptor(kind, n)
     table = character_table(descriptor)
     groups = label_class_groups(table)
+    ref = fuse(table, groups)
+    theirs = row_order(ref.P)  # fusion breaks ties between equal eigenvalues by rounding noise
     for generating in range(1, len(groups)):
         es = walk_scheme(descriptor, generating).eigenstructure
-        ref = fused_eigenstructure(table, groups, generating)
+        ours = row_order(es.P)
         assert es.valencies == ref.valencies
-        assert np.array_equal(es.m, ref.m)
-        for ours, theirs in ((es.P, ref.P), (es.Q, ref.Q)):
-            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+        assert np.array_equal(es.m[ours], ref.m[theirs])
+        for a, b in ((es.P[ours], ref.P[theirs]), (es.Q[:, ours], ref.Q[:, theirs])):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("m", [*range(3, 81), 200, 449, 450, 700])

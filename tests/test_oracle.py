@@ -13,7 +13,7 @@ from schemewalk.errors import (
     NotDistanceRegular,
     TooLarge,
 )
-from schemewalk.groups import group_elements, walk_scheme
+from schemewalk.groups import walk_scheme
 from schemewalk.schemes import (
     FromCatalog,
     FromGroup,
@@ -25,7 +25,7 @@ from schemewalk.spectral import jacobi_from_intersection
 from schemewalk.tolerances import ORACLE_EIGEN_RESIDUAL_TOL, ORACLE_ORTHONORMALITY_TOL
 from schemewalk.walk import eigen_spectrum, jacobi_spectrum
 
-from group_reference import inverse
+from group_reference import ReferenceGroup, inverse
 
 TIMES = np.linspace(0.0, 20.0, 64)
 
@@ -65,10 +65,10 @@ def test_cayley_symmetrizes_generating_class():
 
 
 def test_cayley_rejects_identity_class(monkeypatch):
-    def enumerate_nothing(descriptor):
+    def enumerate_nothing(descriptor, generating):
         raise AssertionError("elements enumerated before the range check")
 
-    monkeypatch.setattr(oracle, "group_elements", enumerate_nothing)
+    monkeypatch.setattr(oracle, "cayley_table", enumerate_nothing)
     # the range check precedes the size check: S_7 is over the vertex cap
     for descriptor in (GroupDescriptor("cyclic", 7), GroupDescriptor("symmetric", 7)):
         with pytest.raises(BadParams, match="generating class 0 out of range"):
@@ -611,18 +611,19 @@ def test_hamming_builder_matches_pair_loop(d, q):
 )
 def test_cayley_builder_matches_pair_loop(kind, n):
     descriptor = GroupDescriptor(kind, n)
-    data = group_elements(descriptor)
-    size = len(data.elements)
-    inverses = [inverse(data, x) for x in data.elements]
-    for generating in range(1, int(data.strata.max()) + 1):
-        connection = {x for x, s in zip(data.elements, data.strata) if s == generating}
-        connection |= {inverse(data, x) for x in connection}
+    group = ReferenceGroup(descriptor)
+    size = len(group.elements)
+    inverses = [inverse(group, x) for x in group.elements]
+    strata = np.array([group.stratum(x) for x in group.elements])
+    for generating in range(1, int(strata.max()) + 1):
+        connection = {x for x, s in zip(group.elements, strata) if s == generating}
+        connection |= {inverse(group, x) for x in connection}
         A = _pair_loop(
             size,
-            lambda i, j: data.mul(inverses[i], data.elements[j]) in connection,
+            lambda i, j: group.mul(inverses[i], group.elements[j]) in connection,
         )
         g = oracle.cayley_graph(descriptor, generating)
-        _assert_same_graph(g, A, data.strata)
+        _assert_same_graph(g, A, strata)
 
 
 # Edge cases within the cap: one-point subsets of 100 points (K_100), the
@@ -683,13 +684,13 @@ def test_complete_graph_on_one_vertex():
 
 def test_cayley_builder_on_a_large_s6_class_matches_right_multiplication():
     descriptor = GroupDescriptor("symmetric", 6)
-    data = group_elements(descriptor)
-    index = {x: i for i, x in enumerate(data.elements)}
-    connection = [x for x, s in zip(data.elements, data.strata) if s == 2]
+    group = ReferenceGroup(descriptor)
+    index = {x: i for i, x in enumerate(group.elements)}
+    connection = [x for x in group.elements if group.stratum(x) == 2]
     A = np.zeros((720, 720), dtype=np.int64)
-    for i, x in enumerate(data.elements):
+    for i, x in enumerate(group.elements):
         for y in connection:  # x^-1 z = y, so z = x y
-            A[i, index[data.mul(x, y)]] = 1
+            A[i, index[group.mul(x, y)]] = 1
     g = oracle.cayley_graph(descriptor, 2)
     assert np.array_equal(g.adjacency, A)
     with pytest.raises(NotDistanceRegular, match="disconnected"):  # even class: A_6 and its coset

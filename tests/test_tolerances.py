@@ -19,8 +19,6 @@ PINNED = {
     "DEFAULT_TAIL_TOL": 1e-12,
     "MATRIX_TOL": 1e-9,
     "ORTHOGONALITY_TOL": 1e-9,
-    "REALNESS_TOL": 1e-12,
-    "FUSION_KEY_DECIMALS": 9,
     "UNITARITY_TOL": 1e-9,
     "ZERO_TIME_TOL": 1e-15,
     "CLOSED_FORM_TOL": 1e-10,

@@ -39,7 +39,6 @@ from schemewalk.spectral import (
     jacobi_from_intersection,
     meixner_distribution,
 )
-from schemewalk.tolerances import DEFAULT_TAIL_TOL
 from schemewalk import walk as walk_module
 from schemewalk.walk import (
     AmplitudeSeries,
@@ -302,33 +301,32 @@ def test_johnson_limit_meixner_origin():
 
 
 def test_johnson_limit_near_p_one_sums_over_a_million_atoms():
-    # The geometric measure's origin amplitude in closed form:
+    # The geometric measure's origin amplitude, summed over every atom in closed form:
     # sum_k head ratio^k e^{-i x_k t} = head e^{i p t / s} / (1 - ratio e^{-2i (1-p) t / s}).
+    # The denominator cancels down to 1 - ratio = head, so rounding reaches eps / head.
     p, t = 0.99999, np.array([0.0, 7.5])
     scale, ratio, head = math.sqrt(p * (2 - p)), p / (2 - p), 2 * (1 - p) / (2 - p)
     exact = head * np.exp(1j * p * t / scale) / (1 - ratio * np.exp(-2j * (1 - p) * t / scale))
-    atoms = meixner_distribution(p)[0].size
-    bound = DEFAULT_TAIL_TOL + atoms * np.finfo(float).eps  # the cut tail and the rounding
+    bound = 4 * np.finfo(float).eps / head
     assert np.max(np.abs(johnson_limit_amplitudes(p, 0, t) - exact)) < bound
 
 
 def test_johnson_limit_near_p_one_takes_a_full_grid_in_bounded_memory():
-    # One kernel call on 64 times would hold 128 trig rows of K atoms (1.4 GB at K = 1,381,552);
-    # the bound leaves room for the atoms, the weights and the trig rows of a few times.
+    # A kernel call on the 1,381,552 atoms left after the 1e-12 tail would hold 128 trig rows
+    # of them (1.4 GB); the closed form holds a few complex rows of the grid and no atom.
     import tracemalloc
 
     p, t = 0.99999, np.linspace(0.0, 20.0, 64)
     scale, ratio, head = math.sqrt(p * (2 - p)), p / (2 - p), 2 * (1 - p) / (2 - p)
     exact = head * np.exp(1j * p * t / scale) / (1 - ratio * np.exp(-2j * (1 - p) * t / scale))
-    atoms = meixner_distribution(p)[0].size
     tracemalloc.start()
     try:
         origin = johnson_limit_amplitudes(p, 0, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 8 * atoms
-    assert np.max(np.abs(origin - exact)) < DEFAULT_TAIL_TOL + atoms * np.finfo(float).eps
+    assert peak < 8 * 16 * len(t)
+    assert np.max(np.abs(origin - exact)) < 4 * np.finfo(float).eps / head
 
 
 def test_johnson_limit_rejects_bad_input():
@@ -417,7 +415,7 @@ def test_phase_kernel_matches_the_complex_exponential(times, atoms, table):
 def test_phase_kernel_takes_the_one_dimensional_meixner_weights():
     atoms, weights = meixner_distribution(0.5)
     expected = _kernel_reference(TIMES, atoms, weights)
-    assert np.max(np.abs(johnson_limit_amplitudes(0.5, 0, TIMES) - expected)) < 1e-13
+    assert np.max(np.abs(walk_module._phase_sum(TIMES, atoms, weights) - expected)) < 1e-13
 
 
 def test_average_from_distribution_decomposes_once(monkeypatch):
