@@ -25,6 +25,7 @@ from .catalog import catalog_names
 from .errors import SchemaError, SchemeWalkError, TooLarge
 from .groups import character_table, walk_scheme
 from .schemes import (
+    GROUP_KINDS,
     FromCatalog,
     FromGroup,
     FromIntersectionArray,
@@ -90,7 +91,7 @@ def _spec_from_json(obj, default_kind: str | None = None) -> SchemeSpec:
         return FromIntersectionArray(IntersectionArray(d=d, c=tuple(c), b=tuple(b)))
     if kind == "group":
         name = obj.get("group")
-        if name not in ("cyclic", "dihedral", "symmetric"):
+        if name not in GROUP_KINDS:
             raise SchemaError("/group: expected cyclic, dihedral or symmetric")
         n = _require_int(obj, "n")
         generating = obj.get("class")
@@ -315,9 +316,8 @@ def _verify_checks(spec: SchemeSpec, times) -> tuple[list[tuple[str, float, floa
     except SchemeWalkError as exc:
         graph, skipped = None, str(exc)
     if isinstance(spec, FromGroup):
-        scheme = walk_scheme(spec.group, spec.generating_class)
-        es, ia = scheme.eigenstructure, None
-        spectrum = walk.eigen_spectrum(es, scheme.generating)
+        es, ia = walk_scheme(spec.group, spec.generating_class), None
+        spectrum = walk.eigen_spectrum(es)
     else:
         ia = walk.intersection_array(spec)
         jc = jacobi_from_intersection(ia)  # one decomposition for both routes

@@ -5,7 +5,9 @@ dimensions give the multiplicities.  Each stratum of a walk scheme is a
 conjugacy class merged with its inverse class, so the eigenmatrices are
 real.  The characters of cyclic and dihedral groups are cosines, so their
 walk schemes are built from cosines directly; every class of S_n is its own
-inverse, and its eigenvalues are the integer central characters.  The
+inverse, and its eigenvalues are the integer central characters.  A walk
+scheme is one ``SchemeEigenstructure``, validated when built, whose
+``generating`` stratum names the column of P that holds the walk's atoms.  The
 oracle's Cayley graphs come from index arithmetic on one element layout.
 """
 
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import (
     BadParams,
     InvalidCycleType,
-    InvalidOrder,
     NonIntegerResult,
     NumericalInstability,
 )
@@ -207,17 +208,24 @@ def walk_strata(kind: str, n: int) -> int:
     return n // 2 + (1 if kind == "cyclic" else 2)
 
 
+def _checked_label(kind: str, n: int) -> str:
+    """The group's label Zn, D2n or Sn, once ``GroupDescriptor`` has checked the
+    range and ``check_strata`` the walk scheme's strata: both before anything is built."""
+    GroupDescriptor(kind, n)
+    label = {"cyclic": f"Z{n}", "dihedral": f"D{2 * n}", "symmetric": f"S{n}"}[kind]
+    check_strata(walk_strata(kind, n), label)
+    return label
+
+
 def character_table_cyclic(n: int) -> CharacterTable:
     """All-one-dimensional table chi_j(g^k) = exp(2 pi i jk/n)."""
-    if n < 3:
-        raise InvalidOrder(f"cyclic table needs n >= 3, got {n}")
-    check_strata(walk_strata("cyclic", n), f"Z{n}")
+    label = _checked_label("cyclic", n)
     roots = np.array([_root_of_unity(k, n) for k in range(n)])
     exponents = np.outer(np.arange(n), np.arange(n))
     exponents %= n
     values = roots[exponents]
     return CharacterTable(
-        group_label=f"Z{n}",
+        group_label=label,
         class_sizes=(1,) * n,
         class_labels=tuple(f"g^{k}" for k in range(n)),
         irrep_dims=(1,) * n,
@@ -227,71 +235,48 @@ def character_table_cyclic(n: int) -> CharacterTable:
 
 
 def character_table_dihedral(m: int) -> CharacterTable:
-    """Dihedral group of order 2m; the class layout depends on the parity of m."""
-    if m < 3:
-        raise InvalidOrder(f"dihedral table needs m >= 3, got {m}")
-    check_strata(walk_strata("dihedral", m), f"D{2 * m}")
-    ell = m // 2
+    """Dihedral group of order 2m: the one-dimensional irreps are the sign maps
+    a^j b^s -> x^j y^s, with x^m = 1 as a^m = e, so x = -1 only for even m; E_h
+    takes 2 cos(2 pi hj/m) on a^j and 0 on the reflections.  The rotation classes
+    follow ``_dihedral_rotations``; the reflection class b of odd m sits in
+    column 1, while b_even (the a^(2i) b) and b_odd (the a^(2i+1) b) of even m come last.
+    """
+    label, even = _checked_label("dihedral", m), m % 2 == 0
     rotations = _dihedral_rotations(m)
-    if m % 2 == 1:
-        sizes = (1, m) + (2,) * ell
-        labels = ("e", "b") + tuple(f"a^{j}" for j in range(1, ell + 1))
-        dims = (1, 1) + (2,) * ell
-        irrep_labels = ("triv", "sgn_b") + tuple(f"E_{h}" for h in range(1, ell + 1))
-        values = np.zeros((len(dims), len(sizes)), dtype=complex)
-        values[0, :] = 1.0
-        values[1] = [1.0, -1.0] + [1.0] * ell
-        values[2:, [0, *range(2, ell + 2)]] = _cosine_block(m, rotations[1:], rotations)
+    classes = [("e", 1, 0, 0)]  # (label, size, j, s) of the class of a^j b^s
+    classes += [(f"a^{j}", 1 if 2 * j == m else 2, j, 0) for j in rotations[1:].tolist()]
+    if even:
+        classes += [("b_even", m // 2, 0, 1), ("b_odd", m // 2, 1, 1)]
     else:
-        sizes = (1, 1) + (2,) * (ell - 1) + (ell, ell)
-        labels = (
-            ("e", f"a^{ell}")
-            + tuple(f"a^{j}" for j in range(1, ell))
-            + ("b_even", "b_odd")
-        )
-        dims = (1, 1, 1, 1) + (2,) * (ell - 1)
-        irrep_labels = ("triv", "sgn_b", "sgn_a", "sgn_ab") + tuple(
-            f"E_{h}" for h in range(1, ell)
-        )
-        nc = len(sizes)
-        values = np.zeros((len(dims), nc), dtype=complex)
-        values[0, :] = 1.0
-        values[1] = [1.0, 1.0] + [1.0] * (ell - 1) + [-1.0, -1.0]
-        values[2] = (
-            [1.0, (-1.0) ** ell]
-            + [(-1.0) ** j for j in range(1, ell)]
-            + [1.0, -1.0]
-        )
-        values[3] = (
-            [1.0, (-1.0) ** ell]
-            + [(-1.0) ** j for j in range(1, ell)]
-            + [-1.0, 1.0]
-        )
-        values[4:, : ell + 1] = _cosine_block(m, rotations[2:], rotations)
+        classes.insert(1, ("b", m, 0, 1))
+    labels, sizes, j, s = zip(*classes)
+    # x and y, the images of a and b under triv, sgn_b, sgn_a and sgn_ab
+    x, y = np.array([(1, 1, -1, -1), (1, -1, 1, -1)])[:, : 4 if even else 2, None]
+    h = np.arange(1, (m + 1) // 2)
+    values = np.zeros((len(x) + len(h), len(classes)), dtype=complex)
+    values[: len(x)] = x ** np.array(j) * y ** np.array(s)
+    values[len(x) :, np.equal(s, 0)] = _cosine_block(m, h, rotations)
     return CharacterTable(
-        group_label=f"D{2 * m}",
+        group_label=label,
         class_sizes=sizes,
         class_labels=labels,
-        irrep_dims=dims,
-        irrep_labels=irrep_labels,
+        irrep_dims=(1,) * len(x) + (2,) * len(h),
+        irrep_labels=("triv", "sgn_b", "sgn_a", "sgn_ab")[: len(x)]
+        + tuple(f"E_{k}" for k in h.tolist()),
         values=values,
     )
 
 
 def character_table_symmetric(n: int) -> CharacterTable:
     """Integer character table of S_n; classes and irreps both indexed by partitions."""
-    descriptor = GroupDescriptor("symmetric", n)  # range check
-    parts = partitions(descriptor.n)
-    nc = len(parts)
-    values = np.zeros((nc, nc), dtype=complex)
-    for i, lam in enumerate(parts):
-        for k, rho in enumerate(parts):
-            values[i, k] = mn_character(lam, rho)
+    label = _checked_label("symmetric", n)
+    parts = partitions(n)
+    values = np.array([[mn_character(lam, rho) for rho in parts] for lam in parts], dtype=complex)
     sizes = tuple(class_size_symmetric(rho, n) for rho in parts)
     dims = tuple(hook_length_dimension(lam) for lam in parts)
     labels = tuple("+".join(str(p) for p in rho) for rho in parts)
     return CharacterTable(
-        group_label=f"S{n}",
+        group_label=label,
         class_sizes=sizes,
         class_labels=labels,
         irrep_dims=dims,
@@ -319,7 +304,7 @@ def _ordered_eigenstructure(
     valencies: ValencyVector,
     generating: int,
 ) -> SchemeEigenstructure:
-    """Order distinct eigenvalue rows into P, derive Q = m P^T / a and validate.
+    """Order distinct eigenvalue rows into P and derive Q = m P^T / a.
 
     The trivial idempotent comes first; the rest follow by decreasing
     eigenvalue on the generating relation, then by row (irrep) index.
@@ -334,9 +319,7 @@ def _ordered_eigenstructure(
     m = m[order]
     Q = P.T * m
     Q /= np.asarray(valencies.a, dtype=float)[:, None]
-    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
-    es.validate()
-    return es
+    return SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies, generating=generating)
 
 
 def _rotation_weights(n: int, j: np.ndarray) -> np.ndarray:
@@ -404,6 +387,33 @@ def _symmetric_eigenstructure(n: int, generating: int) -> SchemeEigenstructure:
     return _ordered_eigenstructure(rows, mults, valencies, generating)
 
 
+def generating_stratum(strata: int, generating_class: int | None) -> int:
+    """The stratum a walk on a scheme of ``strata`` strata steps along: 1 unless one is named."""
+    generating = 1 if generating_class is None else generating_class
+    if not 1 <= generating < strata:
+        raise BadParams(f"generating class {generating} out of range")
+    return generating
+
+
+def walk_scheme(
+    descriptor: GroupDescriptor, generating_class: int | None = None
+) -> SchemeEigenstructure:
+    """The validated eigenstructure a walk on this group runs over; its ``generating``
+    stratum is 1 unless one is named.
+
+    Cyclic and dihedral schemes come from their cosine closed forms, in
+    O(d^2) work and memory; symmetric groups from their exact central characters.
+    """
+    kind, n = descriptor.kind, descriptor.n
+    _checked_label(kind, n)
+    generating = generating_stratum(walk_strata(kind, n), generating_class)
+    if kind == "cyclic":
+        return _cyclic_eigenstructure(n, generating)
+    if kind == "dihedral":
+        return _dihedral_eigenstructure(n, generating)
+    return _symmetric_eigenstructure(n, generating)
+
+
 def intersection_numbers_group(table: CharacterTable, i: int, j: int, k: int) -> int:
     """Structure constant p_ij^k of the class-sum algebra."""
     kappa = table.class_sizes
@@ -456,46 +466,3 @@ def cayley_table(descriptor: GroupDescriptor, generating: int) -> tuple[np.ndarr
     strata = np.unique(np.sort(lengths)[:, ::-1] @ (n + 1) ** k[::-1], return_inverse=True)[1]
     place = n ** k[::-1]  # base-n keys of the lexicographic permutations ascend
     return np.searchsorted(perms @ place, perms[:, perms[strata == generating]] @ place), strata
-
-
-# ---------------------------------------------------------------------------
-# Walk-facing view: eigenstructure and generating relation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GroupWalkScheme:
-    """Everything the walk engines need for a group scheme."""
-
-    eigenstructure: SchemeEigenstructure
-    generating: int  # stratum index of the generating relation
-
-
-def generating_stratum(strata: int, generating_class: int | None) -> int:
-    """The stratum a walk on a scheme of ``strata`` strata steps along: 1 unless one is named."""
-    generating = 1 if generating_class is None else generating_class
-    if not 1 <= generating < strata:
-        raise BadParams(f"generating class {generating} out of range")
-    return generating
-
-
-def walk_scheme(
-    descriptor: GroupDescriptor, generating_class: int | None = None
-) -> GroupWalkScheme:
-    """Build the scheme a walk on this group runs over; the default generating stratum is 1.
-
-    Cyclic and dihedral schemes come from their cosine closed forms, in
-    O(d^2) work and memory; symmetric groups from their exact central characters.
-    """
-    kind, n = descriptor.kind, descriptor.n
-    strata = walk_strata(kind, n)
-    if kind != "symmetric":
-        check_strata(strata, f"Z{n}" if kind == "cyclic" else f"D{2 * n}")
-    generating = generating_stratum(strata, generating_class)
-    if kind == "cyclic":
-        es = _cyclic_eigenstructure(n, generating)
-    elif kind == "dihedral":
-        es = _dihedral_eigenstructure(n, generating)
-    else:
-        es = _symmetric_eigenstructure(n, generating)
-    return GroupWalkScheme(eigenstructure=es, generating=generating)

@@ -48,7 +48,8 @@ NEIGHBOUR_CHUNK = 65536  # entries per neighbour-sum gather (512 KiB), timed on 
 
 @dataclass(frozen=True, eq=False)
 class VertexGraph:
-    """Simple regular connected graph with a distinguished root vertex.
+    """Simple regular connected graph; every vertex of a scheme graph looks the
+    same, so walks start at vertex 0, the root.
 
     Row v of the read-only n x k array ``neighbours`` lists the neighbours of
     v; it is stored column by column, so each gather reads whole columns.  On Cayley
@@ -56,7 +57,6 @@ class VertexGraph:
     """
 
     neighbours: np.ndarray
-    root: int = 0
     strata: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -115,7 +115,7 @@ class VertexGraph:
         # edge codes v n + u ascend row by row; the reversed edges must give the same set
         if not np.array_equal((rows * n + ordered).ravel(), np.sort(ordered * n + rows, axis=None)):
             raise BadParams("graph must be undirected")
-        if np.any(_bfs_distances(N, self.root) < 0):
+        if np.any(_bfs_distances(N, 0) < 0):
             raise BadParams("graph must be connected")
 
 
@@ -143,7 +143,7 @@ def _lanczos(g: VertexGraph, every_step: bool) -> tuple[np.ndarray, JacobiCoeffi
     n, neighbours = g.n, g.neighbours.T
     floor = n * np.finfo(float).eps * len(neighbours)
     Q, alpha, omega = np.empty((n + 1, n)), [], []
-    Q[0] = np.arange(n) == g.root
+    Q[0] = np.arange(n) == 0
     for m in range(1, n + 1):
         r = _neighbour_sum(neighbours, Q[m - 1], Q[m])
         if m > 1:
@@ -277,7 +277,7 @@ def cayley_graph(descriptor: GroupDescriptor, generating: int | None = None) -> 
     n = factorial(order) if kind == "symmetric" else 2 * order if kind == "dihedral" else order
     _check_size(n)  # the group order, before any element is enumerated
     neighbours, strata = cayley_table(descriptor, generating)
-    return VertexGraph(neighbours, 0, strata)
+    return VertexGraph(neighbours, strata)
 
 
 def build_graph(spec: SchemeSpec) -> VertexGraph:
@@ -308,7 +308,7 @@ def _stratum_counts(g: VertexGraph, distances: np.ndarray) -> np.ndarray:
 
 def bfs_strata(g: VertexGraph) -> tuple[DistancePartition, IntersectionArray]:
     """Distance partition from the root plus the intersection array it induces."""
-    distances = _bfs_distances(g.neighbours, g.root)
+    distances = _bfs_distances(g.neighbours, 0)
     if np.any(distances < 0):
         raise NotDistanceRegular("graph is disconnected")
     order = np.argsort(distances, kind="stable")
@@ -337,7 +337,7 @@ def exact_walk(g: VertexGraph, times) -> np.ndarray:
     phase = np.multiply.outer(times, evals, out=trig[steps:])
     np.cos(phase, out=trig[:steps])
     np.sin(phase, out=phase)
-    trig *= vecs[g.root]
+    trig *= vecs[0]
     halves = trig @ vecs.T
     amps = np.empty((steps, g.n), dtype=complex)
     amps.real = halves[:steps]

@@ -163,19 +163,25 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeEigenstructure:
-    """Eigenvalue matrix P, dual matrix Q, multiplicities and stratum sizes.
+    """Eigenvalue matrix P, dual matrix Q, multiplicities and stratum sizes,
+    validated when built.
 
     Row 0 always belongs to the all-ones eigenvector, so P[0, j] = a_j and
     Q[0, j] = m_j; remaining rows are ordered by decreasing eigenvalue of the
-    generating relation.
+    generating relation.  ``generating`` names that stratum: column
+    ``generating`` of P holds the atoms of the walk along it.
     """
 
     P: np.ndarray
     Q: np.ndarray
     m: np.ndarray
     valencies: ValencyVector
+    generating: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -231,16 +237,14 @@ def eigenstructure_from_array(ia: IntersectionArray, jc=None) -> SchemeEigenstru
     P = (root_a * U / U[0]).T
     m = valencies.n * U[0] ** 2
     Q = valencies.n * U[0] * U / root_a
-    es = SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
-    es.validate()
-    return es
+    return SchemeEigenstructure(P=P, Q=Q, m=m, valencies=valencies)
 
 
 # ---------------------------------------------------------------------------
 # Scheme specifications (uniform entry point for the engines and the CLI)
 # ---------------------------------------------------------------------------
 
-_GROUP_KINDS = ("cyclic", "dihedral", "symmetric")
+GROUP_KINDS = ("cyclic", "dihedral", "symmetric")
 SYMMETRIC_MAX_N = 12
 
 
@@ -252,7 +256,7 @@ class GroupDescriptor:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _GROUP_KINDS:
+        if self.kind not in GROUP_KINDS:
             raise BadParams(f"unknown group kind {self.kind!r}")
         if self.kind in ("cyclic", "dihedral") and self.n < 3:
             raise InvalidOrder(f"{self.kind} group needs n >= 3, got {self.n}")

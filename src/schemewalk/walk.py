@@ -25,8 +25,7 @@ from .errors import (
     InconsistentInputs,
     NumericalInstability,
 )
-from .groups import (GroupWalkScheme, hook_length_dimension, partitions,
-                     transposition_eigenvalue, walk_scheme)
+from .groups import hook_length_dimension, partitions, transposition_eigenvalue, walk_scheme
 from .schemes import (
     FromCatalog,
     FromGroup,
@@ -219,12 +218,12 @@ class SchemeSpectrum:
         return _grouped(self.atoms, self.table[:, 0], ATOM_SEPARATION)
 
 
-def eigen_spectrum(es: SchemeEigenstructure, generator_column: int = 1) -> SchemeSpectrum:
-    """Eigenvalue-matrix route: atoms P_l,col and table sqrt(a_k) Q_kl / n."""
+def eigen_spectrum(es: SchemeEigenstructure) -> SchemeSpectrum:
+    """Eigenvalue-matrix route: atoms P_lg on the generating stratum g, table sqrt(a_k) Q_kl/n."""
     a = np.asarray(es.valencies.a, dtype=float)
     table = es.Q.T * (np.sqrt(a) / es.n)
-    atoms = es.P[:, generator_column].copy()  # a view would keep all of P alive
-    return SchemeSpectrum(atoms, table, es.valencies, generator_column)
+    atoms = es.P[:, es.generating].copy()  # a view would keep all of P alive
+    return SchemeSpectrum(atoms, table, es.valencies, es.generating)
 
 
 def jacobi_spectrum(
@@ -267,9 +266,9 @@ def average_from_distribution(
     return spectrum.averages()
 
 
-def average_probabilities(scheme: GroupWalkScheme) -> AverageProbabilities:
+def average_probabilities(scheme: SchemeEigenstructure) -> AverageProbabilities:
     """Averages over a group scheme's strata, on its own generating relation."""
-    return eigen_spectrum(scheme.eigenstructure, scheme.generating).averages()
+    return eigen_spectrum(scheme).averages()
 
 
 def time_averaged_probabilities(
@@ -394,8 +393,7 @@ def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
     if engine not in ENGINES:
         raise BadParams(f"unknown engine {engine!r}")
     if isinstance(spec, FromGroup) and engine != "spectral":
-        scheme = walk_scheme(spec.group, spec.generating_class)
-        return eigen_spectrum(scheme.eigenstructure, scheme.generating)
+        return eigen_spectrum(walk_scheme(spec.group, spec.generating_class))
     if engine == "character":
         raise EngineSpecMismatch("character engine needs a group specification")
     return jacobi_spectrum(intersection_array(spec))

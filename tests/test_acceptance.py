@@ -44,7 +44,7 @@ def spectral_series(ia, times=GRID):
 
 
 def group_series(scheme, times=GRID):
-    return eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(times)
+    return eigen_spectrum(scheme).amplitudes(times)
 
 
 def eigen_series(ia, times=GRID):
@@ -214,7 +214,7 @@ def test_criterion_3_group_engine():
         worst_dihedral = max(
             worst_dihedral, float(np.max(np.abs(series.amplitudes - expected)))
         )
-        averages = eigen_spectrum(scheme.eigenstructure).averages()
+        averages = eigen_spectrum(scheme).averages()
         closed_avg = np.array(
             [((m - 1) ** 2 + 0.5) / m**2, 1 / (2 * m)]
             + [3 / m**2] * (series.amplitudes.shape[1] - 2)
@@ -277,14 +277,14 @@ def test_criterion_5_engine_triple_agreement():
 
     for n in (5, 7, 9):
         scheme = walk_scheme(GroupDescriptor("cyclic", n))
-        eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
+        eig = eigen_spectrum(scheme).amplitudes(GRID).amplitudes
         char = character_series_direct(character_table(GroupDescriptor("cyclic", n)), GRID)
         spec = spectral_series(catalog("cycle", (n,)).array).amplitudes
         compare(eig, char, spec)
 
     for m in (3, 5):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
-        eig = eigen_spectrum(scheme.eigenstructure).amplitudes(GRID).amplitudes
+        eig = eigen_spectrum(scheme).amplitudes(GRID).amplitudes
         char = character_series_direct(character_table(GroupDescriptor("dihedral", m)), GRID)
         compare(eig, char)
 

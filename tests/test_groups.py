@@ -18,7 +18,6 @@ from schemewalk.errors import (
     UnsupportedOrder,
 )
 from schemewalk.groups import (
-    GroupWalkScheme,
     _root_of_unity,
     cayley_table,
     character_table,
@@ -33,7 +32,7 @@ from schemewalk.groups import (
     transposition_eigenvalue,
     walk_scheme,
 )
-from schemewalk.schemes import FromGroup, GroupDescriptor
+from schemewalk.schemes import FromGroup, GroupDescriptor, SchemeEigenstructure
 from schemewalk.tolerances import INTEGRALITY_TOL
 from schemewalk.walk import eigen_spectrum
 
@@ -50,6 +49,18 @@ S4_TABLE = np.array(
         [1, 1, 1, 1, 1],
     ]
 )
+# Textbook D8 and D10 tables in the library's class and irrep order; c_k = 2 cos(2 pi k/5).
+D8_TABLE = np.array(
+    [
+        [1, 1, 1, 1, 1],
+        [1, 1, 1, -1, -1],
+        [1, 1, -1, 1, -1],
+        [1, 1, -1, -1, 1],
+        [2, -2, 0, 0, 0],
+    ]
+)
+C1, C2 = (math.sqrt(5) - 1) / 2, -(math.sqrt(5) + 1) / 2
+D10_TABLE = np.array([[1, 1, 1, 1], [1, -1, 1, 1], [2, 0, C1, C2], [2, 0, C2, C1]])
 
 
 def test_cyclic_trivial_row_and_values():
@@ -109,6 +120,61 @@ def test_dihedral_identity_column(m):
     assert np.allclose(table.values[:, 0].real, table.irrep_dims)
 
 
+@pytest.mark.parametrize(
+    "m,frozen,classes,irreps",
+    [
+        (
+            4,
+            D8_TABLE,
+            (("e", 1), ("a^2", 1), ("a^1", 2), ("b_even", 2), ("b_odd", 2)),
+            (("triv", 1), ("sgn_b", 1), ("sgn_a", 1), ("sgn_ab", 1), ("E_1", 2)),
+        ),
+        (
+            5,
+            D10_TABLE,
+            (("e", 1), ("b", 5), ("a^1", 2), ("a^2", 2)),
+            (("triv", 1), ("sgn_b", 1), ("E_1", 2), ("E_2", 2)),
+        ),
+    ],
+)
+def test_dihedral_tables_match_textbook(m, frozen, classes, irreps):
+    table = character_table_dihedral(m)
+    assert table.group_label == f"D{2 * m}"
+    assert tuple(zip(table.class_labels, table.class_sizes)) == classes
+    assert tuple(zip(table.irrep_labels, table.irrep_dims)) == irreps
+    assert np.max(np.abs(table.values.real - frozen)) < 1e-15
+    assert np.max(np.abs(table.values.imag)) == 0.0
+
+
+def _dihedral_element(label):
+    """The element a^j b^s, as (j, s), that a class label of the dihedral table names."""
+    if label.startswith("a^"):
+        return int(label[2:]), 0
+    return {"e": (0, 0), "b": (0, 1), "b_even": (0, 1), "b_odd": (1, 1)}[label]
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_dihedral_one_dimensional_rows_are_homomorphisms(m):
+    """Each column's class, conjugated out of its label's element, has the column's size and
+    the classes partition the group; every one-dimensional row is then a homomorphism."""
+    group = ReferenceGroup(GroupDescriptor("dihedral", m))
+    table = character_table_dihedral(m)
+    index = {x: i for i, x in enumerate(group.elements)}
+    column = np.full(len(group.elements), -1)
+    for k, label in enumerate(table.class_labels):
+        x = _dihedral_element(label)
+        members = {index[group.mul(group.mul(g, x), inverse(group, g))] for g in group.elements}
+        assert len(members) == table.class_sizes[k]
+        assert np.all(column[list(members)] == -1)
+        column[list(members)] = k
+    assert np.all(column >= 0)
+    products = np.array([[index[group.mul(x, y)] for y in group.elements] for x in group.elements])
+    for row, dim in zip(table.values, table.irrep_dims):
+        if dim == 1:
+            chi = row[column]
+            assert np.array_equal(chi[products], np.multiply.outer(chi, chi))
+
+
 def test_symmetric_class_sizes_s4():
     table = character_table_symmetric(4)
     assert table.class_sizes == (1, 6, 3, 8, 6)
@@ -162,7 +228,7 @@ def test_large_symmetric_origin_amplitude_is_a_content_sum(n):
     and content(lambda) the sum of (column - row) over the boxes of lambda."""
     times = np.linspace(0.0, 3.0, 13)
     scheme = walk_scheme(GroupDescriptor("symmetric", n))
-    spectrum = eigen_spectrum(scheme.eigenstructure, scheme.generating)
+    spectrum = eigen_spectrum(scheme)
     amps = spectrum.amplitudes(times).amplitudes[:, 0]
     expected = np.zeros(len(times), dtype=complex)
     for lam in partitions(n):
@@ -278,7 +344,7 @@ def test_class_sum_eigenvalues_against_regular_representation(n):
 
 def test_group_eigenstructure_cyclic_closed_forms():
     """The walk scheme of Z_7, on the literal inverse-pair classes {g^j, g^-j}."""
-    es = walk_scheme(GroupDescriptor("cyclic", 7)).eigenstructure
+    es = walk_scheme(GroupDescriptor("cyclic", 7))
     n = 7
     for j in range(4):
         assert es.P[j, 1] == pytest.approx(2 * math.cos(2 * math.pi * j / n), abs=1e-12)
@@ -298,13 +364,13 @@ def test_group_eigenstructure_even_cyclic():
     assert es.valencies.a == (1, 1, 2, 2)
     assert np.max(np.abs(es.P @ es.Q - 6 * np.eye(4))) < 1e-9
     assert np.allclose(es.P[0], es.valencies.a)
-    closed = walk_scheme(GroupDescriptor("cyclic", 6)).eigenstructure.P[:, [0, 3, 1, 2]]
+    closed = walk_scheme(GroupDescriptor("cyclic", 6)).P[:, [0, 3, 1, 2]]
     assert np.max(np.abs(closed[row_order(closed)] - es.P[row_order(es.P)])) < 1e-12
 
 
 def test_group_eigenstructure_s3_transposition_column():
     """The walk scheme of S_3, on its singleton classes."""
-    es = walk_scheme(GroupDescriptor("symmetric", 3)).eigenstructure
+    es = walk_scheme(GroupDescriptor("symmetric", 3))
     assert np.allclose(es.P[:, 1], [3.0, 0.0, -3.0])
     assert np.allclose(es.m, [1.0, 4.0, 1.0])
     assert np.allclose(es.Q[0], es.m)
@@ -326,8 +392,7 @@ def test_group_eigenstructure_s3_transposition_column():
     ],
 )
 def test_walk_scheme_duality(descriptor):
-    scheme = walk_scheme(descriptor.group, descriptor.generating_class)
-    es = scheme.eigenstructure
+    es = walk_scheme(descriptor.group, descriptor.generating_class)
     size = len(es.m)
     assert np.max(np.abs(es.P @ es.Q - es.n * np.eye(size))) < 1e-9
     assert es.valencies.a[0] == 1
@@ -344,9 +409,9 @@ def test_every_symmetric_class_generates_a_walk(n):
     dims = np.asarray(table.irrep_dims, dtype=float)
     times = np.linspace(0.0, 2.0, 9)
     for c in range(1, table.n_classes):
-        es = walk_scheme(GroupDescriptor("symmetric", n), c).eigenstructure
+        es = walk_scheme(GroupDescriptor("symmetric", n), c)
         assert np.array_equal(es.P[0], es.valencies.a)
-        origin = eigen_spectrum(es, c).amplitudes(times).amplitudes[:, 0]
+        origin = eigen_spectrum(es).amplitudes(times).amplitudes[:, 0]
         atoms = table.class_sizes[c] * table.values[:, c].real / dims
         expected = np.exp(-1j * np.outer(times, atoms)) @ (dims**2 / factorial(n))
         assert np.max(np.abs(origin - expected)) < 1e-10
@@ -368,7 +433,7 @@ def test_symmetric_walk_schemes_are_the_exact_central_characters(n):
         scaled.append([dim * mn_character(lam, rho) for rho in parts])
     trivial = parts.index((n,))
     for generating in range(1, len(parts)):
-        es = walk_scheme(GroupDescriptor("symmetric", n), generating).eigenstructure
+        es = walk_scheme(GroupDescriptor("symmetric", n), generating)
         order = sorted(range(len(parts)), key=lambda i: (i != trivial, -central[i][generating], i))
         assert np.array_equal(es.P, np.array([central[i] for i in order], dtype=float))
         assert np.array_equal(es.Q, np.array([scaled[i] for i in order], dtype=float).T)
@@ -398,7 +463,7 @@ def test_fusion_matches_reference_buckets(kind, n):
     groups = label_class_groups(character_table(descriptor))
     expected = _reference_buckets(character_table(descriptor), groups)
     for generating in range(1, len(groups)):
-        es = walk_scheme(descriptor, generating).eigenstructure
+        es = walk_scheme(descriptor, generating)
         rows = [tuple(round(x, 6) + 0.0 for x in row) for row in es.P]
         assert len(rows) == len(expected)
         assert dict(zip(rows, es.m)) == expected
@@ -415,7 +480,7 @@ def test_class_groups_are_the_walk_scheme_strata():
     for kind, n in [("cyclic", 8), ("dihedral", 7), ("dihedral", 8), ("symmetric", 5)]:
         descriptor = GroupDescriptor(kind, n)
         strata = cayley_table(descriptor, 1)[1]
-        assert tuple(np.bincount(strata)) == walk_scheme(descriptor).eigenstructure.valencies.a
+        assert tuple(np.bincount(strata)) == walk_scheme(descriptor).valencies.a
         group = ReferenceGroup(descriptor)
         assert strata.tolist() == [group.stratum(x) for x in group.elements]
     odd = cayley_table(GroupDescriptor("dihedral", 7), 1)[1]
@@ -429,7 +494,7 @@ def test_dihedral_merged_blueprint_even():
     strata = cayley_table(GroupDescriptor("dihedral", 4), 1)[1]
     assert strata.tolist() == [0, 3, 2, 3, 1, 1, 1, 1]
     scheme = walk_scheme(GroupDescriptor("dihedral", 4))
-    assert scheme.eigenstructure.valencies.a == (1, 4, 1, 2)
+    assert scheme.valencies.a == (1, 4, 1, 2)
 
 
 def test_intersection_numbers_identity_class():
@@ -462,7 +527,7 @@ def test_intersection_numbers_s3_brute_force():
 
 def test_intersection_numbers_merged_z5_convolution():
     # The walk scheme of Z_5 merges each class with its inverse: p_ij^k solves P p = P_i P_j.
-    P = walk_scheme(GroupDescriptor("cyclic", 5)).eigenstructure.P
+    P = walk_scheme(GroupDescriptor("cyclic", 5)).P
     merged = ((0,), (1, 4), (2, 3))
     sets = [set(grp) for grp in merged]
     assert np.linalg.solve(P, P[:, 1] * P[:, 1])[2] == pytest.approx(1, abs=INTEGRALITY_TOL)
@@ -525,14 +590,33 @@ def test_fused_eigenstructure_complete_graph_from_cyclic():
     assert np.allclose(es.m, [1.0, 5.0])
 
 
+def test_corrupted_walk_scheme_fails_when_built():
+    es = walk_scheme(GroupDescriptor("symmetric", 4))
+    P = es.P.copy()
+    P[2, 3] += 1e-3
+    with pytest.raises(NumericalInstability, match="PQ != nI"):
+        SchemeEigenstructure(P=P, Q=es.Q, m=es.m, valencies=es.valencies)
+
+
+@pytest.mark.parametrize("kind,n", [("cyclic", 12), ("dihedral", 7), ("symmetric", 5)])
+def test_generating_stratum_names_the_atoms_column(kind, n):
+    descriptor = GroupDescriptor(kind, n)
+    for c in range(1, len(walk_scheme(descriptor).m)):
+        es = walk_scheme(descriptor, c)
+        spectrum = eigen_spectrum(es)
+        assert es.generating == spectrum.generating == c
+        assert np.array_equal(spectrum.atoms, es.P[:, c])
+
+
 def test_walk_scheme_generating_range():
     from schemewalk.errors import BadParams
 
     with pytest.raises(BadParams):
         walk_scheme(GroupDescriptor("cyclic", 7), generating_class=9)
     scheme = walk_scheme(GroupDescriptor("cyclic", 7), generating_class=2)
-    assert isinstance(scheme, GroupWalkScheme)
-    assert scheme.eigenstructure.P[0, 2] == pytest.approx(2.0)
+    assert isinstance(scheme, SchemeEigenstructure)
+    assert scheme == scheme and scheme in {scheme}  # compared and hashed by identity
+    assert scheme.P[0, 2] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize(
@@ -573,7 +657,7 @@ def test_strata_hold_the_valencies_and_every_inverse(kind, sizes):
         descriptor = GroupDescriptor(kind, n)
         group = ReferenceGroup(descriptor)
         strata = cayley_table(descriptor, 1)[1]
-        valencies = walk_scheme(descriptor).eigenstructure.valencies.a
+        valencies = walk_scheme(descriptor).valencies.a
         assert tuple(np.bincount(strata).tolist()) == valencies
         stratum = dict(zip(group.elements, strata.tolist()))
         for x, s in stratum.items():
@@ -585,7 +669,7 @@ def test_strata_hold_the_valencies_at_the_oracle_cap(kind):
     descriptor = GroupDescriptor(kind, 2000 if kind == "cyclic" else 1000)  # 2000 elements
     strata = cayley_table(descriptor, 1)[1]
     assert len(strata) == 2000
-    assert tuple(np.bincount(strata).tolist()) == walk_scheme(descriptor).eigenstructure.valencies.a
+    assert tuple(np.bincount(strata).tolist()) == walk_scheme(descriptor).valencies.a
 
 
 CLOSED_FORM_SIZES = [("cyclic", n) for n in (*range(3, 81), 101, 300, 600, 601)] + [
@@ -603,7 +687,7 @@ def test_closed_form_matches_table_fusion(kind, n):
     ref = fuse(table, groups)
     theirs = row_order(ref.P)  # fusion breaks ties between equal eigenvalues by rounding noise
     for generating in range(1, len(groups)):
-        es = walk_scheme(descriptor, generating).eigenstructure
+        es = walk_scheme(descriptor, generating)
         ours = row_order(es.P)
         assert es.valencies == ref.valencies
         assert np.array_equal(es.m[ours], ref.m[theirs])
@@ -673,6 +757,6 @@ def test_even_cyclic_cosines_are_antisymmetric_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [4, 30, 600, 602])
 def test_even_cyclic_spectra_are_symmetric(n):
-    es = walk_scheme(GroupDescriptor("cyclic", n)).eigenstructure
+    es = walk_scheme(GroupDescriptor("cyclic", n))
     atoms = np.sort(es.P[:, 1])
     assert np.array_equal(atoms, -atoms[::-1])

@@ -159,7 +159,7 @@ KRYLOV_GRAPHS = {
 
 def _dense_walk(g, times):
     evals, vecs = np.linalg.eigh(g.adjacency.astype(float))
-    return (np.exp(-1j * np.outer(times, evals)) * vecs[g.root]) @ vecs.T
+    return (np.exp(-1j * np.outer(times, evals)) * vecs[0]) @ vecs.T
 
 
 @pytest.mark.parametrize("name", KRYLOV_GRAPHS)
@@ -320,7 +320,7 @@ def test_neighbour_sum_keeps_its_chunk_bound_on_a_block_of_vectors(monkeypatch, 
 def _lanczos_basis(g, steps):
     """Rows q_0 .. q_{steps-1} of the root's Lanczos basis and the next residual vector."""
     A = g.adjacency.astype(float)
-    Q = np.eye(g.n)[[g.root]]
+    Q = np.eye(g.n)[[0]]
     for _ in range(steps):
         w = A @ Q[-1]
         w -= Q.T @ (Q @ w)
@@ -437,7 +437,7 @@ def test_cayley_class_strata_match_character_engine(kind, n):
     scheme = walk_scheme(descriptor)
     g = oracle.build_graph(FromGroup(descriptor))
     exact = oracle.stratum_amplitudes(g, g.strata, TIMES)
-    series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
+    series = eigen_spectrum(scheme).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
     assert oracle.check_stratum_uniformity(g, g.strata, TIMES) < 1e-9
 
@@ -482,9 +482,9 @@ def test_cayley_graph_generated_by_a_walk_scheme_stratum(m, generating):
     spec = FromGroup(descriptor, generating)
     scheme = walk_scheme(descriptor, generating)
     g = oracle.build_graph(spec)
-    assert g.adjacency.sum(axis=1)[0] == scheme.eigenstructure.valencies.a[generating]
+    assert g.adjacency.sum(axis=1)[0] == scheme.valencies.a[generating]
     exact = oracle.stratum_amplitudes(g, g.strata, TIMES)
-    series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
+    series = eigen_spectrum(scheme).amplitudes(TIMES)
     assert np.max(np.abs(exact - series.amplitudes)) < 1e-8
 
 
@@ -774,7 +774,7 @@ def test_neighbour_counts_equal_the_integer_product(graph_factory):
     # bfs_strata and ladder_residual count each vertex's neighbours one stratum
     # back, in its own stratum and one stratum out; A @ onehot counts them all.
     g = graph_factory()
-    distances = oracle._bfs_distances(g.neighbours, g.root)
+    distances = oracle._bfs_distances(g.neighbours, 0)
     d = int(distances.max())
     onehot = distances[:, None] == np.arange(-1, d + 2)
     product = g.adjacency @ onehot.astype(np.int64)  # column s + 1: neighbours at distance s

@@ -141,7 +141,7 @@ def test_cycle_closed_form_odd():
 def test_symmetric_group_ncycle_stratum():
     for n in (2, 3, 4, 5):
         scheme = walk_scheme(GroupDescriptor("symmetric", n))
-        series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
+        series = eigen_spectrum(scheme).amplitudes(TIMES)
         closed = (-2j * np.sin(n * TIMES / 2)) ** (n - 1) / math.sqrt(
             n * factorial(n)
         )
@@ -151,7 +151,7 @@ def test_symmetric_group_ncycle_stratum():
 def test_dihedral_amplitudes_and_averages():
     for m in (3, 5, 7):
         scheme = walk_scheme(GroupDescriptor("dihedral", m))
-        series = eigen_spectrum(scheme.eigenstructure, scheme.generating).amplitudes(TIMES)
+        series = eigen_spectrum(scheme).amplitudes(TIMES)
         assert (
             np.max(np.abs(series.amplitudes[:, 0] - ((m - 1) + np.cos(m * TIMES)) / m))
             < 1e-12
@@ -544,11 +544,10 @@ def _eigen_average_reference(es, column):
 def test_resolved_averages_match_both_average_formulas(spec):
     averages = resolve(spec).averages()
     if isinstance(spec, FromGroup):
-        scheme = walk_scheme(spec.group)
-        es, column = scheme.eigenstructure, scheme.generating
+        es = walk_scheme(spec.group)
     else:
-        es, column = eigenstructure_from_array(intersection_array(spec)), 1
-    vertex = _eigen_average_reference(es, column)
+        es = eigenstructure_from_array(intersection_array(spec))
+    vertex = _eigen_average_reference(es, es.generating)
     assert np.max(np.abs(averages.vertex - vertex)) < 1e-15
     assert np.max(np.abs(averages.stratum - vertex * np.array(es.valencies.a))) < 1e-15
     if isinstance(spec, FromGroup) and spec.group.kind != "cyclic":
