@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParams, DegenerateAtoms, EigensolverNoConvergence, InfeasibleParameters
 from .schemes import IntersectionArray, check_strata
-from .tolerances import ATOM_SEPARATION, DEFAULT_TAIL_TOL, WEIGHT_SUM_TOL
+from .tolerances import ATOM_SEPARATION, CHEBYSHEV_TAIL_TOL, DEFAULT_TAIL_TOL, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,46 @@ def evaluate_polynomials(jc: JacobiCoefficients, x, up_to_k: int) -> np.ndarray:
     for k in range(1, up_to_k):
         values.append((x - jc.alpha[k]) * values[k] - jc.omega[k - 1] * values[k - 1])
     return np.stack(values, axis=-1)
+
+
+def chebyshev_orders(x: float) -> int:
+    """The first n > x/2 with 2 (x/2)^n / n! / (1 - x/(2(n+1))) <= CHEBYSHEV_TAIL_TOL.
+
+    As |J_j(x)| <= (x/2)^j / j!, this bounds the tail sum_{j>=n} 2|J_j(x)|.  It falls in n,
+    and Stirling's n! >= (n/e)^n sqrt(2 pi n) meets it by e x/2 + ln(4/tol): a bisection.
+    """
+    lo, hi = math.floor(x / 2) + 1, math.ceil(math.e * x / 2 + math.log(4 / CHEBYSHEV_TAIL_TOL))
+    while x > 0 and lo < hi:
+        n = (lo + hi) // 2
+        tail = n * math.log(x / 2) - math.lgamma(n + 1) - math.log1p(-x / (2 * n + 2))
+        lo, hi = (lo, n) if tail <= math.log(CHEBYSHEV_TAIL_TOL / 2) else (n + 1, hi)
+    return lo
+
+
+def bessel_sequence(x, orders: int) -> np.ndarray:
+    """J_0(x)..J_{orders-1}(x), shape (len(x), orders), by Miller's backward recurrence.
+
+    J_{n-1} = (2n/x) J_n - J_{n+1} runs down from J_orders = 0, J_{orders-1} = 1 and is
+    normalised by J_0 + 2 sum_j J_2j = 1; its error, about |J_orders(x)|, meets
+    CHEBYSHEV_TAIL_TOL once orders >= chebyshev_orders(max x).  Exact powers of two keep
+    values below sqrt(max float); an x <= the tolerance reads J_0 = 1 and 0 after.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x <= CHEBYSHEV_TAIL_TOL
+    inverse = 2 / np.where(small, 1.0, x)
+    growth, bits = float(inverse.max(initial=0.0)), 0.0  # bits: log2 bound since the last rescale
+    values = np.zeros((orders + 1, len(x)))
+    values[orders - 1] = 1
+    for n in range(orders - 1, 0, -1):
+        bits += math.log2(n * growth + 1)
+        if bits >= np.finfo(float).maxexp / 2:
+            values[n:] *= np.ldexp(1.0, -np.frexp(np.abs(values[n : n + 2]).max(axis=0))[1])
+            bits = math.log2(n * growth + 1)
+        np.multiply(values[n], inverse * n, out=values[n - 1])
+        values[n - 1] -= values[n + 1]
+    values = values[:orders] / (values[0] + 2 * values[2:orders:2].sum(axis=0))
+    values[:, small] = (np.arange(orders) == 0)[:, None]
+    return values.T
 
 
 def srg_distribution(n: int, kappa: int, lam: int, eta: int) -> DiscreteDistribution:

@@ -25,6 +25,9 @@ ORTHOGONALITY_TOL = 1e-9
 UNITARITY_TOL = 1e-9
 # A time this close to 0 is t = 0, where the row is the origin: every grid starts at exact 0.0.
 ZERO_TIME_TOL = 1e-15
+# Bessel tail bound sum_{n>=N} 2|J_n(x)| a Chebyshev-propagated amplitude drops, absolute:
+# below the ~1e-15 rounding of the phase sum it replaces, at most 38 orders past e x/2.
+CHEBYSHEV_TAIL_TOL = 1e-16
 
 # verify rows, one each (the duality row reads MATRIX_TOL * n).
 # Max |atom or weight - the paper's closed form|, absolute: worst measured 1.5e-13 (C_3404).

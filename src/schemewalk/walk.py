@@ -5,8 +5,9 @@ one ``SchemeSpectrum``: ``eigen_spectrum`` reads them from the eigenvalue
 and dual matrices of a group scheme (the character route), and
 ``jacobi_spectrum`` from the Jacobi-matrix eigenvectors of an intersection
 array (the spectral route).  ``resolve`` picks the builder for a scheme
-specification and engine.  Time is measured in inverse adjacency-eigenvalue
-units.
+specification and engine; ``dispatch`` propagates along the Jacobi chain
+instead where that is cheaper (``chebyshev_walk``).  Time is measured in
+inverse adjacency-eigenvalue units.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .schemes import (
     ValencyVector,
     derive_stratum_sizes,
 )
-from .spectral import (DiscreteDistribution, JacobiCoefficients, check_srg_order,
-                       continuous_line_distribution, evaluate_polynomials,
-                       jacobi_from_intersection, srg_distribution,
-                       srg_intersection_array)
+from .spectral import (DiscreteDistribution, JacobiCoefficients, bessel_sequence,
+                       check_srg_order, chebyshev_orders, jacobi_from_intersection,
+                       srg_distribution, srg_intersection_array)
 from .tolerances import ATOM_SEPARATION, UNITARITY_TOL, ZERO_TIME_TOL
 
 ENGINES = ("eigen", "character", "spectral", "auto")
@@ -307,29 +307,45 @@ def johnson_limit_amplitudes(p: float, k: int, times) -> np.ndarray:
     return head * np.exp(1j * p * times / scale) / (1.0 - ratio * turn)
 
 
-def line_jacobi(k_max: int) -> JacobiCoefficients:
-    """Leading recurrence coefficients of the two-sided infinite path."""
-    return JacobiCoefficients(
-        omega=(2.0,) + (1.0,) * (k_max - 1), alpha=(0.0,) * (k_max + 1)
-    )
-
-
-def line_walk(times, k_max: int, nodes: int = 512) -> AmplitudeSeries:
-    """Truncated stratum amplitudes on the infinite path via arcsine quadrature.
-
-    Only strata 0..k_max are produced, so rows are not unit vectors; the
-    missing mass is the probability beyond stratum k_max.
+def line_walk(times, k_max: int) -> AmplitudeSeries:
+    """psi_0 = J_0(2t), psi_k = sqrt(2) (-i)^k J_k(2t): the walk on the infinite path's chain
+    (weights 2, 1, 1, ..., norm 2) past its light cone.  Only strata 0..k_max are produced,
+    so rows are not unit vectors; the missing mass is the probability beyond k_max.
     """
     if k_max < 1:
         raise BadParams("k_max must be at least 1")
-    dist = continuous_line_distribution(nodes)
-    polys = evaluate_polynomials(line_jacobi(k_max), dist.atoms, k_max)
     times = np.asarray(times, dtype=float)
-    a = np.array([1.0] + [2.0] * k_max)
-    table = dist.weights[:, None] * polys / np.sqrt(a)
-    amplitudes = _phase_sum(times, dist.atoms, table)
-    strata = ValencyVector(tuple(int(x) for x in a), int(a.sum()))
-    return AmplitudeSeries(times, strata, amplitudes, "stratum")
+    orders = chebyshev_orders(2 * float(times.max(initial=0.0)))
+    size = max(k_max + 1, orders)
+    chain = JacobiCoefficients(omega=(2.0,) + (1.0,) * (size - 2), alpha=(0.0,) * size)
+    amplitudes = chebyshev_walk(chain, 2, 2 * times, orders)[:, : k_max + 1]
+    return AmplitudeSeries(times, ValencyVector((1,) + (2,) * k_max, 2 * k_max + 1), amplitudes)
+
+
+def chebyshev_walk(jc: JacobiCoefficients, degree: int, x, orders: int) -> np.ndarray:
+    """e^{-i x J/degree} e_0 = sum_{n<orders} (2 - delta_n0) (-i)^n J_n(x) T_n(J/degree) e_0.
+
+    ||J|| = degree (Perron-Frobenius), so ||T_n(J/degree) e_0|| <= 1.  T_n e_0 is zero past
+    entry n, so strata past ``orders`` read +0.0; a bipartite chain splits by parity, and
+    adding 0.0 turns the -0.0 sums of its exact zeros into +0.0.
+    """
+    width, off = min(orders, len(jc.alpha)), np.sqrt(jc.omega[: orders - 1])
+    double = (np.diag(jc.alpha[:width]) + np.diag(off, 1) + np.diag(off, -1)) * (2 / degree)
+    vectors = np.zeros((orders, width))  # row n is T_n(J/degree) e_0
+    vectors[0, 0] = 1
+    vectors[1:2, :2] = double[:2, 0] / 2
+    for n in range(1, orders - 1):
+        cone = min(n + 2, width)
+        np.dot(double[:cone, :cone], vectors[n, :cone], out=vectors[n + 1, :cone])
+        vectors[n + 1, :cone] -= vectors[n - 1, :cone]
+    signs = 2 * (-1.0) ** ((np.arange(orders) + 1) // 2)  # (2 - delta_n0) (-i)^n, on its axis
+    signs[0] = 1
+    weights, step = bessel_sequence(x, orders) * signs, 1 if any(jc.alpha) else 2
+    amplitudes = np.zeros((len(weights), len(jc.alpha)), dtype=complex)
+    for parity, part in ((0, amplitudes.real), (1, amplitudes.imag)):
+        strata = slice(parity * (step - 1), width, step)
+        np.add(weights[:, parity::2] @ vectors[parity::2, strata], 0.0, out=part[:, strata])
+    return amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +398,40 @@ def closed_form(spec: SchemeSpec) -> DiscreteDistribution | None:
     return None
 
 
-def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
-    """The one routing rule from a specification and an engine to a spectrum.
+def _chain(spec: SchemeSpec, engine: str) -> IntersectionArray | None:
+    """The array whose Jacobi chain the engine walks, or None on a group's character route.
 
-    Group specifications take the character route unless the engine is
-    spectral; every other specification goes through the Jacobi matrix of
-    its array, whatever the engine, because on an array the eigen route's
-    weight table is the Jacobi one.
+    Groups take the character route unless the engine is spectral; on an array the
+    eigen route's weight table is the Jacobi one, so every engine walks its chain.
     """
     if engine not in ENGINES:
         raise BadParams(f"unknown engine {engine!r}")
     if isinstance(spec, FromGroup) and engine != "spectral":
-        return eigen_spectrum(walk_scheme(spec.group, spec.generating_class))
+        return None
     if engine == "character":
         raise EngineSpecMismatch("character engine needs a group specification")
-    return jacobi_spectrum(intersection_array(spec))
+    return intersection_array(spec)
+
+
+def resolve(spec: SchemeSpec, engine: str = "auto") -> SchemeSpectrum:
+    """The one routing rule from a specification and an engine to a spectrum (``_chain``)."""
+    ia = _chain(spec, engine)
+    if ia is None:
+        return eigen_spectrum(walk_scheme(spec.group, spec.generating_class))
+    return jacobi_spectrum(ia)
 
 
 def dispatch(req: WalkRequest) -> AmplitudeSeries:
-    """Run a walk request on the route ``resolve`` picks."""
-    return resolve(req.spec, req.engine).amplitudes(
-        req.times, normalized=req.normalized_adjacency
-    )
+    """Run a walk request on ``resolve``'s route, or propagate it along the Jacobi chain.
+
+    It propagates (``chebyshev_walk``) when N = chebyshev_orders(k t_max) < d+1, where its
+    steps x N^2 product undercuts the phase product alone; N > x/2 decides most grids.
+    """
+    ia, times = _chain(req.spec, req.engine), np.asarray(req.times, dtype=float)
+    if ia is None:
+        return resolve(req.spec, req.engine).amplitudes(times, normalized=req.normalized_adjacency)
+    jc, x = jacobi_from_intersection(ia), times * (1 if req.normalized_adjacency else ia.degree)
+    top = float(x.max(initial=0.0))
+    if top < 2 * ia.d and (orders := chebyshev_orders(top)) <= ia.d:
+        return _series(times, derive_stratum_sizes(ia), chebyshev_walk(jc, ia.degree, x, orders))
+    return jacobi_spectrum(ia, jc).amplitudes(times, normalized=req.normalized_adjacency)

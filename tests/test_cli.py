@@ -1063,3 +1063,57 @@ def test_negative_zero_time_prints_as_zero_in_both_formats(capsys, argv):
     assert csv_out.startswith("0.000000000000,0,")
     assert json_out.startswith('[{"t":0.0,"stratum":0,')
     assert '"t":-0' not in json_out
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The sizes of the Jacobi matrices decomposed while the test runs."""
+    from schemewalk.spectral import JacobiCoefficients
+
+    seen = []
+    solve = JacobiCoefficients.eigh.func
+
+    def counting_solve(jc):
+        seen.append(len(jc.alpha))
+        return solve(jc)
+
+    counting = cached_property(counting_solve)
+    counting.__set_name__(JacobiCoefficients, "eigh")
+    monkeypatch.setattr(JacobiCoefficients, "eigh", counting)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ("--graph", "catalog:cycle:4001", "--engine", "spectral", "--t1", "40", "--steps", "64"),
+    ("--graph", "catalog:cycle:4001", "--engine", "eigen", "--t1", "40", "--normalized"),
+    ("--graph", "group:cyclic:3000", "--engine", "spectral", "--t1", "40", "--format", "json"),
+])
+def test_walks_on_long_chains_propagate_without_an_eigendecomposition(capsys, eigh_sizes, argv):
+    code, out, _ = run_cli(capsys, "walk", *argv)
+    assert code == 0 and eigh_sizes == [] and len(out) > 64 * 2000
+
+
+@pytest.mark.parametrize("argv, rows", [(("--steps", "0"), 0), (("--times", "0"), 2001)])
+def test_empty_and_origin_grids_on_a_long_chain(capsys, eigh_sizes, argv, rows):
+    code, out, _ = run_cli(capsys, "walk", "--graph", "catalog:cycle:4001", *argv)
+    assert code == 0 and eigh_sizes == [] and out.count("\n") == rows
+    if rows:
+        cells = [line.split(",") for line in out.splitlines()]
+        assert cells[0] == ["0.000000000000", "0", "1.000000000000", "0.000000000000",
+                            "1.000000000000"]
+        assert all(row[2:] == ["0.000000000000"] * 3 for row in cells[1:])
+
+
+# H(60,2) and Petersen, and one array of each family the cli workload walks at
+# the default grid (t1 = 20, 64 steps): their light cones cover the chain.
+EIGEN_ROUTE_GRAPHS = ["catalog:hamming:60,2", "catalog:petersen", "catalog:m22", "catalog:foster",
+                      "catalog:incidence_pg:8", "srg:100,22,0,6", "catalog:complete:28",
+                      "catalog:cycle:60", "catalog:hamming:6,4", "catalog:johnson:14,4",
+                      "catalog:gen_octagon:4,3", "catalog:gen_dodecagon:3"]
+
+
+@pytest.mark.parametrize("graph", EIGEN_ROUTE_GRAPHS)
+@pytest.mark.parametrize("engine", ["eigen", "spectral", "auto"])
+def test_short_chains_keep_one_eigendecomposition(capsys, eigh_sizes, graph, engine):
+    code, _, _ = run_cli(capsys, "walk", "--graph", graph, "--engine", engine)
+    assert code == 0 and len(eigh_sizes) == 1

@@ -14,6 +14,8 @@ from schemewalk.errors import (
 from schemewalk.schemes import IntersectionArray, derive_stratum_sizes
 from schemewalk.spectral import (
     JacobiCoefficients,
+    bessel_sequence,
+    chebyshev_orders,
     continuous_line_distribution,
     evaluate_polynomials,
     golub_welsch,
@@ -22,7 +24,7 @@ from schemewalk.spectral import (
     srg_distribution,
     srg_intersection_array,
 )
-from schemewalk.tolerances import DEFAULT_TAIL_TOL
+from schemewalk.tolerances import CHEBYSHEV_TAIL_TOL, DEFAULT_TAIL_TOL
 
 PETERSEN = IntersectionArray(d=2, c=(3, 2), b=(1, 1))
 C7 = IntersectionArray(d=3, c=(2, 1, 1), b=(1, 1, 1))
@@ -360,9 +362,7 @@ def test_meixner_rejects_bad_parameter(p):
 
 def test_golub_welsch_large_chebyshev_case():
     # 41 atoms of the truncated infinite-path recurrence, against the dense solver.
-    from schemewalk.walk import line_jacobi
-
-    jc = line_jacobi(40)
+    jc = JacobiCoefficients(omega=(2.0,) + (1.0,) * 39, alpha=(0.0,) * 41)
     size = jc.d + 1
     dense = np.zeros((size, size))
     for k, w in enumerate(jc.omega):
@@ -535,3 +535,29 @@ def test_line_nodes_are_mirrored_bit_for_bit():
         assert np.max(np.abs(xs - 2.0 * np.cos(theta)[::-1])) < 16 * EPS
     with pytest.raises(BadParams):
         continuous_line_distribution(0)
+
+
+def _tail_bound(n, x):
+    """2 (x/2)^n / n! / (1 - x/(2(n+1))), the bound chebyshev_orders tests, in floats."""
+    return 2 * math.exp(n * math.log(x / 2) - math.lgamma(n + 1)) / (1 - x / (2 * n + 2))
+
+
+@pytest.mark.parametrize("x", [1e-12, 0.3, 1.0, 7.5, 80.0, 400.0, 2400.0])
+def test_chebyshev_orders_is_the_first_order_meeting_the_tail_bound(x):
+    n = chebyshev_orders(x)
+    assert n > x / 2 and _tail_bound(n, x) <= CHEBYSHEV_TAIL_TOL
+    assert n - 1 <= x / 2 or _tail_bound(n - 1, x) > CHEBYSHEV_TAIL_TOL
+    assert n <= math.e * x / 2 + 39  # the closed form that brackets the search
+    assert chebyshev_orders(0.0) == 1
+
+
+@pytest.mark.parametrize("top", [0.0, 0.5, 10.0, 80.0, 600.0, 2400.0])
+def test_bessel_sequence_matches_scipy(top):
+    from scipy.special import jv
+
+    x = np.concatenate((np.linspace(0.0, top, 97), [1e-300, 1e-17, 1e-9]))
+    orders = chebyshev_orders(top)
+    values = bessel_sequence(x, orders)
+    assert values.shape == (len(x), orders) and np.all(np.isfinite(values))
+    assert np.max(np.abs(values - jv(np.arange(orders), x[:, None]))) < 1e-13
+    assert values[0].tolist() == [1.0] + [0.0] * (orders - 1)  # J_n(0) exactly

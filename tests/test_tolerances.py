@@ -21,6 +21,7 @@ PINNED = {
     "ORTHOGONALITY_TOL": 1e-9,
     "UNITARITY_TOL": 1e-9,
     "ZERO_TIME_TOL": 1e-15,
+    "CHEBYSHEV_TAIL_TOL": 1e-16,
     "CLOSED_FORM_TOL": 1e-10,
     "ORACLE_ORTHONORMALITY_TOL": 1e-10,
     "ORACLE_EIGEN_RESIDUAL_TOL": 1e-8,

@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from schemewalk.catalog import (
@@ -34,6 +36,7 @@ from schemewalk.schemes import (
 )
 from schemewalk.spectral import (
     DiscreteDistribution,
+    chebyshev_orders,
     continuous_line_distribution,
     golub_welsch,
     jacobi_from_intersection,
@@ -46,6 +49,7 @@ from schemewalk.walk import (
     WalkRequest,
     average_from_distribution,
     average_probabilities,
+    chebyshev_walk,
     dispatch,
     eigen_spectrum,
     intersection_array,
@@ -339,10 +343,15 @@ def test_johnson_limit_rejects_bad_input():
 
 
 def test_line_walk_matches_bessel():
-    series = line_walk(TIMES, 6, nodes=1024)
-    for k in range(5):
+    series = line_walk(TIMES, 6)
+    assert series.amplitudes.shape == (len(TIMES), 7)
+    for k in range(7):
         expected = (math.sqrt(2) if k else 1.0) * (-1j) ** k * jv(k, 2 * TIMES)
-        assert np.max(np.abs(series.amplitudes[:, k] - expected)) < 1e-12
+        assert np.max(np.abs(series.amplitudes[:, k] - expected)) < 1e-14
+    # strata past the light cone of every time are J_k(2t) too, not cut off
+    far, k = line_walk([0.0, 0.5], 60).amplitudes, np.arange(40, 61)
+    assert np.max(np.abs(far[1, 40:] - np.sqrt(2) * (-1j) ** k * jv(k, 1.0))) < 1e-14
+    assert far[0].tolist() == [1] + [0] * 60
 
 
 def test_dispatch_routes():
@@ -636,12 +645,6 @@ def test_folded_kernel_takes_a_one_dimensional_table(monkeypatch):
     assert np.all(amps.imag == 0) and not np.any(np.signbit(amps.imag))
 
 
-def test_line_walk_folds(monkeypatch):
-    counts = _recorded_folds(monkeypatch)
-    line_walk(TIMES, 8, nodes=64)
-    assert counts == [64]
-
-
 @pytest.mark.parametrize("m", [3, 4, 57, 449, 450])
 def test_dihedral_walks_reach_the_kernel_with_three_atoms(monkeypatch, m):
     counts = _recorded_folds(monkeypatch)
@@ -720,3 +723,72 @@ def test_time_zero_rows_print_a_positive_zero_imaginary_part(capsys):
         assert main(["walk", "--graph", graph, "--times", "0,1.5", "--format", "json"]) == 0
         at_zero = re.findall(r'\{"t":0\.0,[^}]*\}', capsys.readouterr().out)
         assert at_zero and all('"im":0.0,' in row for row in at_zero), graph
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev propagation along the Jacobi chain
+# ---------------------------------------------------------------------------
+
+
+def _propagated(ia, times, normalized=False):
+    """chebyshev_walk on the whole grid, whatever the route rule would pick."""
+    x = np.asarray(times, dtype=float) * (1 if normalized else ia.degree)
+    orders = chebyshev_orders(float(x.max(initial=0.0)))
+    return chebyshev_walk(jacobi_from_intersection(ia), ia.degree, x, orders)
+
+
+@pytest.mark.parametrize("spec, t1, steps, normalized", [
+    (FromCatalog("cycle", (899,)), 40.0, 256, False),
+    (FromCatalog("cycle", (899,)), 40.0, 256, True),
+    (FromCatalog("cycle", (1999,)), 40.0, 64, False),
+    (FromCatalog("cycle", (4001,)), 40.0, 64, False),
+    (FromCatalog("cycle", (4000,)), 200.0, 64, True),
+    (FromGroup(GroupDescriptor("cyclic", 3000)), 40.0, 64, False),
+])
+def test_propagated_walks_match_the_eigendecomposition(spec, t1, steps, normalized):
+    times = np.linspace(0.0, t1, steps)
+    series = dispatch(WalkRequest(spec, tuple(times), "spectral", normalized))
+    ia = intersection_array(spec)
+    x_max = t1 * (1 if normalized else ia.degree)
+    assert chebyshev_orders(x_max) <= ia.d  # the light cone is shorter than the chain
+    expected = spectral_series(ia, times, normalized).amplitudes
+    assert np.max(np.abs(series.amplitudes - expected)) < 1e-13
+
+
+ARRAYS = st.one_of(
+    st.integers(3, 300).map(cycle_intersection_array),
+    st.integers(2, 40).map(complete_intersection_array),
+    st.tuples(st.integers(1, 24), st.integers(2, 5)).map(lambda p: catalog("hamming", p).array),
+    st.integers(1, 12).flatmap(
+        lambda d: st.integers(2 * d, 3 * d + 2).map(lambda v: catalog("johnson", (v, d)).array)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ARRAYS, st.floats(0.0, 30.0), st.integers(0, 40), st.booleans())
+def test_both_routes_agree_on_generated_arrays(ia, t1, steps, normalized):
+    times = np.linspace(0.0, t1, steps)
+    expected = spectral_series(ia, times, normalized).amplitudes
+    assert np.max(np.abs(_propagated(ia, times, normalized) - expected), initial=0.0) < 1e-12
+    chosen = dispatch(WalkRequest(FromIntersectionArray(ia), tuple(times), "auto", normalized))
+    assert np.max(np.abs(chosen.amplitudes - expected), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("ia", [cycle_intersection_array(301), cycle_intersection_array(300),
+                                catalog("hamming", (6, 3)).array, PETERSEN])
+def test_propagated_time_zero_row_is_the_origin_indicator(ia):
+    amps = _propagated(ia, [0.0, 1.0])
+    assert amps[0].real.tolist() == [1.0] + [0.0] * ia.d
+    assert amps[0].imag.tolist() == [0.0] * (ia.d + 1)
+    assert not np.any(np.signbit(amps[0].real)) and not np.any(np.signbit(amps[0].imag))
+
+
+def test_propagated_bipartite_chains_keep_positive_zeros():
+    times = np.linspace(0.0, 20.0, 64)
+    series = dispatch(WalkRequest(FromCatalog("cycle", (1000,)), tuple(times), "spectral"))
+    amps = series.amplitudes
+    assert np.all(amps[:, 1::2].real == 0) and not np.any(np.signbit(amps[:, 1::2].real))
+    assert np.all(amps[:, 0::2].imag == 0) and not np.any(np.signbit(amps[:, 0::2].imag))
+    # past the light cone every stratum reads an exact +0.0
+    past = chebyshev_orders(2 * 20.0)
+    assert np.all(amps[:, past:] == 0) and not np.any(np.signbit(amps[:, past:].view(float)))
