@@ -149,7 +149,7 @@ def chebyshev_orders(x: float) -> int:
     lo, hi = math.floor(x / 2) + 1, math.ceil(math.e * x / 2 + math.log(4 / CHEBYSHEV_TAIL_TOL))
     while x > 0 and lo < hi:
         n = (lo + hi) // 2
-        tail = n * math.log(x / 2) - math.lgamma(n + 1) - math.log1p(-x / (2 * n + 2))
+        tail = n * (math.log(x) - math.log(2)) - math.lgamma(n + 1) - math.log1p(-x / (2 * n + 2))
         lo, hi = (lo, n) if tail <= math.log(CHEBYSHEV_TAIL_TOL / 2) else (n + 1, hi)
     return lo
 
