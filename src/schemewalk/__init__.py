@@ -29,11 +29,9 @@ from .schemes import (
     FromSRG,
     GroupDescriptor,
     IntersectionArray,
-    ProductScheme,
     SchemeEigenstructure,
     SchemeSpec,
     ValencyVector,
-    derive_stratum_sizes,
     eigenstructure_from_array,
     validate_intersection_array,
 )

@@ -85,7 +85,7 @@ def johnson_intersection_array(v: int, d: int) -> IntersectionArray:
 def hamming_intersection_array(d: int, n: int) -> IntersectionArray:
     """Array of the product of d complete graphs K_n."""
     if d < 1 or n < 2:
-        raise BadParams("product scheme needs d >= 1 and n >= 2")
+        raise BadParams("Hamming scheme H(d, n) needs d >= 1 copies of K_n with n >= 2")
     check_strata(d + 1, f"H({d},{n})")
     c = tuple((n - 1) * (d - i) for i in range(d))
     b = tuple(range(1, d + 1))

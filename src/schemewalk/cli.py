@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import oracle, walk
-from .catalog import catalog as catalog_lookup
 from .catalog import catalog_names
 from .errors import SchemaError, SchemeWalkError, TooLarge
 from .groups import character_table, walk_scheme
@@ -32,7 +31,6 @@ from .schemes import (
     FromSRG,
     GroupDescriptor,
     IntersectionArray,
-    ProductScheme,
     SchemeSpec,
     eigenstructure_from_array,
 )
@@ -107,14 +105,16 @@ def _spec_from_json(obj, default_kind: str | None = None) -> SchemeSpec:
             _require_int(obj, "lambda"),
             _require_int(obj, "eta"),
         )
-    if kind == "product":
-        return ProductScheme(_require_int(obj, "n"), _require_int(obj, "copies"))
+    if kind == "product":  # the Hamming scheme H(copies, n), under its catalog name
+        n = _require_int(obj, "n")
+        obj = {"name": "hamming", "params": [_require_int(obj, "copies"), n]}
     name = obj.get("name")
     if not isinstance(name, str):
         raise SchemaError("/name: expected a string")
     params = _require_int_list(obj, "params") if "params" in obj else []
-    catalog_lookup(name, tuple(params))  # reject unknown names and bad params now
-    return FromCatalog(name, tuple(params))
+    spec = FromCatalog(name, tuple(params))
+    spec.entry  # reject unknown names and bad params now; later readers reuse the entry
+    return spec
 
 
 # token head -> (separator of its parts, the document fields they fill in order)
@@ -265,7 +265,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _parse_spec(args.graph)
-    entry = catalog_lookup(spec.name, spec.params) if isinstance(spec, FromCatalog) else None
+    entry = spec.entry if isinstance(spec, FromCatalog) else None
     if entry is not None and entry.array is None:
         atoms, weights = entry.expected.atoms, entry.expected.weights
     else:

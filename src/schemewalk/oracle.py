@@ -36,7 +36,6 @@ from .schemes import (
     FromSRG,
     GroupDescriptor,
     IntersectionArray,
-    ProductScheme,
     SchemeSpec,
 )
 from .spectral import JacobiCoefficients, jacobi_from_intersection
@@ -288,8 +287,6 @@ def build_graph(spec: SchemeSpec) -> VertexGraph:
         if (spec.n, spec.kappa, spec.lam, spec.eta) == (10, 3, 0, 1):
             return petersen_graph()
         raise EngineSpecMismatch("only the (10,3,0,1) strongly regular graph has a vertex builder")
-    if isinstance(spec, ProductScheme):
-        return hamming_graph(spec.copies, spec.n)
     if not isinstance(spec, FromCatalog):
         raise EngineSpecMismatch(f"no vertex builder for {type(spec).__name__}")
     builders = {"complete": complete_graph, "cycle": cycle_graph, "petersen": petersen_graph,

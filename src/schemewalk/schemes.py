@@ -61,6 +61,22 @@ class IntersectionArray:
     def degree(self) -> int:
         return self.c[0]
 
+    @cached_property
+    def strata(self) -> ValencyVector:
+        """Stratum sizes a_k = (c_0 ... c_{k-1}) / (b_1 ... b_k), checked to be integers."""
+        sizes = [1]
+        num = 1
+        den = 1
+        for k in range(1, self.d + 1):
+            num *= self.c[k - 1]
+            den *= self.b[k - 1]
+            if den == 0 or num % den != 0 or num // den <= 0:
+                raise NonIntegerValency(
+                    f"a_{k} = {num}/{den} is not a positive integer"
+                )
+            sizes.append(num // den)
+        return ValencyVector(tuple(sizes), sum(sizes))
+
     def ensure_valid(self) -> None:
         problems = _structural_problems(self)
         if problems:
@@ -87,22 +103,6 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
-def derive_stratum_sizes(ia: IntersectionArray) -> ValencyVector:
-    """Stratum sizes a_k = (c_0 ... c_{k-1}) / (b_1 ... b_k), checked to be integers."""
-    sizes = [1]
-    num = 1
-    den = 1
-    for k in range(1, ia.d + 1):
-        num *= ia.c[k - 1]
-        den *= ia.b[k - 1]
-        if den == 0 or num % den != 0 or num // den <= 0:
-            raise NonIntegerValency(
-                f"a_{k} = {num}/{den} is not a positive integer"
-            )
-        sizes.append(num // den)
-    return ValencyVector(tuple(sizes), sum(sizes))
-
-
 def _structural_problems(ia: IntersectionArray) -> list[str]:
     problems: list[str] = []
     if ia.d < 1:
@@ -125,7 +125,7 @@ def _structural_problems(ia: IntersectionArray) -> list[str]:
                         f"over the degree {ia.degree}")
     if not problems:
         try:
-            derive_stratum_sizes(ia)
+            ia.strata  # computed once per array, here or by its first reader
         except NonIntegerValency as exc:
             problems.append(str(exc))
     return problems
@@ -148,7 +148,7 @@ def validate_intersection_array(ia: IntersectionArray) -> ValidationReport:
         from . import spectral
 
         try:
-            valencies = derive_stratum_sizes(ia)
+            valencies = ia.strata
             dist = spectral.golub_welsch(spectral.jacobi_from_intersection(ia))
             mults = valencies.n * dist.weights
             gaps = np.diff(dist.atoms)
@@ -230,7 +230,7 @@ def eigenstructure_from_array(ia: IntersectionArray, jc=None) -> SchemeEigenstru
     from . import spectral
 
     ia.ensure_valid()
-    valencies = derive_stratum_sizes(ia)
+    valencies = ia.strata
     _, U = (spectral.jacobi_from_intersection(ia) if jc is None else jc).eigh
     U = U[:, ::-1]
     root_a = np.sqrt(np.asarray(valencies.a, dtype=float))[:, None]
@@ -289,21 +289,16 @@ class FromSRG:
 
 
 @dataclass(frozen=True)
-class ProductScheme:
-    """Symmetric product of ``copies`` complete graphs K_n (Hamming scheme)."""
-
-    n: int
-    copies: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.copies < 1:
-            raise BadParams("product scheme needs n >= 2 and copies >= 1")
-
-
-@dataclass(frozen=True)
 class FromCatalog:
     name: str
     params: tuple[int, ...] = field(default_factory=tuple)
 
+    @cached_property
+    def entry(self):
+        """The ``CatalogEntry``, looked up once: the parser's check is every later reader's entry."""
+        from .catalog import catalog
 
-SchemeSpec = Union[FromIntersectionArray, FromGroup, FromSRG, ProductScheme, FromCatalog]
+        return catalog(self.name, self.params)
+
+
+SchemeSpec = Union[FromIntersectionArray, FromGroup, FromSRG, FromCatalog]

@@ -166,11 +166,12 @@ def bessel_sequence(x, orders: int) -> np.ndarray:
     small = x <= CHEBYSHEV_TAIL_TOL
     inverse = 2 / np.where(small, 1.0, x)
     growth, bits = float(inverse.max(initial=0.0)), 0.0  # bits: log2 bound since the last rescale
+    limit = np.finfo(float).maxexp / 2
     values = np.zeros((orders + 1, len(x)))
     values[orders - 1] = 1
     for n in range(orders - 1, 0, -1):
         bits += math.log2(n * growth + 1)
-        if bits >= np.finfo(float).maxexp / 2:
+        if bits >= limit:
             values[n:] *= np.ldexp(1.0, -np.frexp(np.abs(values[n : n + 2]).max(axis=0))[1])
             bits = math.log2(n * growth + 1)
         np.multiply(values[n], inverse * n, out=values[n - 1])

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (catalog, cycle_distribution, cycle_intersection_array,
-                      hamming_distribution, hamming_intersection_array)
+from .catalog import cycle_distribution, cycle_intersection_array
 from .errors import (
     BadParams,
     DegenerateSpectrumUnmerged,
@@ -33,11 +32,9 @@ from .schemes import (
     FromIntersectionArray,
     FromSRG,
     IntersectionArray,
-    ProductScheme,
     SchemeEigenstructure,
     SchemeSpec,
     ValencyVector,
-    derive_stratum_sizes,
 )
 from .spectral import (DiscreteDistribution, JacobiCoefficients, bessel_sequence,
                        check_srg_order, chebyshev_orders, jacobi_from_intersection,
@@ -235,7 +232,7 @@ def jacobi_spectrum(
     its decomposition is reused.
     """
     atoms, U = (jacobi_from_intersection(ia) if jc is None else jc).eigh
-    return SchemeSpectrum(atoms, (U[0] * U).T, derive_stratum_sizes(ia))
+    return SchemeSpectrum(atoms, (U[0] * U).T, ia.strata)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +359,10 @@ def intersection_array(spec: SchemeSpec) -> IntersectionArray:
         ia.ensure_valid()
         check_srg_order(spec.n, spec.kappa, spec.lam, spec.eta)
         return ia
-    if isinstance(spec, ProductScheme):
-        return hamming_intersection_array(spec.copies, spec.n)
     if isinstance(spec, FromCatalog):
-        entry = catalog(spec.name, spec.params)
-        if entry.array is None:
+        if spec.entry.array is None:
             raise EngineSpecMismatch(f"catalog entry {spec.name!r} has no finite array")
-        return entry.array
+        return spec.entry.array
     if spec.group.kind == "cyclic" and spec.generating_class in (None, 1):
         return cycle_intersection_array(spec.group.n)
     raise EngineSpecMismatch("only cyclic groups with class 1 have an intersection array")
@@ -381,11 +375,9 @@ def closed_form(spec: SchemeSpec) -> DiscreteDistribution | None:
     group classes have none.  S_n puts d_lambda^2 / n! at each irrep's transposition eigenvalue.
     """
     if isinstance(spec, FromCatalog):
-        return catalog(spec.name, spec.params).expected
+        return spec.entry.expected
     if isinstance(spec, FromSRG):
         return srg_distribution(spec.n, spec.kappa, spec.lam, spec.eta)
-    if isinstance(spec, ProductScheme):
-        return hamming_distribution(spec.copies, spec.n)
     if isinstance(spec, FromGroup) and spec.generating_class in (None, 1):
         if spec.group.kind == "cyclic":
             return cycle_distribution(spec.group.n)
@@ -433,5 +425,5 @@ def dispatch(req: WalkRequest) -> AmplitudeSeries:
     jc, x = jacobi_from_intersection(ia), times * (1 if req.normalized_adjacency else ia.degree)
     top = float(x.max(initial=0.0))
     if top < 2 * ia.d and (orders := chebyshev_orders(top)) <= ia.d:
-        return _series(times, derive_stratum_sizes(ia), chebyshev_walk(jc, ia.degree, x, orders))
+        return _series(times, ia.strata, chebyshev_walk(jc, ia.degree, x, orders))
     return jacobi_spectrum(ia, jc).amplitudes(times, normalized=req.normalized_adjacency)

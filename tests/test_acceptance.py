@@ -15,7 +15,7 @@ import pytest
 from schemewalk import oracle
 from schemewalk.catalog import catalog, complete_intersection_array, hamming_distribution
 from schemewalk.groups import character_table, walk_scheme
-from schemewalk.schemes import GroupDescriptor, ProductScheme, eigenstructure_from_array
+from schemewalk.schemes import FromCatalog, GroupDescriptor, eigenstructure_from_array
 from schemewalk.spectral import golub_welsch, jacobi_from_intersection
 from schemewalk.walk import (
     average_from_distribution,
@@ -305,7 +305,7 @@ def test_criterion_5_engine_triple_agreement():
         compare(
             eigen_series(ia).amplitudes,
             spectral_series(ia).amplitudes,
-            resolve(ProductScheme(n, d)).amplitudes(GRID).amplitudes,
+            resolve(FromCatalog("hamming", (d, n))).amplitudes(GRID).amplitudes,
         )
 
     assert worst < 1e-10
@@ -412,7 +412,7 @@ def test_criterion_8_hamming_factorization():
     worst = 0.0
     for d in range(1, 5):
         for n in range(2, 6):
-            spectrum = resolve(ProductScheme(n, d))
+            spectrum = resolve(FromCatalog("hamming", (d, n)))
             series, dist = spectrum.amplitudes(GRID), hamming_distribution(d, n)
             assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-12
             assert np.max(np.abs(spectrum.table[:, 0] - dist.weights)) < 1e-15
@@ -431,7 +431,7 @@ def test_criterion_8_hamming_factorization():
     for n, d_max in ((2, 60), (3, 25), (4, 25)):
         kn = eigen_series(complete_intersection_array(n)).amplitudes[:, 0]
         for d in range(5, d_max + 1):
-            spectrum = resolve(ProductScheme(n, d))
+            spectrum = resolve(FromCatalog("hamming", (d, n)))
             dist = hamming_distribution(d, n)
             assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-9 * d
             series = spectrum.amplitudes(GRID)

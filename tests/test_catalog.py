@@ -19,7 +19,6 @@ from schemewalk.schemes import (
     FromIntersectionArray,
     FromSRG,
     GroupDescriptor,
-    ProductScheme,
 )
 from schemewalk.spectral import DiscreteDistribution, golub_welsch, jacobi_from_intersection
 
@@ -140,7 +139,7 @@ def test_every_closed_form_is_a_discrete_distribution_or_none():
         assert routed is None if expected is None else np.array_equal(routed.atoms, expected.atoms)
     specs = {
         FromSRG(10, 3, 0, 1): True,
-        ProductScheme(3, 2): True,
+        FromCatalog("hamming", (2, 3)): True,
         FromGroup(GroupDescriptor("cyclic", 7)): True,
         FromGroup(GroupDescriptor("symmetric", 4)): True,
         FromGroup(GroupDescriptor("cyclic", 7), 2): False,
@@ -187,9 +186,6 @@ def test_catalog_names_sorted_and_complete():
 
 
 def test_hamming_builders_live_in_the_catalog():
-    from schemewalk import walk
-
-    assert walk.hamming_intersection_array is hamming_intersection_array
     entry = catalog("hamming", (3, 4))
     assert entry.array == hamming_intersection_array(3, 4)
     assert np.array_equal(entry.expected.atoms, hamming_distribution(3, 4).atoms)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from schemewalk import cli as cli_module
 from schemewalk import walk as walk_module
-from schemewalk.catalog import complete_distribution, hamming_distribution
+from schemewalk.catalog import _FAMILIES, complete_distribution, hamming_distribution
 from schemewalk.cli import build_parser, main, parse_graph_spec
 from schemewalk.errors import SchemaError, UnknownCatalogName
 from schemewalk.groups import partitions
@@ -26,6 +27,7 @@ from schemewalk.schemes import (
     FromCatalog,
     FromGroup,
     FromSRG,
+    IntersectionArray,
     ValencyVector,
     eigenstructure_from_array,
 )
@@ -279,6 +281,60 @@ def test_product_json_spec(capsys):
     assert complex(re0, im0) == pytest.approx(math.cos(0.9) ** 2, abs=1e-10)
 
 
+COMMANDS = [("walk", "--steps", "16"), ("walk", "--steps", "16", "--format", "json"),
+            ("spectrum",), ("average",), ("verify", "--steps", "8")]
+
+
+@pytest.mark.parametrize("n, copies", [(2, 4), (3, 4), (4, 3)])
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_a_product_document_prints_as_its_hamming_token(capsys, argv, n, copies):
+    command, *flags = argv
+    document = json.dumps({"kind": "product", "n": n, "copies": copies})
+    product = run_cli(capsys, command, "--graph", document, *flags)
+    assert product[0] == 0
+    assert product == run_cli(capsys, command, "--graph", f"catalog:hamming:{copies},{n}", *flags)
+
+
+@pytest.mark.parametrize("copies, n, error", [
+    (3, 1, "bad_params: Hamming scheme H(d, n) needs d >= 1 copies of K_n with n >= 2"),
+    (2048, 2, "too_large: H(2048,2) has 2049 strata, over the cap of 2048"),
+])
+def test_a_product_document_fails_at_parse_before_the_time_grid(capsys, copies, n, error):
+    text = json.dumps({"kind": "product", "n": n, "copies": copies})
+    status = 1 if error.startswith("too_large") else 2
+    assert run_cli(capsys, "walk", "--graph", text, "--steps", "-1") == (status, "", error + "\n")
+
+
+@pytest.mark.parametrize("graph", ["catalog:hamming:4,3",
+                                   '{"kind": "catalog", "name": "johnson", "params": [7, 3]}',
+                                   '{"kind": "product", "n": 3, "copies": 4}'])
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_a_request_looks_its_entry_up_once_and_sizes_its_array_once(capsys, monkeypatch,
+                                                                    argv, graph):
+    # the module, not the function ``schemewalk.catalog`` that the package re-exports
+    catalog_module = importlib.import_module("schemewalk.catalog")
+    lookup, sizes = catalog_module.catalog, IntersectionArray.strata.func
+    lookups, sized = [], []
+
+    def counting_lookup(*args):
+        lookups.append(lookup(*args))
+        return lookups[-1]
+
+    def counting_sizes(ia):
+        sized.append(ia)
+        return sizes(ia)
+
+    strata = cached_property(counting_sizes)
+    strata.__set_name__(IntersectionArray, "strata")
+    monkeypatch.setattr(catalog_module, "catalog", counting_lookup)
+    monkeypatch.setattr(IntersectionArray, "strata", strata)
+    command, *flags = argv
+    code, _, _ = run_cli(capsys, command, "--graph", graph, *flags)
+    assert code == 0 and len(lookups) == 1
+    # the entry's array, and on verify the array of the oracle's BFS partition
+    assert sized[0] is lookups[0].array and len(sized) == 1 + (command == "verify")
+
+
 def test_graph_spec_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(
@@ -320,6 +376,7 @@ SPELLINGS = [
     ("group:symmetric:5:3", {"kind": "group", "group": "symmetric", "n": 5, "class": 3}),
     ("group:cyclic:3000", {"kind": "group", "group": "cyclic", "n": 3000}),
     ("group:dihedral:5", {"kind": "group", "group": "dihedral", "n": 5}),
+    ("catalog:hamming:4,2", {"kind": "product", "n": 2, "copies": 4}),
 ]
 
 
@@ -386,12 +443,15 @@ MALFORMED = [
     ("walk", "catalog:cycle", _doc(kind="catalog", name="cycle"), "bad_params"),
     ("walk", "catalog:johnson:7", _doc(kind="catalog", name="johnson", params=[7]), "bad_params"),
     ("walk", "catalog:cycle:2", _doc(kind="catalog", name="cycle", params=[2]), "bad_params"),
+    ("walk", "catalog:hamming:3,1", _doc(kind="product", n=1, copies=3), "bad_params"),
+    ("walk", "catalog:hamming:0,3", _doc(kind="product", n=3, copies=0), "bad_params"),
     ("walk", "group:cyclic:2", _doc(kind="group", group="cyclic", n=2), "invalid_order"),
     ("characters", "symmetric:1", _doc(group="symmetric", n=1), "invalid_order"),
     ("walk", "group:symmetric:13", _doc(kind="group", group="symmetric", n=13),
      "unsupported_order"),
     ("verify", "catalog:cycle:99999", _doc(kind="catalog", name="cycle", params=[99999]),
      "too_large"),
+    ("walk", "catalog:hamming:2048,2", _doc(kind="product", n=2, copies=2048), "too_large"),
 ]
 
 
@@ -689,7 +749,8 @@ def test_verify_fails_a_perturbed_closed_form(capsys, monkeypatch):
         weights = exact.weights + np.array([1e-6, -1e-6] + [0.0] * (d - 1))
         return DiscreteDistribution(exact.atoms, weights)
 
-    monkeypatch.setattr(walk_module, "hamming_distribution", perturbed)
+    names, array_of, _ = _FAMILIES["hamming"]
+    monkeypatch.setitem(_FAMILIES, "hamming", (names, array_of, perturbed))
     code, out, _ = run_cli(capsys, "verify", "--graph", '{"kind": "product", "n": 2, "copies": 4}')
     assert code == 1
     rows = {row.split()[0]: row.split()[1:] for row in out.splitlines()[1:]}

@@ -19,7 +19,6 @@ from schemewalk.schemes import (
     FromGroup,
     GroupDescriptor,
     IntersectionArray,
-    ProductScheme,
 )
 from schemewalk.spectral import jacobi_from_intersection
 from schemewalk.tolerances import ORACLE_EIGEN_RESIDUAL_TOL, ORACLE_ORTHONORMALITY_TOL
@@ -471,7 +470,6 @@ def test_label_projections_match_a_stratum_loop(descriptor, generating, sizes):
 def test_build_graph_dispatch():
     assert oracle.build_graph(FromCatalog("petersen")).n == 10
     assert oracle.build_graph(FromCatalog("hamming", (2, 3))).n == 9
-    assert oracle.build_graph(ProductScheme(3, 2)).n == 9
     with pytest.raises(EngineSpecMismatch):
         oracle.build_graph(FromCatalog("m22"))
 

@@ -9,7 +9,6 @@ from schemewalk.errors import (
 )
 from schemewalk.schemes import (
     IntersectionArray,
-    derive_stratum_sizes,
     eigenstructure_from_array,
     validate_intersection_array,
 )
@@ -31,14 +30,14 @@ def complete_array(n):
     ],
 )
 def test_stratum_sizes(ia, sizes, n):
-    valencies = derive_stratum_sizes(ia)
+    valencies = ia.strata
     assert valencies.a == sizes
     assert valencies.n == n
 
 
 def test_stratum_sizes_reject_non_integer():
     with pytest.raises(NonIntegerValency):
-        derive_stratum_sizes(IntersectionArray(d=2, c=(2, 1), b=(1, 4)))
+        IntersectionArray(d=2, c=(2, 1), b=(1, 4)).strata
 
 
 def test_validation_passes_petersen():
@@ -139,7 +138,7 @@ def test_bfs_sizes_match_derived_sizes_exactly():
     ]:
         partition, bfs_ia = oracle.bfs_strata(graph)
         assert bfs_ia == ia
-        assert tuple(np.bincount(partition.strata).tolist()) == derive_stratum_sizes(ia).a
+        assert tuple(np.bincount(partition.strata).tolist()) == ia.strata.a
 
 
 def test_degenerate_atoms_rejected():

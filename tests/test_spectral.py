@@ -11,7 +11,7 @@ from schemewalk.errors import (
     EigensolverNoConvergence,
     InfeasibleParameters,
 )
-from schemewalk.schemes import IntersectionArray, derive_stratum_sizes
+from schemewalk.schemes import IntersectionArray
 from schemewalk.spectral import (
     JacobiCoefficients,
     bessel_sequence,
@@ -432,7 +432,7 @@ def test_catalog_sweep_weight_properties():
         assert abs(dist.weights.sum() - 1.0) < 1e-12
         assert len(dist.atoms) == ia.d + 1
         assert dist.atoms[-1] == pytest.approx(ia.degree, abs=1e-9)
-        assert derive_stratum_sizes(ia).n * dist.weights[-1] == pytest.approx(
+        assert ia.strata.n * dist.weights[-1] == pytest.approx(
             1.0, abs=1e-6
         )
 

@@ -30,7 +30,6 @@ from schemewalk.schemes import (
     FromSRG,
     GroupDescriptor,
     IntersectionArray,
-    ProductScheme,
     ValencyVector,
     eigenstructure_from_array,
 )
@@ -250,7 +249,7 @@ def test_hamming_distribution_exact_binomials():
     for d in (1, 2, 3, 4):
         for n in (2, 3, 5):
             dist = hamming_distribution(d, n)
-            spectrum = resolve(ProductScheme(n, d))
+            spectrum = resolve(FromCatalog("hamming", (d, n)))
             assert np.max(np.abs(spectrum.atoms - dist.atoms)) < 1e-12
             assert np.max(np.abs(spectrum.table[:, 0] - dist.weights)) < 1e-15
             for l, (atom, weight) in enumerate(zip(dist.atoms, dist.weights)):
@@ -262,7 +261,7 @@ def test_hamming_distribution_exact_binomials():
 def test_hamming_factorization():
     for d in (1, 2, 3, 4):
         for n in (2, 3, 4, 5):
-            series = resolve(ProductScheme(n, d)).amplitudes(TIMES)
+            series = resolve(FromCatalog("hamming", (d, n))).amplitudes(TIMES)
             es = eigenstructure_from_array(complete_intersection_array(n))
             kn = eigen_spectrum(es).amplitudes(TIMES)
             assert (
@@ -272,9 +271,9 @@ def test_hamming_factorization():
 
 
 def test_hamming_special_cases():
-    series = resolve(ProductScheme(2, 2)).amplitudes(TIMES)
+    series = resolve(FromCatalog("hamming", (2, 2))).amplitudes(TIMES)
     assert np.max(np.abs(series.amplitudes[:, 0] - np.cos(TIMES) ** 2)) < 1e-12
-    spectrum1, dist1 = resolve(ProductScheme(4, 1)), hamming_distribution(1, 4)
+    spectrum1, dist1 = resolve(FromCatalog("hamming", (1, 4))), hamming_distribution(1, 4)
     for atoms, weights in ((dist1.atoms, dist1.weights), (spectrum1.atoms, spectrum1.table[:, 0])):
         assert np.allclose(atoms, [-1.0, 3.0])
         assert np.allclose(weights, [0.75, 0.25])
@@ -360,7 +359,7 @@ def test_dispatch_routes():
         np.max(np.abs(dispatch(req).amplitudes - spectral_series(PETERSEN).amplitudes))
         < 1e-12
     )
-    prod = dispatch(WalkRequest(ProductScheme(3, 2), tuple(TIMES), "auto"))
+    prod = dispatch(WalkRequest(FromCatalog("hamming", (2, 3)), tuple(TIMES), "auto"))
     direct = spectral_series(catalog("hamming", (2, 3)).array)
     assert np.max(np.abs(prod.amplitudes - direct.amplitudes)) < 1e-12
     group_req = WalkRequest(FromGroup(GroupDescriptor("cyclic", 7)), tuple(TIMES), "spectral")
@@ -468,7 +467,7 @@ ROUTING_SPECS = [
     FromCatalog("petersen"),
     FromCatalog("cycle", (8,)),
     FromSRG(16, 6, 2, 2),
-    ProductScheme(3, 2),
+    FromCatalog("hamming", (2, 3)),
     FromIntersectionArray(PETERSEN),
     FromGroup(GroupDescriptor("cyclic", 7)),
     FromGroup(GroupDescriptor("dihedral", 8), 2),
@@ -502,7 +501,8 @@ def test_dispatch_is_resolve(spec, engine):
 
 def test_intersection_array_of_specs():
     assert intersection_array(FromSRG(10, 3, 0, 1)) == PETERSEN
-    assert intersection_array(ProductScheme(3, 2)) == catalog("hamming", (2, 3)).array
+    hamming = FromCatalog("hamming", (2, 3))
+    assert intersection_array(hamming) is hamming.entry.array
     for generating in (None, 1):
         spec = FromGroup(GroupDescriptor("cyclic", 9), generating)
         assert intersection_array(spec) == cycle_intersection_array(9)
@@ -580,7 +580,7 @@ def test_non_unit_amplitude_row_is_a_numerical_instability():
 SYMMETRIC_SPECS = [
     (FromCatalog("cycle", (1000,)), "spectral"),
     (FromCatalog("cycle", (10,)), "eigen"),
-    (ProductScheme(n=2, copies=10), "auto"),
+    (FromCatalog("hamming", (10, 2)), "auto"),
     (FromCatalog("foster"), "auto"),
     (FromCatalog("incidence_pg", (7,)), "auto"),
     (FromGroup(GroupDescriptor("cyclic", 600)), "auto"),
@@ -693,7 +693,7 @@ def test_unfolded_kernel_keeps_its_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("array", [PETERSEN, cycle_intersection_array(899),
                                    cycle_intersection_array(10), cycle_intersection_array(900),
-                                   intersection_array(ProductScheme(n=2, copies=10))],
+                                   catalog("hamming", (10, 2)).array],
                          ids=["petersen", "c899", "c10", "c900", "h10_2"])
 def test_ascending_atoms_skip_the_sort_bit_for_bit(array):
     # Jacobi atoms arrive ascending and skip the sort.  Reversed, the same
